@@ -6,9 +6,8 @@ matters is backed by a certificate that is re-verified before being
 reported."""
 
 from .diffring import DiffRing, RingMismatch
-from .exactalg import (NotUnimodular, Poly, PolyMat, Rat, RatMat,
-                       ShapeMismatch, kernel_basis, poly_derivative,
-                       rat_nullspace, smith_normal_form)
+from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
+                       kernel_basis, rat_nullspace, smith_normal_form)
 from .modules import (COEFF_HEIGHT, DEFAULT_DEG_CAP, DEFAULT_TRIALS,
                       CertificateInvalid, DiffModule, HomSpace,
                       IsoCertificate, IsoResult, TrivialityResult, constants,
@@ -17,10 +16,9 @@ from .modules import (COEFF_HEIGHT, DEFAULT_DEG_CAP, DEFAULT_TRIALS,
                       trivial_module, verify_hom)
 
 __all__ = [
-    "DiffRing", "RingMismatch", "Poly", "PolyMat", "Rat", "RatMat",
-    "NotUnimodular", "ShapeMismatch", "kernel_basis", "poly_derivative",
-    "rat_nullspace", "smith_normal_form", "DiffModule", "HomSpace",
-    "IsoCertificate", "IsoResult", "TrivialityResult", "constants",
+    "DiffRing", "RingMismatch", "Poly", "PolyMat", "RatMat",
+    "NotUnimodular", "ShapeMismatch", "kernel_basis", "rat_nullspace",
+    "smith_normal_form", "DiffModule", "HomSpace", "IsoCertificate", "IsoResult", "TrivialityResult", "constants",
     "direct_sum", "hom_space", "identity_certificate", "is_trivial",
     "iso_search", "make_iso_certificate", "scramble", "trivial_module",
     "verify_hom", "CertificateInvalid", "DEFAULT_DEG_CAP", "DEFAULT_TRIALS",

@@ -3,8 +3,11 @@
 Every command prints one canonical-JSON report to stdout.  Identical
 invocations (same files, flags, seeds) produce byte-identical reports except
 for the "timing" block, which is the one field excluded from determinism
-comparisons.  Exit codes: 0 definitive verdict, 2 input error, 3 Unknown
-(the suite alone uses 1 for "some property failed").
+comparisons.  Exit codes: 0 definitive verdict, 2 input error (including a
+negative degree cap or trial count, or a suite size below 1), 3 Unknown,
+4 internal verification failure (an ArithmeticError raised by an exact
+check inside the library; one "error: internal verification failed: ..."
+line on stderr, no report), and 1 when the suite has failing items.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ EXIT_OK = 0
 EXIT_SUITE_FAIL = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 _DEFAULTS = {
     "deg_cap": DEFAULT_DEG_CAP,
@@ -63,6 +67,12 @@ def _resolve_cap(args) -> Optional[int]:
         except ValueError:
             raise ParseError(f"DIFFMOD_DEG_CAP is not an integer: {env!r}")
     return None
+
+
+def _at_least(flag: str, value: Optional[int], low: int) -> None:
+    """Reject a count below its floor as an input error."""
+    if value is not None and value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def _report(command: str, argv, inputs: dict, params: dict, result: dict,
@@ -152,6 +162,7 @@ def cmd_iso(args, argv) -> int:
     P = load_module(args.a)
     Q = load_module(args.b)
     cap = _resolve_cap(args)
+    _at_least("--trials", args.trials, 0)
     r = iso_search(P, Q, trials=args.trials, seed=args.seed, deg_cap=cap)
     verdict = {"iso": "ISO", "not_iso": "NOT_ISO", "unknown": "UNKNOWN"}[r.kind]
     cert = certificate_to_json(r.certificate) if r.certificate else None
@@ -191,6 +202,7 @@ def cmd_rcf(args, argv) -> int:
 
 def cmd_suite(args, argv) -> int:
     started = time.time()
+    _at_least("--size", args.size, 1)
     items = run_suite(seed=args.seed, size=args.size)
     width = max(len(i.name) for i in items)
     for i in items:
@@ -225,6 +237,8 @@ def cmd_monoid_new(args, argv) -> int:
     started = time.time()
     if os.path.exists(args.ledger):
         raise ParseError(f"refusing to overwrite existing ledger {args.ledger!r}")
+    _at_least("--deg-cap", args.deg_cap, 0)
+    _at_least("--trials", args.trials, 0)
     ledger = ClassLedger(DiffRing.from_tag(args.ring),
                          deg_cap=args.deg_cap if args.deg_cap is not None
                          else DEFAULT_DEG_CAP,
@@ -265,6 +279,7 @@ def cmd_monoid_add_classes(args, argv) -> int:
 def cmd_monoid_equal(args, argv) -> int:
     started = time.time()
     inputs = {"ledger": _file_ref(args.ledger)}
+    _at_least("--trials", args.trials, 0)
     ledger = _load_ledger(args.ledger)
     r = ledger.classes_equal(args.a, args.b, trials=args.trials, seed=args.seed)
     ledger.save(args.ledger)  # provenance lines were appended
@@ -416,6 +431,9 @@ def main(argv=None) -> int:
             PermissionError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ArithmeticError as exc:
+        print(f"error: internal verification failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

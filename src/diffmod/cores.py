@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import PolyMat, RatMat, kernel_basis
+from .exactalg import PolyMat, RatMat, _row_kernel_completion
 from .modules import (DEFAULT_TRIALS, CertificateInvalid, DiffModule,
                       IsoCertificate, constants, direct_sum, hom_space,
                       iso_search, make_iso_certificate, trivial_module,
@@ -72,8 +72,13 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
     Requires w in hom(P, (R,0)), v in constants(P), and w(v) = 1 (rescale by
     the constant pairing value first; the constants being a *field* is what
     makes that possible).  Returns (P', basis_change) where basis_change is
-    the invertible matrix [kernel_basis(w) | v] conjugating the structure
-    matrix of P into block-diagonal form diag(A', 0), and P' = (R^{n-1}, A').
+    the invertible matrix W = [K | v], K = kernel_basis(w), conjugating the
+    structure matrix of P into block-diagonal form diag(A', 0), and
+    P' = (R^{n-1}, A').
+
+    W^{-1} is built, not computed: with C = unimodular_completion(w), from
+    the same verified Smith form as K, w K = 0, C K = I and w v = 1 give
+    [C - (C v) w; w] W = I.
     """
     n = P.rank
     one = trivial_module(P.ring, 1)
@@ -84,9 +89,9 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
     pairing = (w @ v).entry(0, 0)
     if not pairing.is_constant() or pairing.coeff(0) != 1:
         raise PairingNotUnit(f"w(v) = {pairing}, expected 1")
-    ker = kernel_basis(w)
+    ker, comp = _row_kernel_completion(w)
     W = PolyMat.hstack(ker, v)
-    Winv = W.inverse_unimodular()
+    Winv = PolyMat.vstack(comp - (comp @ v) @ w, w)
     # structure matrix in the new basis; must come out block diagonal
     B = Winv @ (P.ring.derive_mat(W) + P.matrix @ W)
     if not B.submatrix(0, n, n - 1, n).is_zero() or not B.submatrix(n - 1, n, 0, n).is_zero():

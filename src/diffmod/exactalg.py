@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# Rationals are stdlib Fractions: always reduced, denominator > 0.
-Rat = Fraction
-
 _R0 = Fraction(0)
 _R1 = Fraction(1)
 
@@ -256,10 +253,6 @@ _P_ONE = Poly((_R1,))
 _P_X = Poly((_R0, _R1))
 
 
-def poly_derivative(p: Poly) -> Poly:
-    return p.derivative()
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
     while not b.is_zero():
@@ -488,29 +481,26 @@ class PolyMat:
 
     def inverse_unimodular(self) -> "PolyMat":
         """Inverse of a matrix whose determinant is a nonzero constant.
-        Raises NotUnimodular otherwise (inverse would leave Q[x])."""
+        Raises NotUnimodular otherwise (inverse would leave Q[x]).
+
+        Smith elimination gives U*M*V = D with U, V products of elementary
+        operations, so det M is a nonzero constant times the product of the
+        monic diagonal of D: M is unimodular exactly when D = I, and then
+        M^{-1} = V*U.  The inverse is checked by one product, M*M^{-1} = I
+        (for a square matrix a one-sided inverse is two-sided)."""
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of a non-square matrix")
         n = self.rows
-        det = self.determinant()
-        if det.is_zero() or not det.is_constant():
-            raise NotUnimodular(f"determinant {det} is not a nonzero constant")
-        inv_c = 1 / det.lc()
-        if n == 0:
-            return self
-        # adjugate via cofactors; fine at the small sizes used here
-        cof = []
-        for i in range(n):
-            for j in range(n):
-                minor_rows = [
-                    [self.entry(r, c) for c in range(n) if c != j]
-                    for r in range(n) if r != i
-                ]
-                mdet = PolyMat.from_rows(minor_rows).determinant() if n > 1 else _P_ONE
-                cof.append(mdet if (i + j) % 2 == 0 else -mdet)
-        # adjugate = transpose of cofactor matrix
-        adj = PolyMat(n, n, cof).transpose()
-        return adj.scale(inv_c)
+        D, U, _, V, _ = _smith_eliminate(self, track=("U", "V"))
+        diagonal = [D[i][i] for i in range(n)]
+        if any(d != _P_ONE for d in diagonal):
+            raise NotUnimodular(
+                f"Smith form diagonal {[str(d) for d in diagonal]} is not the identity, "
+                f"so the determinant is not a nonzero constant")
+        inv = PolyMat.from_rows(V) @ PolyMat.from_rows(U)
+        if self @ inv != PolyMat.identity(n):
+            raise ArithmeticError("unimodular inverse verification failed")
+        return inv
 
     # -- comparisons ---------------------------------------------------------
 
@@ -638,51 +628,38 @@ class RatMat:
         return RatMat(r1 - r0, c1 - c0, ents)
 
     def determinant(self) -> Fraction:
+        """Exact determinant, by the fraction-free Gauss-Jordan elimination
+        of the denominator-cleared rows (see _int_gauss_jordan)."""
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return _R1
-        m = self.to_rows()
-        det = _R1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-            if piv is None:
-                return _R0
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det
-            det *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                f = m[i][k] * inv
-                if f:
-                    for j in range(k, n):
-                        m[i][j] -= f * m[k][j]
-        return det
+        rows, scale = [], 1
+        for i in range(self.rows):
+            ints, den = _int_row(self.row(i))
+            rows.append(ints)
+            scale *= den
+        _, pivots, d, sign = _int_gauss_jordan(rows, self.cols)
+        if len(pivots) < self.rows:
+            return _R0
+        return Fraction(sign * d, scale)
 
     def inverse(self) -> "RatMat":
+        """Exact inverse; raises ZeroDivisionError for a singular matrix.
+
+        Row i is cleared of denominators by s_i, and the integer block
+        [S*M | S] with S = diag(s_i) is reduced by fraction-free
+        Gauss-Jordan elimination; it ends as d * [I | M^{-1}] for the
+        common final pivot d."""
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of a non-square matrix")
         n = self.rows
-        m = self.to_rows()
-        inv = RatMat.identity(n).to_rows()
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                inv[k], inv[piv] = inv[piv], inv[k]
-            f = 1 / m[k][k]
-            m[k] = [c * f for c in m[k]]
-            inv[k] = [c * f for c in inv[k]]
-            for i in range(n):
-                if i != k and m[i][k]:
-                    g = m[i][k]
-                    m[i] = [a - g * b for a, b in zip(m[i], m[k])]
-                    inv[i] = [a - g * b for a, b in zip(inv[i], inv[k])]
-        return RatMat.from_rows(inv)
+        rows = []
+        for i in range(n):
+            ints, den = _int_row(self.row(i))
+            rows.append(ints + [den if j == i else 0 for j in range(n)])
+        m, pivots, d, _ = _int_gauss_jordan(rows, n)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return RatMat(n, n, [Fraction(v, d) for row in m for v in row[n:]])
 
     def to_polymat(self) -> PolyMat:
         return PolyMat(self.rows, self.cols, [Poly.constant(e) for e in self.entries])
@@ -700,80 +677,88 @@ class RatMat:
 
 
 # ---------------------------------------------------------------------------
-# integer echelon / rational nullspace
+# fraction-free elimination over Q
 # ---------------------------------------------------------------------------
 
-def _int_row_echelon(rows, ncols):
-    """Fraction-free (Bareiss) row echelon of an integer matrix.
+def _int_row(row):
+    """A row of rationals cleared to integers by the lcm of its
+    denominators: returns (integer row, lcm)."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row], den
 
-    Returns (echelon_rows, pivot_cols).  Entries stay integers throughout;
-    every intermediate value is a minor of the input, so the divisions by
-    the previous pivot are exact.
+
+def _int_gauss_jordan(rows, ncols):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Pivots are taken in the first ``ncols`` columns, the leftmost nonzero
+    entry first; further columns (a right-hand side, an identity block)
+    are carried along.  Each pivot p replaces every other row by
+    (p * row - f * pivot_row) / prev, where f is the row's entry in the
+    pivot column and prev the previous pivot.  Every intermediate entry is
+    a minor of the input (Bareiss, Math. Comp. 22, 1968), so the division
+    is exact and the entries stay integers.
+
+    Returns (m, pivots, d, sign).  m holds all rows; row k < len(pivots)
+    has the entry d at column pivots[k] and zero at the other pivot
+    columns, so its first ``ncols`` entries are d times the reduced row
+    echelon form, and rows past len(pivots) are zero there.  sign is the
+    parity of the row swaps: a square input of full rank has determinant
+    sign * d.  No pivots leave d = 1.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots = []
     prev = 1
+    sign = 1
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        for i in range(r + 1, nrows):
+            sign = -sign
+        row_r = m[r]
+        p = row_r[c]
+        for i in range(nrows):
+            if i == r:
+                continue
             f = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c + 1, ncols):
-                row_i[j] = (p * row_i[j] - f * row_r[j]) // prev
-            row_i[c] = 0
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], row_r)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in m[i]]
         prev = p
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+    return m, pivots, prev, sign
 
 
 def _int_nullspace(rows, ncols):
     """Primitive integer basis of the right kernel of an integer matrix.
 
     Basis vectors are gcd-reduced with their first nonzero entry positive,
-    one per free column, in ascending column order.
+    one per free column, in ascending column order.  They are read off the
+    reduced rows: for the free column fc, x[fc] = d and x[pivots[k]] =
+    -m[k][fc], every other entry zero.
     """
-    ech, pivots = _int_row_echelon(rows, ncols)
+    m, pivots, d, _ = _int_gauss_jordan(rows, ncols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        x = [_R0] * ncols
-        x[fc] = _R1
-        for k in range(len(pivots) - 1, -1, -1):
-            pc = pivots[k]
-            if pc > fc:
-                continue
-            s = _R0
-            row = ech[k]
-            for j in range(pc + 1, ncols):
-                if row[j] and x[j]:
-                    s += row[j] * x[j]
-            x[pc] = -s / row[pc]
-        # clear to a primitive integer vector
-        den = 1
-        for v in x:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        ints = [int(v * den) for v in x]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        lead = next((v for v in ints if v), 0)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        x = [0] * ncols
+        x[fc] = d
+        for k, pc in enumerate(pivots):
+            x[pc] = -m[k][fc]
+        g = math.gcd(*x)
+        lead = next(v for v in x if v)
         if lead < 0:
-            ints = [-v for v in ints]
-        basis.append(ints)
+            g = -g
+        basis.append([v // g for v in x])
     return basis
 
 
@@ -784,13 +769,7 @@ def rat_nullspace(M: RatMat):
     control coefficient growth; the returned vectors are primitive integer
     vectors (up to scaling this is canonical).
     """
-    int_rows = []
-    for i in range(M.rows):
-        row = M.row(i)
-        den = 1
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        int_rows.append([int(v * den) for v in row])
+    int_rows = [_int_row(M.row(i))[0] for i in range(M.rows)]
     basis = _int_nullspace(int_rows, M.cols)
     return [RatMat(M.cols, 1, vec) for vec in basis]
 
@@ -1034,40 +1013,35 @@ def smith_normal_form(M: PolyMat):
     return U, D, V
 
 
+def _row_kernel_completion(w: PolyMat):
+    """Kernel basis K (n x (n-1)) and completion C ((n-1) x n) of a
+    unimodular row w, from one verified Smith normal form U w V = D with
+    D = (1, 0, ..., 0): K = V[:, 1:] and C = V^{-1}[1:, :].  The verified
+    factorization gives w V = U^{-1} D, hence w K = 0; V^{-1} V = I gives
+    C K = I; so [w; C] V = diag(U^{-1}, I) with U^{-1} a nonzero constant,
+    and [w; C] is invertible over Q[x].  Raises NotUnimodular when the
+    entries of w do not generate the unit ideal."""
+    if w.rows != 1:
+        raise ShapeMismatch("expected a single row")
+    n = w.cols
+    if n == 0:
+        raise NotUnimodular("empty row generates the zero ideal")
+    _, D, V, _, Vinv = smith_normal_form_with_inverses(w)
+    d = D.entry(0, 0)
+    if d != _P_ONE:
+        raise NotUnimodular(f"gcd of row entries is {d}, not a nonzero constant")
+    return V.submatrix(0, n, 1, n), Vinv.submatrix(1, n, 0, n)
+
+
 def kernel_basis(w: PolyMat) -> PolyMat:
     """Basis of the kernel of a unimodular row w (1xn), as the columns of an
     n x (n-1) matrix.  Raises NotUnimodular when the entries of w do not
     generate the unit ideal (kernel then has no free complement of this form).
     """
-    if w.rows != 1:
-        raise ShapeMismatch("kernel_basis expects a single row")
-    n = w.cols
-    if n == 0:
-        raise NotUnimodular("empty row generates the zero ideal")
-    U, D, V = smith_normal_form(w)
-    d = D.entry(0, 0)
-    if d.is_zero() or not d.is_constant():
-        raise NotUnimodular(f"gcd of row entries is {d}, not a nonzero constant")
-    ker = V.submatrix(0, n, 1, n)
-    if not (w @ ker).is_zero():
-        raise ArithmeticError("kernel basis verification failed")
-    # unimodular completability: stacking w atop the completion must give a
-    # matrix with constant nonzero determinant
-    comp = unimodular_completion(w)
-    stacked = PolyMat.vstack(w, comp)
-    det = stacked.determinant()
-    if det.is_zero() or not det.is_constant():
-        raise ArithmeticError("unimodular completion verification failed")
-    return ker
+    return _row_kernel_completion(w)[0]
 
 
 def unimodular_completion(w: PolyMat) -> PolyMat:
-    """An (n-1) x n matrix C such that [w; C] is invertible over Q[x]."""
-    if w.rows != 1:
-        raise ShapeMismatch("unimodular_completion expects a single row")
-    n = w.cols
-    U, D, V, _, vinv = smith_normal_form_with_inverses(w)
-    d = D.entry(0, 0)
-    if d.is_zero() or not d.is_constant():
-        raise NotUnimodular(f"gcd of row entries is {d}, not a nonzero constant")
-    return vinv.submatrix(1, n, 0, n)
+    """An (n-1) x n matrix C such that [w; C] is invertible over Q[x], with
+    C times kernel_basis(w) equal to the identity."""
+    return _row_kernel_completion(w)[1]

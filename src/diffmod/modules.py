@@ -17,8 +17,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .diffring import DiffRing, RingMismatch
-from .exactalg import (Poly, PolyMat, RatMat, ShapeMismatch, _int_nullspace,
-                       rat_nullspace)
+from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
+                       _int_gauss_jordan, _int_matmul, _int_nullspace,
+                       _int_row, rat_nullspace)
 from .rng import StableRng
 
 DEFAULT_DEG_CAP = 32
@@ -136,7 +137,10 @@ class HomSpace:
 
 
 def resolve_deg_cap(P: DiffModule, Q: DiffModule, deg_cap: Optional[int]):
-    """Effective cap and whether completeness at that cap is proven."""
+    """Effective cap and whether completeness at that cap is proven.
+    Raises ValueError for a negative cap."""
+    if deg_cap is not None and deg_cap < 0:
+        raise ValueError(f"degree cap must be nonnegative, got {deg_cap}")
     mn = P.rank * Q.rank
     if P.ring is DiffRing.CONST_ZERO:
         return (0 if deg_cap is None else deg_cap), True
@@ -148,12 +152,6 @@ def resolve_deg_cap(P: DiffModule, Q: DiffModule, deg_cap: Optional[int]):
         # so raising the default to that bound makes the basis complete
         return max(DEFAULT_DEG_CAP, mn), True
     return DEFAULT_DEG_CAP, False
-
-
-def _imat_mul(A, B):
-    """Product of integer matrices stored as lists of rows."""
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
 
 def _imat_vec(A, v):
@@ -240,7 +238,7 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
             if not nonzero_layer[e] or not sc:
                 continue
             w = sc.numerator * (denoms // sc.denominator)
-            prod = _imat_mul(layers[e], H[d - e])
+            prod = _int_matmul(layers[e], H[d - e])
             if acc is None:
                 acc = [[w * v for v in row] for row in prod]
             else:
@@ -361,8 +359,8 @@ def is_trivial(M: DiffModule, deg_cap: Optional[int] = None) -> TrivialityResult
 
     Trivial iff the constants have full rank; the certificate matrix (columns
     a constants basis) then automatically has constant nonzero determinant,
-    which is re-checked exactly.  A negative verdict is cap-relative unless
-    proven_complete is set."""
+    which inverse_unimodular re-checks exactly.  A negative verdict is
+    cap-relative unless proven_complete is set."""
     cap, proven = resolve_deg_cap(trivial_module(M.ring, 1), M, deg_cap)
     cs = constants(M, deg_cap)
     if len(cs) < M.rank:
@@ -370,10 +368,10 @@ def is_trivial(M: DiffModule, deg_cap: Optional[int] = None) -> TrivialityResult
     T = PolyMat(M.rank, 0, [])
     for v in cs:
         T = PolyMat.hstack(T, v)
-    det = T.determinant()
-    if det.is_zero() or not det.is_constant():
-        raise ArithmeticError("full constants basis with non-unit determinant")
-    forward = T.inverse_unimodular()
+    try:
+        forward = T.inverse_unimodular()
+    except NotUnimodular as exc:
+        raise ArithmeticError("full constants basis with non-unit determinant") from exc
     cert = make_iso_certificate(M, trivial_module(M.ring, M.rank), forward, T)
     return TrivialityResult(True, cert, len(cs), cap, proven)
 
@@ -412,34 +410,21 @@ def _constant_det(T: PolyMat) -> Optional[Fraction]:
 
 
 def _solve_linear(rows, rhs):
-    """One exact solution of rows @ x = rhs (free variables zero), or None."""
+    """One exact solution of rows @ x = rhs (free variables zero), or None.
+
+    The augmented rows are cleared of denominators and reduced by
+    fraction-free Gauss-Jordan elimination to d times their reduced row
+    echelon form, so x[pivots[k]] is the right-hand side of row k over d."""
     if not rows:
         return []
     ncols = len(rows[0])
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        f = 1 / m[r][c]
-        m[r] = [v * f for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                g = m[i][c]
-                m[i] = [a - g * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols]:
-            return None
+    m, pivots, d, _ = _int_gauss_jordan(
+        [_int_row(list(r) + [b])[0] for r, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
     for k, c in enumerate(pivots):
-        x[c] = m[k][ncols]
+        x[c] = Fraction(m[k][ncols], d)
     return x
 
 

@@ -187,6 +187,56 @@ def test_env_cap_garbage_is_input_error(capsys, files, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("trivial", "nilp", "--deg-cap", "-5"),
+    ("trivial", "nilp", "--deg-cap", "-1"),
+    ("hom", "line_x", "line_x", "--deg-cap", "-1"),
+    ("core", "diag01", "--deg-cap", "-2"),
+    ("iso", "twist_a", "twist_b", "--deg-cap", "-1"),
+    ("iso", "twist_a", "twist_b", "--trials", "-1"),
+    ("suite", "--size", "0"),
+    ("suite", "--size", "-3"),
+    ("monoid", "new", "--ledger", "led.json", "--deg-cap", "-1"),
+    ("monoid", "new", "--ledger", "led.json", "--trials", "-1"),
+])
+def test_negative_counts_are_input_errors(capsys, files, argv):
+    args = [files["tmp"] / a if a == "led.json" else files.get(a, a) for a in argv]
+    code = cli.main([str(a) for a in args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (files["tmp"] / "led.json").exists()
+
+
+def test_negative_env_cap_is_input_error(capsys, files, monkeypatch):
+    monkeypatch.setenv("DIFFMOD_DEG_CAP", "-5")
+    code = cli.main(["trivial", str(files["nilp"])])
+    assert code == 2
+    assert "degree cap" in capsys.readouterr().err
+
+
+def test_negative_monoid_equal_trials_is_input_error(capsys, files):
+    led = files["tmp"] / "led4.json"
+    run(capsys, "monoid", "new", "--ledger", led)
+    run(capsys, "monoid", "add-module", files["line_x"], "a", "--ledger", led)
+    code, _ = run(capsys, "monoid", "equal", "a", "a", "--trials", "-2",
+                  "--ledger", led)
+    assert code == 2
+
+
+def test_internal_verification_failure_exits_four(capsys, files, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("engineered certificate failure")
+    monkeypatch.setattr(cli, "is_trivial", broken)
+    code = cli.main(["trivial", str(files["nilp"])])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("error: internal verification failed: "
+                            "engineered certificate failure\n")
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from diffmod.cores import (CertificateInvalid, NotAHom, PairingNotUnit,
-                           cancel_free, core, is_trivial_free,
+                           _pairing_data, cancel_free, core, is_trivial_free,
                            split_trivial_summand, trivial_pairing)
 from diffmod.diffring import DiffRing
-from diffmod.exactalg import Poly, PolyMat
+from diffmod.exactalg import (Poly, PolyMat, kernel_basis,
+                              unimodular_completion)
 from diffmod.modules import (DiffModule, direct_sum, iso_search,
                              make_iso_certificate, scramble, trivial_module,
                              verify_hom)
@@ -65,6 +66,28 @@ def test_split_peels_one_trivial_line():
     lhs = W.derivative() + A @ W
     rhs = W @ PolyMat.block_diag(rest.matrix, PolyMat.zeros(1, 1))
     assert lhs == rhs
+
+
+def test_split_inverse_by_construction():
+    # split_trivial_summand builds W^{-1} = [C - (C v) w; w] for W = [K | v]
+    # from the kernel K and completion C of w; on seeded splits it must be
+    # the two-sided inverse of the W it returns
+    rng = StableRng(41)
+    for _ in range(6):
+        M = random_planned_module(rng, rng.randint(0, 2), rng.randint(1, 2)).module
+        pairing, ws, vs = _pairing_data(M)
+        j, k = next((j, k) for j in range(pairing.rows) for k in range(pairing.cols)
+                    if pairing.entry(j, k))
+        w = ws[j].scale(1 / pairing.entry(j, k))
+        rest, W = split_trivial_summand(M, w, vs[k])
+        C = unimodular_completion(w)
+        assert W == PolyMat.hstack(kernel_basis(w), vs[k])
+        Winv = PolyMat.vstack(C - (C @ vs[k]) @ w, w)
+        assert Winv @ W == PolyMat.identity(M.rank)
+        assert W @ Winv == PolyMat.identity(M.rank)
+        assert Winv == W.inverse_unimodular()
+        lhs = W.derivative() + M.matrix @ W
+        assert lhs == W @ PolyMat.block_diag(rest.matrix, PolyMat.zeros(1, 1))
 
 
 def test_split_rejects_non_hom_functional():

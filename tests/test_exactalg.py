@@ -1,5 +1,6 @@
 """Exact arithmetic layer: polynomial/matrix laws and the normal forms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, RatMat,
                               ShapeMismatch, kernel_basis, poly_gcd,
                               poly_xgcd, rat_nullspace, smith_normal_form,
                               unimodular_completion)
+from diffmod.modules import _solve_linear
+from diffmod.rng import StableRng
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 polys = st.builds(Poly, st.lists(rationals, max_size=5))
@@ -142,6 +145,47 @@ def test_determinant_and_unimodular_inverse():
         W.inverse_unimodular()
 
 
+def elementary_product(rng, n, ops):
+    """(M, M^{-1}) for a product of random shears by polynomials, constant
+    scalings and swaps, with the inverse accumulated alongside."""
+    M, Minv = PolyMat.identity(n), PolyMat.identity(n)
+    for _ in range(ops):
+        E, Einv = PolyMat.identity(n).to_rows(), PolyMat.identity(n).to_rows()
+        i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
+        kind = rng.randint(0, 2)
+        if kind == 0 and i != j:
+            p = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(rng.randint(1, 3))])
+            E[i][j], Einv[i][j] = p, -p
+        elif kind == 1:
+            c = Fraction(rng.nonzero_int(4), rng.randint(1, 5))
+            E[i][i], Einv[i][i] = Poly([c]), Poly([1 / c])
+        else:
+            E[i], E[j] = E[j], E[i]
+            Einv[i], Einv[j] = Einv[j], Einv[i]
+        M = PolyMat.from_rows(E) @ M
+        Minv = Minv @ PolyMat.from_rows(Einv)
+    return M, Minv
+
+
+def test_inverse_unimodular_on_elementary_products():
+    rng = StableRng(31)
+    assert PolyMat(0, 0, []).inverse_unimodular() == PolyMat(0, 0, [])
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        M, Minv = elementary_product(rng, n, rng.randint(0, 3 * n))
+        assert M.inverse_unimodular() == Minv
+        # a non-unit factor anywhere leaves the determinant nonconstant
+        bad = M @ PolyMat.diagonal([X + P(rng.randint(-2, 2))] + [P(1)] * (n - 1))
+        with pytest.raises(NotUnimodular):
+            bad.inverse_unimodular()
+    for singular in (PolyMat.zeros(2, 2), PolyMat(2, 2, [X, X, P(1), P(1)])):
+        with pytest.raises(NotUnimodular):
+            singular.inverse_unimodular()
+    with pytest.raises(ShapeMismatch):
+        PolyMat(1, 2, [P(1), X]).inverse_unimodular()
+
+
 def test_determinant_cubic():
     A = PolyMat(3, 3, [X, P(1), P(0),
                        P(0), X, P(1),
@@ -169,6 +213,132 @@ def test_rat_nullspace_known_kernel():
 
 def test_rat_nullspace_full_rank():
     assert rat_nullspace(RatMat.identity(3)) == []
+
+
+# A plain Fraction Gauss-Jordan, kept test-side as the reference the
+# fraction-free integer elimination must agree with.
+
+def ref_gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Q, pivots taken in the first ncols
+    columns; returns (rows, pivot columns, determinant of the pivot steps)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots, det = [], Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][c]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots, det
+
+
+def ref_nullspace(rows, ncols):
+    m, pivots, _ = ref_gauss_jordan(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for k, pc in enumerate(pivots):
+            x[pc] = -m[k][fc]
+        den = math.lcm(*(v.denominator for v in x))
+        ints = [int(v * den) for v in x]
+        g = math.gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        basis.append([v // g for v in ints])
+    return basis
+
+
+def ref_solve(rows, rhs):
+    ncols = len(rows[0])
+    m, pivots, _ = ref_gauss_jordan([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for k, c in enumerate(pivots):
+        x[c] = m[k][ncols]
+    return x
+
+
+BIG = 2**61 - 1  # a prime denominator: clearing it makes 19-digit integers
+
+
+def seeded_ratmat(rng, r, c, rank=None, big=False):
+    """r x c rationals with about a third zero entries; with rank set, the
+    product of random r x rank and rank x c factors (rank-deficient)."""
+    def entry():
+        if rng.randint(0, 2) == 0:
+            return Fraction(0)
+        den = rng.choice([1, 3, BIG, 10**12 + 39]) if big else rng.choice([1, 2, 3])
+        return Fraction(rng.randint(-9, 9), den)
+    if rank is None:
+        rows = [[entry() for _ in range(c)] for _ in range(r)]
+    else:
+        L = [[entry() for _ in range(rank)] for _ in range(r)]
+        R = [[entry() for _ in range(c)] for _ in range(rank)]
+        rows = [[sum((L[i][k] * R[k][j] for k in range(rank)), Fraction(0))
+                 for j in range(c)] for i in range(r)]
+    return RatMat.from_rows(rows) if r else RatMat(0, c, [])
+
+
+def q_kernel_inputs():
+    rng = StableRng(2024)
+    mats = [RatMat(0, 0, []), RatMat(0, 3, []), RatMat(3, 0, []),
+            RatMat.zeros(3, 3), RatMat(1, 1, [Fraction(-7, BIG)]),
+            RatMat(2, 2, [1, 2, 2, 4]),                         # singular
+            RatMat(3, 3, [0, 0, 0, 1, 2, 3, 0, 0, 0]),          # zero rows
+            RatMat(2, 4, [0, 1, 2, 3, 0, 2, 4, 6])]             # wide, rank 1
+    shapes = [(n, n) for n in range(1, 6)] + [(2, 5), (3, 6), (5, 2), (6, 3)]
+    for r, c in shapes:
+        for big in (False, True):
+            mats.append(seeded_ratmat(rng, r, c, big=big))
+            mats.append(seeded_ratmat(rng, r, c, rank=rng.randint(0, min(r, c) - 1), big=big))
+    return rng, mats
+
+
+def test_q_kernels_match_fraction_reference():
+    rng, mats = q_kernel_inputs()
+    for M in mats:
+        rows = M.to_rows()
+        kernel = [[v.entry(i, 0) for i in range(M.cols)] for v in rat_nullspace(M)]
+        assert kernel == ref_nullspace(rows, M.cols)
+        for v in rat_nullspace(M):
+            assert (M @ v).is_zero()
+        if M.rows == M.cols:
+            ref, pivots, det = ref_gauss_jordan(
+                [row + [Fraction(int(i == j)) for j in range(M.rows)]
+                 for i, row in enumerate(rows)], M.cols)
+            full = len(pivots) == M.rows
+            assert M.determinant() == (det if full else 0)
+            if full:
+                inv = M.inverse()
+                assert inv.to_rows() == [row[M.cols:] for row in ref]
+                assert M @ inv == RatMat.identity(M.rows)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    M.inverse()
+        if M.rows and M.cols:
+            consistent = M @ seeded_ratmat(rng, M.cols, 1, big=True)
+            consistent_rhs = list(consistent.entries)
+            for rhs in (consistent_rhs,
+                        [Fraction(rng.randint(-5, 5), rng.choice([1, BIG]))
+                         for _ in range(M.rows)]):
+                x = _solve_linear(rows, rhs)
+                assert x == ref_solve(rows, rhs)
+                if x is not None:
+                    assert M @ RatMat(M.cols, 1, x) == RatMat(M.rows, 1, rhs)
+                elif rhs is consistent_rhs:
+                    pytest.fail("a consistent system was reported unsolvable")
+    assert _solve_linear([], []) == []
 
 
 # ---------------------------------------------------------------------------
