@@ -4,10 +4,10 @@ Every command prints one canonical-JSON report to stdout.  Identical
 invocations (same files, flags, seeds) produce byte-identical reports except
 for the "timing" block, which is the one field excluded from determinism
 comparisons.  Exit codes: 0 definitive verdict, 2 input error (including a
-negative degree cap or trial count, or a suite size below 1), 3 Unknown,
-4 internal verification failure (an ArithmeticError raised by an exact
-check inside the library; one "error: internal verification failed: ..."
-line on stderr, no report), and 1 when the suite has failing items.
+negative degree cap or trial count, or a suite size below 1), 3 Unknown
+(poly_dx only), 4 internal verification failure (an ArithmeticError raised
+by an exact check inside the library; one "error: internal verification
+failed: ..." line on stderr, no report), and 1 when suite items fail.
 """
 
 from __future__ import annotations

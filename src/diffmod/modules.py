@@ -1,6 +1,6 @@
 """Differential modules (R^n, A) and the exact linear machinery on them:
-hom spaces up to a degree cap, constants, triviality certificates, a
-randomized isomorphism search, and scrambling by random basis change.
+hom spaces up to a degree cap, constants, triviality certificates, an
+isomorphism decision (complete over const_zero) and random basis change.
 
 A differential module is free with a chosen basis, so it is just a square
 matrix A over the ring; the derivation acts by v |-> v' + A v.  A
@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .diffring import DiffRing, RingMismatch
-from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
-                       _int_gauss_jordan, _int_matmul, _int_nullspace,
-                       _int_row, rat_nullspace)
+from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch,
+                       _int_gauss_jordan, _int_matmul, _int_nullspace, _int_row)
 from .rng import StableRng
+from .zeroder import similar
 
 DEFAULT_DEG_CAP = 32
 DEFAULT_TRIALS = 32
@@ -238,7 +238,7 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
             if not nonzero_layer[e] or not sc:
                 continue
             w = sc.numerator * (denoms // sc.denominator)
-            prod = _int_matmul(layers[e], H[d - e])
+            prod = layers[e] if d == e else _int_matmul(layers[e], H[d - e])  # H[0] = I
             if acc is None:
                 acc = [[w * v for v in row] for row in prod]
             else:
@@ -296,33 +296,22 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
 
 
 @functools.lru_cache(maxsize=512)
-def _hom_basis_cached(ring: DiffRing, A: PolyMat, B: PolyMat, cap: int):
-    if ring is DiffRing.CONST_ZERO:
-        n, m = A.rows, B.rows
-        mn = m * n
-        if mn == 0:
-            return ()
-        layers, sigma = _sylvester_layers(A, B)
-        S0 = RatMat(mn, mn, [Fraction(v, sigma) for row in layers[0] for v in row])
-        basis = []
-        for vec in rat_nullspace(S0):
-            ents = [Poly.constant(vec.entry(i + m * j, 0)) for i in range(m) for j in range(n)]
-            basis.append(PolyMat(m, n, ents))
-        return tuple(basis)
-    return tuple(_poly_hom_basis(A, B, cap))
+def _hom_basis_cached(P: DiffModule, Q: DiffModule, cap: int):
+    """The chain's basis, verified by substitution once, on the cache miss."""
+    basis = tuple(_poly_hom_basis(P.matrix, Q.matrix, cap))
+    if not all(verify_hom(T, P, Q) for T in basis):
+        raise ArithmeticError("hom solver returned a non-homomorphism")
+    return basis
 
 
 def hom_space(P: DiffModule, Q: DiffModule, deg_cap: Optional[int] = None) -> HomSpace:
     """Q-basis of differential homomorphisms P -> Q with entry degree
-    bounded by the cap.  Every basis element is re-verified by substitution
-    before being returned."""
+    bounded by the cap, each verified by substitution.  Over const_zero
+    homs are the constant T with T A = B T: the chain at cap 0."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     cap, proven = resolve_deg_cap(P, Q, deg_cap)
-    basis = _hom_basis_cached(P.ring, P.matrix, Q.matrix, cap)
-    for T in basis:
-        if not verify_hom(T, P, Q):
-            raise ArithmeticError("hom solver returned a non-homomorphism")
+    basis = _hom_basis_cached(P, Q, 0 if P.ring is DiffRing.CONST_ZERO else cap)
     return HomSpace(P, Q, basis, cap, proven)
 
 
@@ -460,14 +449,15 @@ def _solve_left_inverse(T: PolyMat, hom_qp: HomSpace) -> Optional[PolyMat]:
 
 def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
                seed: int = 0, deg_cap: Optional[int] = None) -> IsoResult:
-    """Three-valued isomorphism decision.
+    """Isomorphism decision, complete over const_zero (similarity, decided
+    by zeroder.similar) and three-valued over poly_dx.
 
-    NotIso is returned only on a proven invariant mismatch (rank, hom-space
-    dimensions both ways, constants dimensions), with negative dimension
-    evidence re-checked at cap + 10.  Iso certificates come from sampling
-    random integer combinations T of hom(P, Q) and solving S T = identity
-    for S in hom(Q, P); everything returned is re-verified exactly.
-    Deterministic for a fixed seed."""
+    Over poly_dx, NotIso is returned only on a proven invariant mismatch
+    (rank, hom-space dimensions both ways, constants dimensions), with
+    negative dimension evidence re-checked at cap + 10.  Iso certificates
+    come from sampling random integer combinations T of hom(P, Q) and
+    solving S T = identity for S in hom(Q, P); everything returned is
+    re-verified exactly.  Deterministic for a fixed seed."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     cap, proven = resolve_deg_cap(P, Q, deg_cap)
@@ -476,8 +466,15 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     if P.rank == 0:
         empty = PolyMat(0, 0, [])
         return IsoResult("iso", make_iso_certificate(P, Q, empty, empty), None, 0, cap)
+    if P.ring is DiffRing.CONST_ZERO:
+        s = similar(P.matrix.to_ratmat(), Q.matrix.to_ratmat())
+        if not s.similar:
+            return IsoResult("not_iso", None, s.witness, 0, cap)
+        cert = make_iso_certificate(P, Q, s.certificate.transform.to_polymat(),
+                                    s.certificate.inverse.to_polymat())
+        return IsoResult("iso", cert, None, 0, cap)
 
-    def stabilized_dim(src, tgt, label):
+    def stabilized_dim(src, tgt):
         # hom space at the working cap, raising the cap once if a zero
         # dimension fails to stabilize
         h = hom_space(src, tgt, cap)
@@ -486,8 +483,8 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
         h2 = hom_space(src, tgt, cap + 10)
         return (h2, h2.dimension) if h2.dimension else (h, 0)
 
-    h_pq, d_pq = stabilized_dim(P, Q, "P->Q")
-    h_qp, d_qp = stabilized_dim(Q, P, "Q->P")
+    h_pq, d_pq = stabilized_dim(P, Q)
+    h_qp, d_qp = stabilized_dim(Q, P)
     if d_pq == 0 or d_qp == 0:
         caps = f"degree cap {cap}" + ("" if h_pq.proven_complete else f" and {cap + 10}")
         direction = "P->Q" if d_pq == 0 else "Q->P"

@@ -120,11 +120,11 @@ class ClassLedger:
 
     def classes_equal(self, a: str, b: str, trials: Optional[int] = None,
                       seed: Optional[int] = None) -> EqualityResult:
-        """Three-valued equality of classes, decided on the stored cores.
+        """Equality of classes, decided on the stored cores by iso_search.
 
         Equal comes with a verified isomorphism certificate; NotEqual only
-        from a proven invariant mismatch; everything else stays Unknown
-        (never silently collapsed into NotEqual)."""
+        from a proven invariant mismatch; over poly_dx everything else stays
+        Unknown (never silently collapsed into NotEqual)."""
         ea, eb = self[a], self[b]
         r = iso_search(ea.core, eb.core,
                        trials=self.trials if trials is None else trials,

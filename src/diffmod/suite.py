@@ -322,6 +322,9 @@ def _zeroder_props(rng, cases):
         f = rcf(A)
         assert rcf(f.form).form == f.form, "canonical form not canonical"
         C = random_ratmat(rng, n, n)
+        for other, kind in ((B, "iso"), (C, "iso" if similar(A, C).similar else "not_iso")):
+            pair = [DiffModule(DiffRing.CONST_ZERO, n, M.to_polymat()) for M in (A, other)]
+            assert iso_search(*pair).kind == kind, "iso_search disagrees with similar"
         assert padded_cancellation_check(A, C, rng.randint(1, 2)), \
             "padding changed the similarity verdict"
         a = rng.randint(1, 2)

@@ -138,6 +138,18 @@ def test_iso_unknown_exit_three(capsys, files):
     assert rep["result"]["verdict"] == "UNKNOWN"
 
 
+def test_const_zero_iso_decided_exit_zero(capsys, files):
+    jordan = files["tmp"] / "jordan.json"
+    write_module(jordan, DiffRing.CONST_ZERO, 2, [P(1), P(1), P(0), P(1)])
+    eye = files["tmp"] / "eye.json"
+    write_module(eye, DiffRing.CONST_ZERO, 2, [P(1), P(0), P(0), P(1)])
+    code, rep = run_json(capsys, "iso", jordan, eye)
+    assert code == 0
+    assert rep["result"]["verdict"] == "NOT_ISO"
+    assert "invariant factors differ" in rep["result"]["witness"]
+    assert rep["result"]["trials_used"] == 0
+
+
 def test_rcf_report(capsys, files):
     code, rep = run_json(capsys, "rcf", files["const"])
     assert code == 0

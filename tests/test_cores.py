@@ -13,7 +13,7 @@ from diffmod.exactalg import (Poly, PolyMat, kernel_basis,
 from diffmod.modules import (DiffModule, direct_sum, iso_search,
                              make_iso_certificate, scramble, trivial_module,
                              verify_hom)
-from diffmod.suite import random_planned_module
+from diffmod.suite import random_planned_module, random_similar_pair
 from diffmod.rng import StableRng
 
 
@@ -215,3 +215,22 @@ def test_cancel_free_rank_zero_sides():
     out = cancel_free(z, z, 1, cert)
     assert out is not None
     assert out.forward.rows == 0
+
+
+def test_cancel_free_const_zero_without_trials():
+    # S A S^-1 against A, both padded by one zero line: the cores differ,
+    # and over const_zero their isomorphism is decided without sampling
+    A, B, S = random_similar_pair(StableRng(5), 3)
+    assert A != B
+    p_mod = DiffModule(DiffRing.CONST_ZERO, 3, A.to_polymat())
+    q_mod = DiffModule(DiffRing.CONST_ZERO, 3, B.to_polymat())
+    pad = trivial_module(DiffRing.CONST_ZERO, 1)
+    cert = make_iso_certificate(
+        direct_sum(p_mod, pad), direct_sum(q_mod, pad),
+        PolyMat.block_diag(S.to_polymat(), PolyMat.identity(1)),
+        PolyMat.block_diag(S.inverse().to_polymat(), PolyMat.identity(1)))
+    out = cancel_free(p_mod, q_mod, 1, cert, trials=0)
+    assert out is not None
+    assert out.source == p_mod and out.target == q_mod
+    assert verify_hom(out.forward, p_mod, q_mod)
+    assert out.forward @ out.backward == PolyMat.identity(3)

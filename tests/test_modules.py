@@ -1,6 +1,7 @@
 """Engine tests: hom spaces (cross-checked against a brute-force solver),
 constants, triviality, isomorphism search, scrambling."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from diffmod.modules import (CertificateInvalid, DiffModule, constants,
                              resolve_deg_cap, scramble, trivial_module,
                              verify_hom)
 from diffmod.rng import StableRng
+from diffmod.suite import random_similar_pair
 
 
 def P(*coeffs):
@@ -203,6 +205,60 @@ def test_cap_policy_explicit_cap_wins():
     assert cap == 7 and not proven
 
 
+def const_module(rows) -> DiffModule:
+    return DiffModule(DiffRing.CONST_ZERO, len(rows), PolyMat.from_rows(
+        [[P(Fraction(v)) for v in row] for row in rows]))
+
+
+J2 = const_module([[1, 1], [0, 1]])
+I2 = const_module([[1, 0], [0, 1]])
+
+
+def intertwiner_basis(src: DiffModule, tgt: DiffModule):
+    """Primitive integer basis of the kernel of vec(T) |-> vec(T A - B T),
+    vec column-major, one vector per free column of the reduced row echelon
+    form in ascending order, first nonzero entry positive; by a plain
+    Fraction Gauss-Jordan elimination."""
+    n, m = src.rank, tgt.rank
+    A, B = src.matrix.to_ratmat(), tgt.matrix.to_ratmat()
+    rows = []
+    for r in range(m * n):
+        i, j = r % m, r // m
+        row = [Fraction(0)] * (m * n)
+        for k in range(n):
+            row[i + m * k] += A.entry(k, j)
+        for k in range(m):
+            row[k + m * j] -= B.entry(i, k)
+        rows.append(row)
+    pivots = []
+    for c in range(m * n):
+        p = next((r for r in range(len(pivots), len(rows)) if rows[r][c]), None)
+        if p is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [v / rows[k][c] for v in rows[k]]
+        for r in range(len(rows)):
+            if r != k and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(m * n) if c not in pivots):
+        x = [Fraction(0)] * (m * n)
+        x[fc] = Fraction(1)
+        for k, pc in enumerate(pivots):
+            x[pc] = -rows[k][fc]
+        den = math.lcm(*(v.denominator for v in x))
+        ints = [int(v * den) for v in x]
+        g = math.gcd(*ints)
+        lead = next(v for v in ints if v)
+        ints = [v // (g if lead > 0 else -g) for v in ints]
+        basis.append(PolyMat(m, n, [P(ints[i + m * j])
+                                    for i in range(m) for j in range(n)]))
+    return basis
+
+
 def test_const_ring_hom_is_intertwiner_space():
     d12 = DiffModule(DiffRing.CONST_ZERO, 2,
                      PolyMat(2, 2, [P(1), P(0), P(0), P(2)]))
@@ -213,6 +269,15 @@ def test_const_ring_hom_is_intertwiner_space():
     other = DiffModule(DiffRing.CONST_ZERO, 2,
                        PolyMat(2, 2, [P(3), P(0), P(0), P(4)]))
     assert hom_space(d12, other).dimension == 0
+    rect = const_module([[1, Fraction(1, 2), 0], [0, 1, 0], [0, 0, 2]])
+    scalar = const_module([[2, 0], [0, 2]])
+    for src, tgt in [(d12, d12), (d12, other), (J2, I2), (I2, J2), (J2, J2),
+                     (rect, J2), (J2, rect), (rect, scalar), (scalar, scalar)]:
+        expected = intertwiner_basis(src, tgt)
+        assert list(hom_space(src, tgt).basis) == expected
+        at_ten = hom_space(src, tgt, 10)
+        assert list(at_ten.basis) == expected
+        assert at_ten.deg_cap == 10 and at_ten.proven_complete
 
 
 def test_hom_rejects_mixed_rings():
@@ -298,6 +363,27 @@ def test_iso_search_deterministic_per_seed():
 def test_rank_zero_modules_are_isomorphic():
     z = trivial_module(DiffRing.POLY_DX, 0)
     assert iso_search(z, z).kind == "iso"
+
+
+def test_const_zero_iso_refuted_by_invariant_factors():
+    # same hom dimensions and constants both ways, so only the invariant
+    # factors (x-1)^2 against x-1, x-1 tell J2(1) and I2 apart
+    r = iso_search(J2, I2)
+    assert r.kind == "not_iso"
+    assert "invariant factors differ" in r.witness
+    assert r.trials_used == 0
+
+
+def test_const_zero_iso_certified_without_trials():
+    A, B, _ = random_similar_pair(StableRng(3), 4)
+    assert A != B
+    src = DiffModule(DiffRing.CONST_ZERO, 4, A.to_polymat())
+    tgt = DiffModule(DiffRing.CONST_ZERO, 4, B.to_polymat())
+    r = iso_search(src, tgt, trials=0)
+    assert r.kind == "iso" and r.trials_used == 0
+    assert verify_hom(r.certificate.forward, src, tgt)
+    assert verify_hom(r.certificate.backward, tgt, src)
+    assert r.certificate.forward @ r.certificate.backward == PolyMat.identity(4)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,18 @@ def test_unknown_not_collapsed(ledger):
     assert r2.kind == "equal"  # identical matrices: identity certificate
 
 
+def test_const_zero_classes_decided_by_similarity():
+    # J2(1) and I2 agree on hom dimensions and constants; only their
+    # invariant factors differ, and that proof makes the verdict definite
+    led = ClassLedger(DiffRing.CONST_ZERO)
+    led.class_of(DiffModule(DiffRing.CONST_ZERO, 2,
+                            PolyMat(2, 2, [P(1), P(1), P(0), P(1)])), "jordan")
+    led.class_of(DiffModule(DiffRing.CONST_ZERO, 2, PolyMat.identity(2)), "eye")
+    r = led.classes_equal("jordan", "eye")
+    assert r.kind == "not_equal"
+    assert "invariant factors differ" in r.witness
+
+
 def test_duplicate_names_rejected(ledger):
     with pytest.raises(ValueError):
         ledger.class_of(line(P(1)), "unit")
