@@ -402,18 +402,29 @@ class PolyMat:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
+        # integer products of the denominator-cleared factors; each entry
+        # accumulates in one coefficient list and becomes one Poly
+        (a_ints,), da = _int_cleared([self.entries])
+        (b_ints,), db = _int_cleared([other.entries])
+        den = da * db
         out = []
         for i in range(n):
-            ri = self.row(i)
+            ri = a_ints[i * k:(i + 1) * k]
             for j in range(m):
-                acc = _P_ZERO
+                acc = []
                 for t in range(k):
                     a = ri[t]
-                    if a.coeffs:
-                        b = other.entries[t * m + j]
-                        if b.coeffs:
-                            acc = acc + a * b
-                out.append(acc)
+                    if a:
+                        b = b_ints[t * m + j]
+                        if b:
+                            grow = len(a) + len(b) - 1 - len(acc)
+                            if grow > 0:
+                                acc.extend([0] * grow)
+                            for p, ap in enumerate(a):
+                                if ap:
+                                    for q, bq in enumerate(b):
+                                        acc[p + q] += ap * bq
+                out.append(Poly([Fraction(v, den) for v in acc]) if acc else _P_ZERO)
         return PolyMat(n, m, out)
 
     def transpose(self) -> "PolyMat":
@@ -745,6 +756,12 @@ def _int_nullspace(rows, ncols):
     -m[k][fc], every other entry zero.
     """
     m, pivots, d, _ = _int_gauss_jordan(rows, ncols)
+    return _echelon_kernel(m, pivots, d, ncols)
+
+
+def _echelon_kernel(m, pivots, d, ncols):
+    """The primitive kernel basis of _int_nullspace, read off a finished
+    _int_gauss_jordan elimination (m, pivots, d) of the matrix."""
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):

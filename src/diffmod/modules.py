@@ -14,11 +14,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch,
-                       _int_gauss_jordan, _int_matmul, _int_nullspace, _int_row)
+                       _echelon_kernel, _int_gauss_jordan, _int_nullspace, _int_row)
 from .rng import StableRng
 from .zeroder import similar
 
@@ -123,8 +124,10 @@ class HomSpace:
     """Q-basis of differential homomorphisms source -> target with entry
     degree <= deg_cap.  Sound unconditionally (every element re-verified by
     substitution); complete for degree <= deg_cap, and complete outright
-    when proven_complete is set (constant matrices, where degree
-    rank*rank suffices)."""
+    when proven_complete is set: over const_zero; for constant matrices
+    when deg_cap >= rank*rank or the chain's rank test stabilized within
+    the cap; and when the top layer L_E of T |-> T A - B T is invertible,
+    so the space is {0} (see _poly_hom_basis)."""
     source: DiffModule
     target: DiffModule
     basis: tuple
@@ -154,10 +157,6 @@ def resolve_deg_cap(P: DiffModule, Q: DiffModule, deg_cap: Optional[int]):
     return DEFAULT_DEG_CAP, False
 
 
-def _imat_vec(A, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
-
-
 def _content(rows) -> int:
     g = 0
     for row in rows:
@@ -170,14 +169,15 @@ def _content(rows) -> int:
 
 
 def _sylvester_layers(A: PolyMat, B: PolyMat):
-    """Integerized coefficient operators of T |-> T A - B T.
+    """Integerized coefficient operators of T |-> T A - B T, as sparse rows.
 
     Column-major vec: vec(T)[i + m*j] = T[i][j].  Returns (layers, sigma)
-    where layers[e] is an integer mn x mn matrix and the true operator for
-    the x^e coefficient is layers[e] / sigma.
+    where layers[e][r] lists the nonzero (column, value) pairs of row r of
+    an integer mn x mn matrix, and the true operator for the x^e
+    coefficient is that matrix over sigma.  Row (i, j) reads column j of
+    A_e and row i of B_e, so it has at most m + n - 1 nonzeros.
     """
     n, m = A.rows, B.rows
-    mn = m * n
     E = max(A.max_degree(), B.max_degree())
     sigma = 1
     for M in (A, B):
@@ -186,143 +186,179 @@ def _sylvester_layers(A: PolyMat, B: PolyMat):
                 sigma = sigma * c.denominator // math.gcd(sigma, c.denominator)
     layers = []
     for e in range(E + 1):
-        S = [[0] * mn for _ in range(mn)]
         Ae = A.coefficient_matrix(e)
         Be = B.coefficient_matrix(e)
-        for i in range(m):
-            for j in range(n):
-                r = i + m * j
+        rows = []
+        for j in range(n):
+            for i in range(m):
+                row = {}
                 for k in range(n):
                     c = Ae.entry(k, j)
                     if c:
-                        S[r][i + m * k] += int(c * sigma)
+                        row[i + m * k] = row.get(i + m * k, 0) + int(c * sigma)
                 for k in range(m):
                     c = Be.entry(i, k)
                     if c:
-                        S[r][k + m * j] -= int(c * sigma)
-        layers.append(S)
+                        row[k + m * j] = row.get(k + m * j, 0) - int(c * sigma)
+                rows.append(sorted((col, v) for col, v in row.items() if v))
+        layers.append(rows)
     return layers, sigma
 
 
 def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
-    """Basis of {T : T' = T A - B T, entries of degree <= cap} over Q[x].
+    """Basis of {T : T' = T A - B T, entries of degree <= cap} over Q[x],
+    and whether that basis is proven to span every polynomial solution.
 
     The x^d coefficient of the equation reads
         (d+1) T_{d+1} = sum_e S_e T_{d-e},
     so T is determined linearly by T_0 and the degree-cap solutions are the
     kernel of the window map T_0 |-> (T_{cap+1}, ..., T_{cap+E+1}).  The
-    chain is run on integer matrices with a tracked rational scale; scales
-    do not affect kernels, so the window rows are stacked unscaled.
+    chain H[d] (T_d = H[d] T_0 up to a tracked rational scale) runs on
+    integer matrices, one sparse row of S_e at a time; scales do not affect
+    kernels, so the window rows are stacked unscaled.  _int_nullspace reads
+    a canonical basis off the kernel alone, so any window with the same
+    kernel gives the same basis.  Two proofs cut the work short:
+
+    * Invertible top layer.  For T of degree d with top coefficient T_d,
+      the x^(d+E) coefficient of T A - B T is S_E(T_d), while T' has degree
+      d - 1, so S_E(T_d) = 0.  When S_E has full rank there is no nonzero
+      solution of any degree: the result is [] before the chain starts.
+    * E = 0.  Here H[d] is proportional to S_0^d, and rank(S_0^d) never
+      increases with d; once rank(S_0^k) = rank(S_0^2k) it is constant from
+      k on, so ker S_0^k = ker S_0^(cap+1) when k <= cap + 1.  The rank is
+      tested at d = 2, 4, 8, ... <= cap + 1 against d / 2 (S_0 itself was
+      eliminated for the first proof), and at the first equality, or at a
+      zero H[d] (k = d: rank 0 cannot fall further), H[k] is the window.
+      Every solution has degree < k, so the basis is complete outright, and
+      coefficients are assembled only for d < k.  Without a stop the
+      elimination of H[cap + 1], when it was tested, still gives the window.
     """
     n, m = A.rows, B.rows
     mn = m * n
     if mn == 0:
-        return []
+        return [], True
     layers, sigma = _sylvester_layers(A, B)
     E = len(layers) - 1
-    nonzero_layer = [any(any(row) for row in S) for S in layers]
+    top = [[0] * mn for _ in range(mn)]
+    for r, row in enumerate(layers[E]):
+        for c, v in row:
+            top[r][c] = v
+    echelon = _int_gauss_jordan(top, mn)[:3]
+    if len(echelon[1]) == mn:
+        return [], True
     steps = cap + E + 1
+    # E = 0: echelon holds the elimination of H[tested], first S_0 itself
+    tested = 1 if E == 0 else None
+    stable = False
 
     H = [[[1 if i == j else 0 for j in range(mn)] for i in range(mn)]]
     scales = [Fraction(1)]
     zero_mat = [[0] * mn for _ in range(mn)]
     for d in range(steps):
-        acc = None
         denoms = 1
-        for e in range(min(d, E) + 1):
-            if nonzero_layer[e] and scales[d - e]:
-                q = scales[d - e].denominator
-                denoms = denoms * q // math.gcd(denoms, q)
+        terms = []  # (layer, scale of the H it acts on) per contributing layer
         for e in range(min(d, E) + 1):
             sc = scales[d - e]
-            if not nonzero_layer[e] or not sc:
-                continue
-            w = sc.numerator * (denoms // sc.denominator)
-            prod = layers[e] if d == e else _int_matmul(layers[e], H[d - e])  # H[0] = I
-            if acc is None:
-                acc = [[w * v for v in row] for row in prod]
-            else:
-                for i in range(mn):
-                    ai = acc[i]
-                    pi = prod[i]
-                    for j in range(mn):
-                        ai[j] += w * pi[j]
-        if acc is None or all(not any(row) for row in acc):
+            if sc:
+                denoms = math.lcm(denoms, sc.denominator)
+                terms.append((e, sc))
+        acc = []
+        for r in range(mn):
+            coefs, vecs = [], []
+            for e, sc in terms:
+                w = sc.numerator * (denoms // sc.denominator)
+                prev = H[d - e]
+                for c, v in layers[e][r]:
+                    coefs.append(w * v)
+                    vecs.append(prev[c])
+            acc.append([sum(map(mul, coefs, col)) for col in zip(*vecs)]
+                       if vecs else [0] * mn)
+        if all(not any(row) for row in acc):
             H.append(zero_mat)
             scales.append(Fraction(0))
-            continue
-        g = _content(acc)
-        if g > 1:
-            acc = [[v // g for v in row] for row in acc]
-        H.append(acc)
-        scales.append(Fraction(g, (d + 1) * sigma * denoms))
+        else:
+            g = _content(acc)
+            if g > 1:
+                acc = [[v // g for v in row] for row in acc]
+            H.append(acc)
+            scales.append(Fraction(g, (d + 1) * sigma * denoms))
+        if tested and d + 1 == 2 * tested:
+            doubled = _int_gauss_jordan(H[d + 1], mn)[:3]
+            if len(doubled[1]) == len(echelon[1]):
+                stable = True
+                break
+            echelon, tested = doubled, d + 1
+            if not doubled[1]:  # H[d+1] = 0: rank 0 cannot fall further
+                stable = True
+                break
 
-    window = []
-    for d in range(cap + 1, cap + E + 2):
-        if scales[d]:
-            window.extend(H[d])
-    if not window:
-        t0s = [[1 if i == j else 0 for i in range(mn)] for j in range(mn)]
+    if tested and (stable or tested == cap + 1):
+        # the window's kernel is the kernel of H[tested]
+        t0s = _echelon_kernel(*echelon, mn)
     else:
+        window = []
+        for d in range(cap + 1, cap + E + 2):
+            if scales[d]:
+                window.extend(H[d])
         t0s = _int_nullspace(window, mn)
+    degree = tested - 1 if stable else cap
 
+    # T_d = scales[d] * H[d] t0, cleared by the lcm of the scale
+    # denominators to one primitive integer polynomial matrix
+    den = math.lcm(*(sc.denominator for sc in scales[:degree + 1]))
     basis = []
     for t0 in t0s:
-        # coefficient vectors of the solution, degree by degree
-        coeff_lists = [[Fraction(0)] * (cap + 1) for _ in range(mn)]
-        for d in range(cap + 1):
-            if not scales[d]:
-                continue
-            vd = _imat_vec(H[d], t0) if d else t0
+        coeffs = [[0] * (degree + 1) for _ in range(mn)]
+        for d in range(degree + 1):
             sc = scales[d]
-            for idx in range(mn):
-                if vd[idx]:
-                    coeff_lists[idx][d] = vd[idx] * sc
-        # clear to a primitive integer polynomial matrix
-        den = 1
-        for cl in coeff_lists:
-            for v in cl:
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        num_g = 0
-        for cl in coeff_lists:
-            for v in cl:
-                if v:
-                    num_g = math.gcd(num_g, int(v * den))
-        num_g = num_g or 1
-        entries = [Poly([v * den / num_g for v in coeff_lists[i + m * j]])
+            if sc:
+                f = sc.numerator * (den // sc.denominator)
+                vd = [sum(map(mul, row, t0)) for row in H[d]] if d else t0
+                for idx, v in enumerate(vd):
+                    coeffs[idx][d] = v * f
+        g = math.gcd(*(v for cl in coeffs for v in cl))
+        entries = [Poly([v // g for v in coeffs[i + m * j]])
                    for i in range(m) for j in range(n)]
         basis.append(PolyMat(m, n, [entries[j * n + k] for j in range(m) for k in range(n)]))
-    return basis
+    return basis, stable
 
 
 @functools.lru_cache(maxsize=512)
 def _hom_basis_cached(P: DiffModule, Q: DiffModule, cap: int):
-    """The chain's basis, verified by substitution once, on the cache miss."""
-    basis = tuple(_poly_hom_basis(P.matrix, Q.matrix, cap))
+    """The chain's (basis, proven) pair, the basis verified by substitution
+    once, on the cache miss."""
+    basis, proven = _poly_hom_basis(P.matrix, Q.matrix, cap)
+    basis = tuple(basis)
     if not all(verify_hom(T, P, Q) for T in basis):
         raise ArithmeticError("hom solver returned a non-homomorphism")
-    return basis
+    return basis, proven
 
 
 def hom_space(P: DiffModule, Q: DiffModule, deg_cap: Optional[int] = None) -> HomSpace:
     """Q-basis of differential homomorphisms P -> Q with entry degree
     bounded by the cap, each verified by substitution.  Over const_zero
-    homs are the constant T with T A = B T: the chain at cap 0."""
+    homs are the constant T with T A = B T: the chain at cap 0.  Complete
+    outright when the cap policy or the chain proves it."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     cap, proven = resolve_deg_cap(P, Q, deg_cap)
-    basis = _hom_basis_cached(P, Q, 0 if P.ring is DiffRing.CONST_ZERO else cap)
-    return HomSpace(P, Q, basis, cap, proven)
+    basis, chain_proven = _hom_basis_cached(
+        P, Q, 0 if P.ring is DiffRing.CONST_ZERO else cap)
+    return HomSpace(P, Q, basis, cap, proven or chain_proven)
+
+
+def _constants_space(M: DiffModule, deg_cap: Optional[int]) -> HomSpace:
+    space = hom_space(trivial_module(M.ring, 1), M, deg_cap)
+    if len(space.basis) > M.rank:
+        raise ArithmeticError("more constants than the rank allows")
+    return space
 
 
 def constants(M: DiffModule, deg_cap: Optional[int] = None):
     """Basis of {v : v' + A v = 0} as rank x 1 columns.  These are exactly
     the homomorphisms out of the rank-1 trivial module.  Dimension never
     exceeds the rank (evaluation at 0 is injective on constants)."""
-    space = hom_space(trivial_module(M.ring, 1), M, deg_cap)
-    if len(space.basis) > M.rank:
-        raise ArithmeticError("more constants than the rank allows")
-    return space.basis
+    return _constants_space(M, deg_cap).basis
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +385,10 @@ def is_trivial(M: DiffModule, deg_cap: Optional[int] = None) -> TrivialityResult
     Trivial iff the constants have full rank; the certificate matrix (columns
     a constants basis) then automatically has constant nonzero determinant,
     which inverse_unimodular re-checks exactly.  A negative verdict is
-    cap-relative unless proven_complete is set."""
-    cap, proven = resolve_deg_cap(trivial_module(M.ring, 1), M, deg_cap)
-    cs = constants(M, deg_cap)
+    cap-relative unless proven_complete (that of the constants' hom space)
+    is set."""
+    space = _constants_space(M, deg_cap)
+    cs, cap, proven = space.basis, space.deg_cap, space.proven_complete
     if len(cs) < M.rank:
         return TrivialityResult(False, None, len(cs), cap, proven)
     T = PolyMat(M.rank, 0, [])
@@ -486,8 +523,8 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     h_pq, d_pq = stabilized_dim(P, Q)
     h_qp, d_qp = stabilized_dim(Q, P)
     if d_pq == 0 or d_qp == 0:
-        caps = f"degree cap {cap}" + ("" if h_pq.proven_complete else f" and {cap + 10}")
-        direction = "P->Q" if d_pq == 0 else "Q->P"
+        zero, direction = (h_pq, "P->Q") if d_pq == 0 else (h_qp, "Q->P")
+        caps = f"degree cap {cap}" + ("" if zero.proven_complete else f" and {cap + 10}")
         return IsoResult("not_iso", None,
                          f"hom space {direction} has dimension 0 ({caps})", 0, cap)
 

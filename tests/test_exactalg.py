@@ -134,6 +134,44 @@ def test_matmul_and_derivative():
     assert (A @ B).derivative() == A.derivative() @ B + A @ B.derivative()
 
 
+def naive_matmul(A, B):
+    """Reference product: each entry a running sum of Poly products."""
+    out = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = Poly.zero()
+            for t in range(A.cols):
+                acc = acc + A.entry(i, t) * B.entry(t, j)
+            out.append(acc)
+    return PolyMat(A.rows, B.cols, out)
+
+
+def test_matmul_matches_naive_product():
+    rng = StableRng(41)
+
+    def rand_mat(r, c):
+        entries = []
+        for _ in range(r * c):
+            if rng.randint(0, 3) == 0:
+                entries.append(Poly.zero())
+            else:
+                entries.append(Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                                     for _ in range(rng.randint(1, 4))]))
+        return PolyMat(r, c, entries)
+    shapes = [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)) for _ in range(30)]
+    for r, k, c in shapes:
+        A, B = rand_mat(r, k), rand_mat(k, c)
+        prod = A @ B
+        assert (prod.rows, prod.cols) == (r, c)
+        assert prod == naive_matmul(A, B)
+        assert all(type(cf) is Fraction for p in prod.entries for cf in p.coeffs)
+    # entries that cancel to the zero polynomial
+    row = PolyMat(1, 2, [X, -X])
+    col = PolyMat(2, 1, [P(Fraction(1, 3)), P(Fraction(1, 3))])
+    assert (row @ col).entry(0, 0).coeffs == ()
+
+
 def test_determinant_and_unimodular_inverse():
     U = PolyMat(2, 2, [P(1), -X, P(0), P(1)])
     assert U.determinant() == P(1)

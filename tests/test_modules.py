@@ -280,6 +280,154 @@ def test_const_ring_hom_is_intertwiner_space():
         assert at_ten.deg_cap == 10 and at_ten.proven_complete
 
 
+# ---------------------------------------------------------------------------
+# proven completeness: an invertible top layer, and rank stabilization of
+# the chain for constant matrices (both checked against the oracle)
+# ---------------------------------------------------------------------------
+
+def poly_module(rows) -> DiffModule:
+    return DiffModule(DiffRing.POLY_DX, len(rows), PolyMat.from_rows(
+        [[v if isinstance(v, Poly) else P(v) for v in row] for row in rows]))
+
+
+def nilpotent_jordan(n):
+    return [[1 if c == r + 1 else 0 for c in range(n)] for r in range(n)]
+
+
+def shear_conjugate(rows, rng):
+    """S A S^-1 for an integer shear product S: dense, same Jordan form."""
+    n = len(rows)
+    A = RatMat.from_rows([[Fraction(v) for v in row] for row in rows])
+    S = RatMat.identity(n)
+    for _ in range(n + 1 if n > 1 else 0):
+        i = rng.randint(0, n - 1)
+        j = (i + rng.randint(1, n - 1)) % n
+        E = RatMat.identity(n).to_rows()
+        E[i][j] = Fraction(rng.nonzero_int(2))
+        S = RatMat.from_rows(E) @ S
+    return (S @ A @ S.inverse()).to_rows()
+
+
+ZERO_LINE = poly_module([[0]])
+
+
+def assert_same_space_at_default_cap(src, tgt):
+    cap, _ = resolve_deg_cap(src, tgt, None)
+    fast = hom_space(src, tgt)
+    assert fast.basis == hom_space(src, tgt, cap).basis
+    assert fast.dimension == len(oracle_hom_basis(src, tgt, cap))
+
+
+def test_nilpotent_chain_matches_oracle_at_every_cap():
+    # hom((R^k, N), (R, 0)) has L = N^T, of nilpotent index k; caps below
+    # the index give no early stop and the window H[cap + 1]
+    rng = StableRng(505)
+    for k in range(1, 6):
+        jordan = nilpotent_jordan(k)
+        for rows in (jordan, shear_conjugate(jordan, rng)):
+            src = poly_module(rows)
+            for cap in range(6):
+                assert_same_space(src, ZERO_LINE, cap)
+                assert_same_space(ZERO_LINE, src, cap)
+            assert_same_space_at_default_cap(src, ZERO_LINE)
+            hs = hom_space(src, ZERO_LINE)
+            assert hs.dimension == k and hs.proven_complete
+
+
+def test_mixed_constant_chain_matches_oracle_at_every_cap():
+    # a nilpotent block beside an invertible one: the rank of L^d falls to
+    # a nonzero floor, so only equal ranks (not a zero H[d]) end the chain
+    rng = StableRng(506)
+    for k in range(1, 4):
+        rows = [[0] * (k + 1) for _ in range(k + 1)]
+        for r, row in enumerate(nilpotent_jordan(k)):
+            rows[r][:k] = row
+        rows[k][k] = 2
+        for A in (rows, shear_conjugate(rows, rng)):
+            src = poly_module(A)
+            for tgt in (ZERO_LINE, poly_module(nilpotent_jordan(2)), src):
+                for cap in range(6):
+                    assert_same_space(src, tgt, cap)
+            assert_same_space_at_default_cap(src, ZERO_LINE)
+
+
+def test_rank_stabilization_proves_small_caps():
+    # hom(J3, J3): L = J3^T (x) I - I (x) J3 is nilpotent of index 5, so
+    # solutions have degree <= 4 and H[8] = 0 is the first zero probe: from
+    # cap 7 on the chain proves the basis complete, while the cap policy
+    # alone needs cap >= 9
+    src = poly_module(nilpotent_jordan(3))
+    tgt = poly_module(nilpotent_jordan(3))
+    complete = hom_space(src, tgt).basis
+    for cap in range(9):
+        hs = hom_space(src, tgt, cap)
+        assert hs.proven_complete == (cap >= 7)
+        assert (hs.basis == complete) == (cap >= 4)
+        assert_same_space(src, tgt, cap)
+
+
+def test_top_layer_matches_oracle_singular_and_invertible():
+    # E >= 1: the top layer L_E = A_E^T (x) I - I (x) B_E is invertible
+    # exactly when A_E and B_E share no eigenvalue
+    rng = StableRng(707)
+    seen = set()
+    for _ in range(24):
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        E = rng.randint(1, 2)
+
+        def rand_rows(k):
+            return [[Poly([rng.randint(-2, 2) for _ in range(rng.randint(1, E + 1))])
+                     for _ in range(k)] for _ in range(k)]
+        src, tgt = poly_module(rand_rows(n)), poly_module(rand_rows(m))
+        top = max(src.matrix.max_degree(), tgt.matrix.max_degree())
+        if top == 0:
+            continue
+        a = src.matrix.coefficient_matrix(top)
+        b = tgt.matrix.coefficient_matrix(top)
+        # row i + m*j, column i2 + m*k of vec(T) |-> vec(T A_E - B_E T)
+        L = RatMat(m * n, m * n, [
+            (a.entry(k, j) if i == i2 else 0) - (b.entry(i, i2) if j == k else 0)
+            for j in range(n) for i in range(m) for k in range(n) for i2 in range(m)])
+        invertible = not rat_nullspace(L)
+        seen.add(invertible)
+        for cap in range(5):
+            assert_same_space(src, tgt, cap)
+        hs = hom_space(src, tgt)
+        if invertible:
+            assert hs.dimension == 0 and hs.proven_complete
+    assert seen == {True, False}
+
+
+def test_invertible_top_layer_gives_proven_zero_hom():
+    hs = hom_space(line(X), line(X + X), 3)
+    assert hs.dimension == 0 and hs.proven_complete and hs.deg_cap == 3
+    src = mod2(X, P(1), P(0), X * X)  # top layers diag(0, 1), diag(2, 3)
+    tgt = mod2(P(0, 0, 2), P(0), P(1), P(2, 0, 3))
+    hs = hom_space(src, tgt)
+    assert hs.dimension == 0 and hs.proven_complete
+
+
+def test_line_with_invertible_top_coefficient_is_proven_not_trivial():
+    for cap in (None, 0, 5):
+        res = is_trivial(line(X * X + P(1)), cap)
+        assert not res.trivial and res.constants_dim == 0
+        assert res.proven_complete
+
+
+def test_default_cap_agrees_with_a_larger_cap_when_proven():
+    rng = StableRng(808)
+    pairs = [(line(X), line(X + X)), (NILPOTENT, NILPOTENT),
+             (mod2(X, P(1), P(0), X * X), line(P(0, 0, 2)))]
+    for k in range(1, 4):
+        A = shear_conjugate(nilpotent_jordan(k), rng)
+        pairs.append((poly_module(A), poly_module(nilpotent_jordan(2))))
+    for src, tgt in pairs:
+        default = hom_space(src, tgt)
+        assert default.proven_complete
+        larger = hom_space(src, tgt, src.rank * tgt.rank + 10)
+        assert list(default.basis) == list(larger.basis)
+
+
 def test_hom_rejects_mixed_rings():
     with pytest.raises(RingMismatch):
         hom_space(line(X), DiffModule(DiffRing.CONST_ZERO, 1,
@@ -324,6 +472,27 @@ def test_not_iso_lines_with_different_exponents():
     r = iso_search(line(X), line(X * X))
     assert r.kind == "not_iso"
     assert "dimension 0" in r.witness
+
+
+def test_proven_zero_hom_witness_names_one_cap():
+    # the top layers x and x^2 differ, so hom = {0} is proven both ways
+    r = iso_search(line(X), line(X * X), deg_cap=4)
+    assert r.kind == "not_iso"
+    assert r.witness == "hom space P->Q has dimension 0 (degree cap 4)"
+
+
+def test_zero_hom_witness_uses_the_zero_direction(monkeypatch):
+    import diffmod.modules as modules
+    src, tgt = line(X), line(X + P(1))
+
+    def fake_hom_space(a, b, cap):
+        if a is src:  # P->Q: nonzero and only cap-relative
+            return modules.HomSpace(a, b, (PolyMat(1, 1, [P(1)]),), cap, False)
+        return modules.HomSpace(a, b, (), cap, True)
+    monkeypatch.setattr(modules, "hom_space", fake_hom_space)
+    r = iso_search(src, tgt, deg_cap=6)
+    assert r.kind == "not_iso"
+    assert r.witness == "hom space Q->P has dimension 0 (degree cap 6)"
 
 
 def test_iso_on_equal_modules_is_fast_path():
