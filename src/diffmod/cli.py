@@ -4,7 +4,8 @@ Every command prints one canonical-JSON report to stdout.  Identical
 invocations (same files, flags, seeds) produce byte-identical reports except
 for the "timing" block, which is the one field excluded from determinism
 comparisons.  Exit codes: 0 definitive verdict, 2 input error (including a
-negative degree cap or trial count, or a suite size below 1), 3 Unknown
+negative degree cap or trial count, a suite size below 1, or a size over
+its limit: MAX_DEG_CAP, MAX_SUITE_SIZE and serialize.MAX_RANK), 3 Unknown
 (poly_dx only), 4 internal verification failure (an ArithmeticError raised
 by an exact check inside the library; one "error: internal verification
 failed: ..." line on stderr, no report), and 1 when suite items fail.
@@ -37,6 +38,11 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
+# upper limits, far above any real use: a larger value is an input error,
+# not a run that never finishes
+MAX_DEG_CAP = 1024
+MAX_SUITE_SIZE = 100
+
 _DEFAULTS = {
     "deg_cap": DEFAULT_DEG_CAP,
     "trials": DEFAULT_TRIALS,
@@ -57,22 +63,33 @@ def _file_ref(path: str) -> dict:
 
 
 def _resolve_cap(args) -> Optional[int]:
-    """--deg-cap beats DIFFMOD_DEG_CAP beats the library default (None)."""
+    """--deg-cap beats DIFFMOD_DEG_CAP beats the library default (None).
+    A cap over MAX_DEG_CAP is an input error; the library rejects a
+    negative one."""
     if getattr(args, "deg_cap", None) is not None:
+        _at_most("--deg-cap", args.deg_cap, MAX_DEG_CAP)
         return args.deg_cap
     env = os.environ.get("DIFFMOD_DEG_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"DIFFMOD_DEG_CAP is not an integer: {env!r}")
-    return None
+    if env is None:
+        return None
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ParseError(f"DIFFMOD_DEG_CAP is not an integer: {env!r}")
+    _at_most("DIFFMOD_DEG_CAP", cap, MAX_DEG_CAP)
+    return cap
 
 
 def _at_least(flag: str, value: Optional[int], low: int) -> None:
     """Reject a count below its floor as an input error."""
     if value is not None and value < low:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
+def _at_most(flag: str, value: Optional[int], high: int) -> None:
+    """Reject a count above its limit as an input error."""
+    if value is not None and value > high:
+        raise ValueError(f"{flag} must be at most {high}, got {value}")
 
 
 def _report(command: str, argv, inputs: dict, params: dict, result: dict,
@@ -203,6 +220,7 @@ def cmd_rcf(args, argv) -> int:
 def cmd_suite(args, argv) -> int:
     started = time.time()
     _at_least("--size", args.size, 1)
+    _at_most("--size", args.size, MAX_SUITE_SIZE)
     items = run_suite(seed=args.seed, size=args.size)
     width = max(len(i.name) for i in items)
     for i in items:
@@ -238,6 +256,7 @@ def cmd_monoid_new(args, argv) -> int:
     if os.path.exists(args.ledger):
         raise ParseError(f"refusing to overwrite existing ledger {args.ledger!r}")
     _at_least("--deg-cap", args.deg_cap, 0)
+    _at_most("--deg-cap", args.deg_cap, MAX_DEG_CAP)
     _at_least("--trials", args.trials, 0)
     ledger = ClassLedger(DiffRing.from_tag(args.ring),
                          deg_cap=args.deg_cap if args.deg_cap is not None

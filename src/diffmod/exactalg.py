@@ -137,18 +137,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = _P_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __divmod__(self, other: "Poly"):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -846,7 +834,7 @@ def _smith_eliminate(M: PolyMat, track=("U", "Uinv", "V", "Vinv")):
     back as None and cost nothing.  The pivot sequence, and so every tracked
     transform, is the same whatever is tracked.  Nothing is verified here:
     each caller proves what it uses (``smith_normal_form_with_inverses`` by
-    evaluation, ``zeroder.rcf`` by its final similarity check).
+    evaluation, ``PolyMat.inverse_unimodular`` by a product check).
     """
     r, c = M.rows, M.cols
     a = M.to_rows()

@@ -18,6 +18,10 @@ from .modules import DiffModule, IsoCertificate, make_iso_certificate
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
+# a module file's rank may not exceed this: far above any real use, and
+# checked before the matrix is parsed
+MAX_RANK = 64
+
 
 class ParseError(Exception):
     """Input text does not conform to the serialization grammar."""
@@ -88,6 +92,8 @@ def module_from_json(obj) -> DiffModule:
     rank = obj["rank"]
     if not isinstance(rank, int) or rank < 0:
         raise ParseError(f"bad rank {rank!r}")
+    if rank > MAX_RANK:
+        raise ParseError(f"rank {rank} exceeds the limit {MAX_RANK}")
     mat = polymat_from_json(obj["matrix"], rows=rank if rank else None, cols=rank)
     if mat.rows != rank or mat.cols != rank:
         raise ParseError(f"matrix shape {mat.rows}x{mat.cols} does not match rank {rank}")

@@ -8,11 +8,20 @@ identity-structured summands falls out of the eigenspace decomposition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import Poly, PolyMat, RatMat, ShapeMismatch, _smith_eliminate
+from .exactalg import (Poly, RatMat, ShapeMismatch, _echelon_kernel, _int_gauss_jordan,
+                       _int_matmul, _int_row)
+from .rng import StableRng
+
+# rcf's vector draws: a fixed seed, so transforms replay bit-exactly; nonzero
+# entries from [-_RCF_BOUND, _RCF_BOUND], the range doubling on each retry
+_RCF_SEED = 0x5EED
+_RCF_BOUND = 4
+_RCF_ATTEMPTS = 32
 
 
 class NotIntertwining(Exception):
@@ -32,11 +41,32 @@ class SimilarityCertificate:
     inverse: RatMat
 
 
+def _cleared(M: RatMat):
+    """M as (integer rows, den) with M == rows / den, den the lcm of the
+    entries' denominators."""
+    ints, den = _int_row(M.entries)
+    return [ints[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)], den
+
+
+def _from_cleared(rows, den) -> RatMat:
+    """The square matrix rows / den."""
+    return RatMat(len(rows), len(rows), [Fraction(v, den) for row in rows for v in row])
+
+
 def _check_certificate(A: RatMat, B: RatMat, cert: SimilarityCertificate):
-    n = A.rows
-    if cert.transform @ cert.inverse != RatMat.identity(n):
+    """transform @ inverse == I and transform @ A @ inverse == B, checked by
+    integer products of the denominator-cleared matrices."""
+    T, t = _cleared(cert.transform)
+    U, u = _cleared(cert.inverse)
+    Ai, a = _cleared(A)
+    Bi, b = _cleared(B)
+    tu = t * u
+    if _int_matmul(T, U) != [[tu if i == j else 0 for j in range(A.rows)]
+                             for i in range(A.rows)]:
         raise ArithmeticError("similarity transform and inverse do not compose to identity")
-    if cert.transform @ A @ cert.inverse != B:
+    tau = tu * a
+    if [[b * v for v in row] for row in _int_matmul(_int_matmul(T, Ai), U)] != \
+            [[tau * v for v in row] for row in Bi]:
         raise ArithmeticError("similarity certificate fails transform @ A @ inverse == B")
 
 
@@ -66,65 +96,117 @@ class FrobeniusForm:
     certificate: SimilarityCertificate
 
 
-def _eval_column(A: RatMat, column) -> RatMat:
-    """sum_j column[j](A) e_j for polynomials column[j], by Horner's rule on
-    vectors: no power of A is formed."""
-    n = A.rows
-    g = RatMat.zeros(n, 1)
-    for d in range(max(len(p.coeffs) for p in column) - 1, -1, -1):
-        g = A @ g + RatMat(n, 1, [p.coeff(d) for p in column])
-    return g
+def _apply(M, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in M]
+
+
+def _krylov_decomposition(Bi, b, rng: StableRng, bound: int):
+    """Cyclic decomposition of B = Bi / b, Bi an integer matrix, from
+    Krylov sequences of vectors with nonzero entries drawn from
+    [-bound, bound].
+
+    Returns a list of (f, columns), largest invariant factor first: columns
+    are v, Bv, ..., B^{d-1} v as (integer vector, denominator) pairs, f is
+    the minimal polynomial of v, and the columns of all groups together are
+    a basis.  Returns None when the draw was unlucky: then no group is
+    wrong, only the attempt is given up.
+
+    v's minimal polynomial f (degree d) is the first dependency of its
+    Krylov columns.  For a dual vector w, the kernel of the rows w, wB, ...,
+    wB^{d-1} is B-invariant when f(B) = 0 and meets the span of v's Krylov
+    columns only in 0 when the Hankel matrix of w B^{i+j} v is nonsingular;
+    B restricted to that kernel gives the next groups.  Both conditions,
+    and that the next factor divides f, are tested here."""
+    m = len(Bi)
+    v = [rng.nonzero_int(bound) for _ in range(m)]
+    krylov = [v]
+    for _ in range(m):
+        krylov.append(_apply(Bi, krylov[-1]))
+    red, pivots, dd, _ = _int_gauss_jordan([list(r) for r in zip(*krylov)], m + 1)
+    d = len(pivots)  # v != 0, so d >= 1
+    # krylov[k] = b^k B^k v and krylov[d] = sum_k red[k][d] / dd krylov[k]
+    f = Poly([Fraction(-red[k][d], dd * b ** (d - k)) for k in range(d)] + [1])
+    group = (f, [(krylov[k], b ** k) for k in range(d)])
+    if d == m:
+        return [group]
+    duals = [[rng.nonzero_int(bound) for _ in range(m)]]
+    Bt = list(zip(*Bi))
+    for _ in range(d - 1):
+        duals.append(_apply(Bt, duals[-1]))
+    hankel = [[sum(x * y for x, y in zip(r, k)) for k in krylov[:d]] for r in duals]
+    if len(_int_gauss_jordan(hankel, d)[1]) < d:
+        return None
+    red, pivots, dd, _ = _int_gauss_jordan(duals, m)
+    kernel = _echelon_kernel(red, pivots, dd, m)
+    # kernel[j] is zero at every free column except its own, free[j]: so
+    # B kernel[j] = sum_i kernel[i] X[i][j] fixes X by the rows at free
+    # columns, and the other rows check the invariance
+    free = [c for c in range(m) if c not in pivots]
+    N = list(zip(*kernel))
+    images = [_apply(Bi, x) for x in kernel]
+    scale = math.lcm(*(x[c] for x, c in zip(kernel, free)))
+    X = [[y[c] * (scale // x[c]) for y in images] for x, c in zip(kernel, free)]
+    if _int_matmul(N, X) != [[scale * e for e in row] for row in zip(*images)]:
+        return None
+    g = math.gcd(scale * b, *(e for row in X for e in row))
+    rest = _krylov_decomposition([[e // g for e in row] for row in X], scale * b // g,
+                                 rng, bound)
+    if rest is None or not (f % rest[0][0]).is_zero():
+        return None
+    lifted = [(h, [(_apply(N, c), den) for c, den in cols]) for h, cols in rest]
+    return [group] + lifted
 
 
 def rcf(A: RatMat) -> FrobeniusForm:
     """Rational canonical form with a verified similarity certificate.
 
-    The invariant factors are read off the Smith normal form of xI - A over
-    Q[x]; generators of the cyclic pieces come from the columns of U^{-1}
-    evaluated at A, and their Krylov iterates assemble the new basis.
+    The cyclic decomposition comes from Krylov sequences in integer
+    arithmetic (Storjohann, ISSAC 1998; Augot and Camion, Linear Algebra
+    Appl. 260, 1997): a vector v of maximal local minimal polynomial f
+    spans a cyclic summand, the kernel of the rows w, wA, ..., wA^{deg f - 1}
+    of a dual vector w is an A-invariant complement, and the restriction of
+    A to that complement is decomposed in turn (see _krylov_decomposition).
+    Vectors come from a StableRng with a seed fixed here, so the transform
+    replays bit-exactly; an unlucky draw is retried with fresh vectors from
+    a range twice as wide.
 
-    The Smith elimination tracks only D and U^{-1} and checks neither: the
-    proof is the final check, P^{-1} P = I and P^{-1} A P equal to the block
-    diagonal of the companion matrices of factors that form a divisibility
-    chain.  That block diagonal is a Frobenius form of A, and the Frobenius
-    form is unique, so the check pins the invariant factors; a wrong D or
-    U^{-1} can only raise ArithmeticError, never return a wrong form."""
+    The draws need no proof: the final check does it, P^{-1} P = I and
+    P^{-1} A P equal to the block diagonal of the companion matrices of
+    factors that form a divisibility chain, with integer products.  That
+    block diagonal is a Frobenius form of A, and the Frobenius form is
+    unique, so the check pins the invariant factors; a wrong decomposition
+    can only raise ArithmeticError, never return a wrong form."""
     if A.rows != A.cols:
         raise ShapeMismatch("rational canonical form of a non-square matrix")
     n = A.rows
     if n == 0:
         cert = SimilarityCertificate(RatMat.identity(0), RatMat.identity(0))
         return FrobeniusForm(A, (), cert)
-    x_minus_a = PolyMat(n, n, [
-        Poly([-A.entry(i, j), 1]) if i == j else Poly([-A.entry(i, j)])
-        for i in range(n) for j in range(n)
-    ])
-    D, _, uinv, _, _ = _smith_eliminate(x_minus_a, track=("Uinv",))
-    factors = [D[i][i] for i in range(n)]
-    if any(f.is_zero() or f.lc() != 1 for f in factors):
-        raise ArithmeticError("Smith form of xI - A must have a monic nonzero diagonal")
-    nonunit = [f for f in factors if f.degree >= 1]
-    for a, b in zip(nonunit, nonunit[1:]):
-        if not (b % a).is_zero():
+    Ai, a = _cleared(A)
+    rng = StableRng(_RCF_SEED)
+    for attempt in range(_RCF_ATTEMPTS):
+        groups = _krylov_decomposition(Ai, a, rng, _RCF_BOUND << attempt)
+        if groups is not None:
+            break
+    else:
+        raise ArithmeticError(f"no cyclic decomposition found in {_RCF_ATTEMPTS} draws")
+    groups.reverse()
+    factors = tuple(f for f, _ in groups)
+    if any(f.degree is None or f.degree < 1 or f.lc() != 1 for f in factors):
+        raise ArithmeticError("invariant factors must be monic and nonconstant")
+    for f, g in zip(factors, factors[1:]):
+        if not (g % f).is_zero():
             raise ArithmeticError("invariant factors out of divisibility order")
-    # generator of the i-th cyclic summand: column i of U^{-1} evaluated at A
-    basis_cols = []
-    for i, f in enumerate(factors):
-        if f.degree < 1:
-            continue
-        vec = _eval_column(A, [row[i] for row in uinv])
-        for _ in range(f.degree):
-            basis_cols.append(vec)
-            vec = A @ vec
-    if len(basis_cols) != n:
+    columns = [c for _, cols in groups for c in cols]
+    if len(columns) != n:
         raise ArithmeticError("cyclic generators did not span")
-    P = RatMat(n, n, [basis_cols[j].entry(i, 0) for i in range(n) for j in range(n)])
+    P = RatMat(n, n, [Fraction(vec[i], den) for i in range(n) for vec, den in columns])
     form = RatMat(0, 0, [])
-    for f in nonunit:
+    for f in factors:
         form = RatMat.block_diag(form, companion(f))
     cert = SimilarityCertificate(P.inverse(), P)
     _check_certificate(A, form, cert)
-    return FrobeniusForm(form, tuple(nonunit), cert)
+    return FrobeniusForm(form, factors, cert)
 
 
 @dataclass(frozen=True)
@@ -154,8 +236,12 @@ def similar(A: RatMat, B: RatMat) -> SimilarityResult:
     # Pa^{-1} A Pa = F = Pb^{-1} B Pb, F being built from the equal factors.
     # So T = Pb Pa^{-1} and T^{-1} = Pa Pb^{-1} satisfy T T^{-1} = I and
     # T A T^{-1} = Pb F Pb^{-1} = B: the composite needs no second check.
-    transform = fb.certificate.inverse @ fa.certificate.transform
-    inverse = fa.certificate.inverse @ fb.certificate.transform
+    Pa, pa = _cleared(fa.certificate.inverse)
+    Qa, qa = _cleared(fa.certificate.transform)
+    Pb, pb = _cleared(fb.certificate.inverse)
+    Qb, qb = _cleared(fb.certificate.transform)
+    transform = _from_cleared(_int_matmul(Pb, Qa), pb * qa)
+    inverse = _from_cleared(_int_matmul(Pa, Qb), pa * qb)
     return SimilarityResult(True, SimilarityCertificate(transform, inverse), None)
 
 

@@ -12,8 +12,8 @@ import diffmod.suite as suite_mod
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import Poly, PolyMat
 from diffmod.modules import DiffModule, scramble, trivial_module
-from diffmod.serialize import (certificate_from_json, load_json, load_module,
-                               module_to_json, save_json)
+from diffmod.serialize import (MAX_RANK, certificate_from_json, load_json, load_module,
+                               module_from_json, module_to_json, save_json)
 from diffmod.suite import SuiteItem
 
 
@@ -226,6 +226,54 @@ def test_negative_env_cap_is_input_error(capsys, files, monkeypatch):
     code = cli.main(["trivial", str(files["nilp"])])
     assert code == 2
     assert "degree cap" in capsys.readouterr().err
+
+
+def _never_started(*args, **kwargs):
+    raise AssertionError("an input over its limit started a run")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("hom", "line_x", "line_x", "--deg-cap", cli.MAX_DEG_CAP + 1), None),
+    (("trivial", "nilp"), cli.MAX_DEG_CAP + 1),
+    (("monoid", "new", "--ledger", "led.json", "--deg-cap", cli.MAX_DEG_CAP + 1), None),
+    (("suite", "--size", cli.MAX_SUITE_SIZE + 1), None),
+    (("suite", "--size", 10**12), None),
+], ids=["deg_cap", "env_cap", "monoid_deg_cap", "suite_size", "suite_size_huge"])
+def test_sizes_over_their_limits_are_input_errors(capsys, files, monkeypatch, argv, env):
+    for name in ("hom_space", "is_trivial", "run_suite"):
+        monkeypatch.setattr(cli, name, _never_started)
+    if env is not None:
+        monkeypatch.setenv("DIFFMOD_DEG_CAP", str(env))
+    args = [files["tmp"] / a if a == "led.json" else files.get(a, a) for a in argv]
+    code = cli.main([str(a) for a in args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be at most" in captured.err and captured.err.count("\n") == 1
+    assert not (files["tmp"] / "led.json").exists()
+
+
+def test_caps_at_their_limit_are_accepted(monkeypatch):
+    args = cli.build_parser().parse_args(["hom", "a", "b", "--deg-cap", str(cli.MAX_DEG_CAP)])
+    assert cli._resolve_cap(args) == cli.MAX_DEG_CAP
+    monkeypatch.setenv("DIFFMOD_DEG_CAP", str(cli.MAX_DEG_CAP))
+    args = cli.build_parser().parse_args(["hom", "a", "b"])
+    assert cli._resolve_cap(args) == cli.MAX_DEG_CAP
+
+
+@pytest.mark.parametrize("command", ["rcf", "trivial"])
+def test_rank_over_its_limit_is_rejected_before_the_matrix(capsys, files, command):
+    path = files["tmp"] / "huge.json"
+    # the matrix is not even a list: only the rank check can fire
+    save_json(path, {"ring": "const_zero", "rank": MAX_RANK + 1, "matrix": "unparsed"})
+    code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exceeds the limit" in captured.err and captured.err.count("\n") == 1
+    zero = [[[] for _ in range(MAX_RANK)] for _ in range(MAX_RANK)]
+    assert module_from_json({"ring": "const_zero", "rank": MAX_RANK,
+                             "matrix": zero}).rank == MAX_RANK
 
 
 def test_negative_monoid_equal_trials_is_input_error(capsys, files):

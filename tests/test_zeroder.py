@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffmod.exactalg import Poly, RatMat, ShapeMismatch
+from diffmod.exactalg import Poly, PolyMat, RatMat, ShapeMismatch, smith_normal_form
 from diffmod.suite import random_ratmat, random_similar_pair
 from diffmod.rng import StableRng
 from diffmod import zeroder
@@ -157,38 +157,92 @@ def test_padded_check_agreement_on_seeded_pairs():
 
 
 # ---------------------------------------------------------------------------
-# the final check, not the Smith elimination, proves rcf's answer
+# rcf against an independent oracle: the Smith form of xI - A over Q[x]
 # ---------------------------------------------------------------------------
 
-def _identity_polys(n):
-    return [[P(1) if i == j else P() for j in range(n)] for i in range(n)]
+def _smith_factors(A):
+    n = A.rows
+    x_minus_a = PolyMat(n, n, [
+        Poly([-A.entry(i, j), 1]) if i == j else Poly([-A.entry(i, j)])
+        for i in range(n) for j in range(n)])
+    _, D, _ = smith_normal_form(x_minus_a)
+    return [D.entry(i, i) for i in range(n) if D.entry(i, i).degree >= 1]
 
 
-@pytest.mark.parametrize("corrupt_factor, corrupt_uinv, reason", [
-    # x - 1, x - 2 with U^{-1} = I reproduce A itself as companion blocks;
-    # only the divisibility chain rules them out
-    (lambda D: [[P(-1, 1), P()], [P(), P(-2, 1)]], True, "divisibility"),
-    # right degrees, wrong last factor: the form check fails
-    (lambda D: [D[0], [P(), P(1, -3, 1)]], False, "certificate"),
-    # right factors, wrong generators: P is singular
-    (None, True, "singular"),
+def _assert_matches_smith(A):
+    f = rcf(A)
+    assert list(f.invariant_factors) == _smith_factors(A)
+    assert f.certificate.transform @ A @ f.certificate.inverse == f.form
+
+
+def test_rcf_invariant_factors_match_smith_form():
+    rng = StableRng(61)
+    for n in range(1, 9):
+        for _ in range(2):
+            _assert_matches_smith(random_ratmat(rng, n, n, 3))
+
+
+_J = M(2, 2, 1, 0, 2)
+_C = companion(P(1, 0, 1))  # x^2 + 1, irreducible over Q
+_A4 = random_ratmat(StableRng(62), 4, 4, 2)
+_bd = RatMat.block_diag
+
+
+@pytest.mark.parametrize("A", [
+    RatMat.zeros(8, 8),
+    RatMat.identity(8),
+    _bd(_bd(_J, _J), _J),
+    _bd(_bd(_bd(_C, _C), _C), RatMat.zeros(2, 2)),
+    _bd(_A4, _A4),
+], ids=["zero", "identity", "jordan3", "companion3_zero", "a_plus_a"])
+def test_rcf_matches_smith_form_on_derogatory_inputs(A):
+    _assert_matches_smith(A)
+
+
+def test_rcf_is_deterministic():
+    A = random_ratmat(StableRng(63), 6, 6)
+    first, second = rcf(A), rcf(A)
+    assert first.certificate.transform == second.certificate.transform
+    assert first.certificate.inverse == second.certificate.inverse
+
+
+# ---------------------------------------------------------------------------
+# the final check, not the Krylov decomposition, proves rcf's answer
+# ---------------------------------------------------------------------------
+
+def test_certificate_check_rejects_perturbed_transform_and_wrong_form():
+    A = random_ratmat(StableRng(64), 4, 4)
+    f = rcf(A)
+    zeroder._check_certificate(A, f.form, f.certificate)
+    rows = f.certificate.transform.to_rows()
+    rows[1][2] += Fraction(1, 7)
+    perturbed = zeroder.SimilarityCertificate(RatMat.from_rows(rows), f.certificate.inverse)
+    with pytest.raises(ArithmeticError, match="identity"):
+        zeroder._check_certificate(A, f.form, perturbed)
+    rows = f.form.to_rows()
+    rows[0][0] += 1
+    with pytest.raises(ArithmeticError, match="transform @ A @ inverse"):
+        zeroder._check_certificate(A, RatMat.from_rows(rows), f.certificate)
+
+
+def _unit(i):
+    return ([1 if j == i else 0 for j in range(2)], 1)
+
+
+@pytest.mark.parametrize("groups, reason", [
+    # x - 2, x - 1 with the unit vectors reproduce A itself as companion
+    # blocks; only the divisibility chain rules them out
+    ([(P(-1, 1), [_unit(0)]), (P(-2, 1), [_unit(1)])], "divisibility"),
+    # right degree, wrong factor: the form check fails
+    ([(P(1, -3, 1), [([1, 1], 1), ([1, 2], 1)])], "certificate"),
+    # right factor, dependent generators: P is singular
+    ([(P(2, -3, 1), [_unit(0), _unit(0)])], "singular"),
 ], ids=["chain", "form", "generators"])
-def test_rcf_rejects_a_wrong_smith_elimination(monkeypatch, corrupt_factor, corrupt_uinv,
-                                               reason):
+def test_rcf_rejects_a_wrong_krylov_decomposition(monkeypatch, groups, reason):
     A = M(2, 1, 0, 0, 2)
     assert [str(p) for p in rcf(A).invariant_factors] == ["x^2 - 3*x + 2"]
-    real = zeroder._smith_eliminate
-
-    def wrong(Mx, track):
-        D, U, uinv, V, vinv = real(Mx, track)
-        assert uinv != _identity_polys(2)
-        if corrupt_factor is not None:
-            D = corrupt_factor(D)
-        if corrupt_uinv:
-            uinv = _identity_polys(2)
-        return D, U, uinv, V, vinv
-
-    monkeypatch.setattr(zeroder, "_smith_eliminate", wrong)
+    monkeypatch.setattr(zeroder, "_krylov_decomposition",
+                        lambda Bi, b, rng, bound: list(groups))
     with pytest.raises(ArithmeticError, match=reason):
         rcf(A)
     with pytest.raises(ArithmeticError, match=reason):
