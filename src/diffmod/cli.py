@@ -5,7 +5,8 @@ invocations (same files, flags, seeds) produce byte-identical reports except
 for the "timing" block, which is the one field excluded from determinism
 comparisons.  Exit codes: 0 definitive verdict, 2 input error (including a
 negative degree cap or trial count, a suite size below 1, or a size over
-its limit: MAX_DEG_CAP, MAX_SUITE_SIZE and serialize.MAX_RANK), 3 Unknown
+its limit: MAX_DEG_CAP, MAX_TRIALS, MAX_SUITE_SIZE and serialize.MAX_RANK,
+also in a ledger file), 3 Unknown
 (poly_dx only), 4 internal verification failure (an ArithmeticError raised
 by an exact check inside the library; one "error: internal verification
 failed: ..." line on stderr, no report), and 1 when suite items fail.
@@ -25,8 +26,8 @@ from .diffring import DiffRing, RingMismatch
 from .modules import (DEFAULT_DEG_CAP, DEFAULT_TRIALS, COEFF_HEIGHT,
                       hom_space, is_trivial, iso_search)
 from .monoid import ClassLedger
-from .serialize import (ParseError, canonical_dumps, certificate_to_json,
-                        core_decomposition_to_json, load_module,
+from .serialize import (MAX_DEG_CAP, MAX_TRIALS, ParseError, canonical_dumps,
+                        certificate_to_json, core_decomposition_to_json, load_module,
                         module_to_json, polymat_to_json, poly_to_json,
                         ratmat_to_json, save_json)
 from .suite import run_suite
@@ -38,9 +39,9 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
-# upper limits, far above any real use: a larger value is an input error,
-# not a run that never finishes
-MAX_DEG_CAP = 1024
+# upper limit, far above any real use: a larger size is an input error, not
+# a run that never finishes (MAX_DEG_CAP and MAX_TRIALS live in serialize,
+# beside MAX_RANK, so that ledger files are held to them too)
 MAX_SUITE_SIZE = 100
 
 _DEFAULTS = {
@@ -180,6 +181,7 @@ def cmd_iso(args, argv) -> int:
     Q = load_module(args.b)
     cap = _resolve_cap(args)
     _at_least("--trials", args.trials, 0)
+    _at_most("--trials", args.trials, MAX_TRIALS)
     r = iso_search(P, Q, trials=args.trials, seed=args.seed, deg_cap=cap)
     verdict = {"iso": "ISO", "not_iso": "NOT_ISO", "unknown": "UNKNOWN"}[r.kind]
     cert = certificate_to_json(r.certificate) if r.certificate else None
@@ -258,6 +260,8 @@ def cmd_monoid_new(args, argv) -> int:
     _at_least("--deg-cap", args.deg_cap, 0)
     _at_most("--deg-cap", args.deg_cap, MAX_DEG_CAP)
     _at_least("--trials", args.trials, 0)
+    _at_most("--trials", args.trials, MAX_TRIALS)
+    _at_least("--seed", args.seed, 0)  # a ledger file holds no negative seed
     ledger = ClassLedger(DiffRing.from_tag(args.ring),
                          deg_cap=args.deg_cap if args.deg_cap is not None
                          else DEFAULT_DEG_CAP,
@@ -299,6 +303,7 @@ def cmd_monoid_equal(args, argv) -> int:
     started = time.time()
     inputs = {"ledger": _file_ref(args.ledger)}
     _at_least("--trials", args.trials, 0)
+    _at_most("--trials", args.trials, MAX_TRIALS)
     ledger = _load_ledger(args.ledger)
     r = ledger.classes_equal(args.a, args.b, trials=args.trials, seed=args.seed)
     ledger.save(args.ledger)  # provenance lines were appended

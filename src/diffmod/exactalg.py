@@ -735,6 +735,52 @@ def _int_gauss_jordan(rows, ncols):
     return m, pivots, prev, sign
 
 
+def _modp_nullspace(rows, ncols, p):
+    """Basis of the right kernel of an integer matrix reduced mod the prime
+    p: Gauss-Jordan over GF(p), then one vector per free column fc, with
+    x[fc] = 1 and x[pivots[k]] = -m[k][fc], entries in [0, p).
+
+    Each row is one integer with a slot of w bits per column, so a row
+    update is one multiply-add.  Rows are reduced only when they become
+    pivot rows; a row takes at most ncols updates of less than p**2 per
+    slot, which w has room for.
+    """
+    w = 2 * p.bit_length() + ncols.bit_length() + 1
+    slot = (1 << w) - 1
+
+    def unpack(x):
+        return [(x >> (w * j) & slot) % p for j in range(ncols)]
+
+    def pack(vals):
+        return sum(v % p << (w * j) for j, v in enumerate(vals))
+
+    m = [pack(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r, shift = len(pivots), w * c
+        piv = next((i for i in range(r, len(m)) if (m[i] >> shift & slot) % p), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        vals = unpack(m[r])
+        inv = pow(vals[c], -1, p)
+        m[r] = pivot = pack([v * inv for v in vals])
+        for i, row in enumerate(m):
+            f = (row >> shift & slot) % p
+            if f and i != r:
+                m[i] = row + (p - f) * pivot
+        pivots.append(c)
+    reduced = [unpack(x) for x in m[:len(pivots)]]
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        x = [0] * ncols
+        x[fc] = 1
+        for k, pc in enumerate(pivots):
+            x[pc] = -reduced[k][fc] % p
+        basis.append(x)
+    return basis
+
+
 def _int_nullspace(rows, ncols):
     """Primitive integer basis of the right kernel of an integer matrix.
 

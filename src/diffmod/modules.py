@@ -14,12 +14,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import lshift, mul
 from typing import Optional
 
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch,
-                       _echelon_kernel, _int_gauss_jordan, _int_nullspace, _int_row)
+                       _echelon_kernel, _int_gauss_jordan, _int_nullspace, _int_row,
+                       _modp_nullspace)
 from .rng import StableRng
 from .zeroder import similar
 
@@ -205,6 +206,73 @@ def _sylvester_layers(A: PolyMat, B: PolyMat):
     return layers, sigma
 
 
+MODP = 1073741789  # the largest prime below 2**30; 2**30 = MODP + 35
+
+
+def _modp_window(layers, sigma, mn: int, cap: int):
+    """The hom chain over GF(p), p = MODP, to the full window: (k, D), or
+    None when p divides sigma or some d + 1 <= cap + E + 1.
+
+    G[d+1] = (sigma (d+1))^-1 sum_e L_e G[d-e] mod p is the reduction of
+    the exact chain, so k, the dimension of the window's kernel mod p, is
+    at least its dimension over Q (a rank never rises under reduction).
+    D is the last d <= cap at which G[d] moves a vector of that kernel,
+    tested on a fixed pseudo-random combination of G[d]'s rows: one that
+    vanishes too early makes D too small, which the exact chain's dimension
+    check catches.  k = 0 gives D = None.
+
+    Each row of G[d] is one integer with mn slots of w bits (column j at
+    bit w*j), so a row combination is nnz big-integer multiply-adds.
+    Entries are kept congruent mod p and below 2**31, not reduced: folding
+    the bits of every slot above 2**30 back in as 35 times their value
+    shrinks all slots at once, one fold per step for all of G[d+1] side by
+    side.  A sum of at most max(nnz, mn) products below 2**61 fits in w.
+    """
+    E = len(layers) - 1
+    if sigma % MODP == 0 or cap + E + 1 >= MODP:
+        return None
+    # rows[(d + E) * mn + c] is row c of G[d] (E zero matrices stand for
+    # d < 0), so the term (e, c) of row r at step d is rows[d * mn + i]
+    # with i = (E - e) * mn + c
+    idx = [[(E - e) * mn + c for e in range(E + 1) for c, _ in layers[e][r]]
+           for r in range(mn)]
+    vals = [[v % MODP for e in range(E + 1) for _, v in layers[e][r]] for r in range(mn)]
+    w = 62 + max(mn, *map(len, vals)).bit_length()
+    slot, row = (1 << w) - 1, (1 << (w * mn)) - 1
+    ones = sum(1 << (w * j) for j in range(mn * mn))
+    low, high = ones * ((1 << 30) - 1), ones * ((1 << (w - 30)) - 1)
+    rounds, bits = 0, w
+    while bits > 31:  # a fold takes slots below 2**bits to below 2**bits'
+        bits = max(30, bits - 24) + 1
+        rounds += 1
+
+    def fold(x):
+        for _ in range(rounds):
+            x = (x & low) + 35 * ((x >> 30) & high)
+        return x
+
+    def unpack(x):
+        return [(x >> (w * j) & slot) % MODP for j in range(mn)]
+
+    shifts = [w * mn * r for r in range(mn)]
+    rows = [0] * (E * mn) + [1 << (w * j) for j in range(mn)]
+    for d in range(cap + E + 1):
+        get = rows[d * mn:].__getitem__
+        sums = [sum(map(mul, v, map(get, i))) for v, i in zip(vals, idx)]
+        whole = fold(fold(sum(map(lshift, sums, shifts))) * pow(sigma * (d + 1), -1, MODP))
+        rows += [whole >> s & row for s in shifts]
+    kernel = _modp_nullspace([unpack(x) for x in rows[(cap + E + 1) * mn:]], mn, MODP)
+    if not kernel:
+        return 0, None
+    rng = StableRng(MODP)
+    rho = [rng.randint(1, MODP - 1) for _ in range(mn)]
+    for d in range(cap, 0, -1):
+        u = unpack(fold(sum(map(mul, rho, rows[(d + E) * mn:(d + E + 1) * mn]))))
+        if any(sum(map(mul, u, v)) % MODP for v in kernel):
+            return len(kernel), d
+    return len(kernel), 0
+
+
 def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
     """Basis of {T : T' = T A - B T, entries of degree <= cap} over Q[x],
     and whether that basis is proven to span every polynomial solution.
@@ -217,7 +285,7 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
     integer matrices, one sparse row of S_e at a time; scales do not affect
     kernels, so the window rows are stacked unscaled.  _int_nullspace reads
     a canonical basis off the kernel alone, so any window with the same
-    kernel gives the same basis.  Two proofs cut the work short:
+    kernel gives the same basis.  Three shortcuts cut the work short:
 
     * Invertible top layer.  For T of degree d with top coefficient T_d,
       the x^(d+E) coefficient of T A - B T is S_E(T_d), while T' has degree
@@ -232,6 +300,15 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
       Every solution has degree < k, so the basis is complete outright, and
       coefficients are assembled only for d < k.  Without a stop the
       elimination of H[cap + 1], when it was tested, still gives the window.
+    * E >= 1, mod-p window.  The chain first runs over GF(p) to the full
+      window (_modp_window).  Rank mod p never exceeds rank over Q, so the
+      kernel K_cap of the window over Q has dimension at most k, the
+      kernel's dimension mod p: k = 0 gives [] at once.  Otherwise the
+      exact chain runs only to the window at D + 1 .. D + E + 1, where D
+      is the mod-p solutions' degree; its kernel K_D (the solutions of
+      degree <= D) lies in K_cap, so when its dimension is k it is K_cap.
+      When it is not, the exact chain runs on to the window at the cap.
+      The basis is K_cap's either way, complete only up to the cap.
     """
     n, m = A.rows, B.rows
     mn = m * n
@@ -246,15 +323,14 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
     echelon = _int_gauss_jordan(top, mn)[:3]
     if len(echelon[1]) == mn:
         return [], True
-    steps = cap + E + 1
-    # E = 0: echelon holds the elimination of H[tested], first S_0 itself
-    tested = 1 if E == 0 else None
-    stable = False
 
     H = [[[1 if i == j else 0 for j in range(mn)] for i in range(mn)]]
     scales = [Fraction(1)]
     zero_mat = [[0] * mn for _ in range(mn)]
-    for d in range(steps):
+
+    def grow():
+        """Append H[d + 1] and its scale, d the last degree so far."""
+        d = len(H) - 1
         denoms = 1
         terms = []  # (layer, scale of the H it acts on) per contributing layer
         for e in range(min(d, E) + 1):
@@ -282,26 +358,50 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
                 acc = [[v // g for v in row] for row in acc]
             H.append(acc)
             scales.append(Fraction(g, (d + 1) * sigma * denoms))
-        if tested and d + 1 == 2 * tested:
-            doubled = _int_gauss_jordan(H[d + 1], mn)[:3]
-            if len(doubled[1]) == len(echelon[1]):
-                stable = True
-                break
-            echelon, tested = doubled, d + 1
-            if not doubled[1]:  # H[d+1] = 0: rank 0 cannot fall further
-                stable = True
-                break
 
-    if tested and (stable or tested == cap + 1):
-        # the window's kernel is the kernel of H[tested]
-        t0s = _echelon_kernel(*echelon, mn)
-    else:
+    def window_kernel(degree):
+        """Kernel of the window at degree + 1 .. degree + E + 1."""
+        while len(H) < degree + E + 2:
+            grow()
         window = []
-        for d in range(cap + 1, cap + E + 2):
+        for d in range(degree + 1, degree + E + 2):
             if scales[d]:
                 window.extend(H[d])
-        t0s = _int_nullspace(window, mn)
-    degree = tested - 1 if stable else cap
+        return _int_nullspace(window, mn)
+
+    stable = False
+    degree = cap
+    if E == 0:
+        # echelon holds the elimination of H[tested], first S_0 itself
+        tested = 1
+        for d in range(cap + 1):
+            grow()
+            if d + 1 == 2 * tested:
+                doubled = _int_gauss_jordan(H[d + 1], mn)[:3]
+                if len(doubled[1]) == len(echelon[1]):
+                    stable = True
+                    break
+                echelon, tested = doubled, d + 1
+                if not doubled[1]:  # H[d+1] = 0: rank 0 cannot fall further
+                    stable = True
+                    break
+        if stable or tested == cap + 1:
+            # the window's kernel is the kernel of H[tested]
+            t0s = _echelon_kernel(*echelon, mn)
+        else:
+            t0s = window_kernel(cap)
+        if stable:
+            degree = tested - 1
+    else:
+        bound = _modp_window(layers, sigma, mn, cap)
+        if bound is not None:
+            k, degree = bound
+            if not k:
+                return [], False
+            t0s = window_kernel(degree)
+        if bound is None or len(t0s) != k:
+            degree = cap
+            t0s = window_kernel(cap)
 
     # T_d = scales[d] * H[d] t0, cleared by the lcm of the scale
     # denominators to one primitive integer polynomial matrix

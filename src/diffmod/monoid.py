@@ -21,8 +21,18 @@ from .cores import core
 from .diffring import DiffRing, RingMismatch
 from .modules import (DEFAULT_DEG_CAP, DEFAULT_TRIALS, DiffModule,
                       IsoCertificate, direct_sum, iso_search)
-from .serialize import (ParseError, load_json, module_from_json,
-                        module_to_json, save_json)
+from .serialize import (MAX_DEG_CAP, MAX_TRIALS, ParseError, load_json,
+                        module_from_json, module_to_json, save_json)
+
+
+def _count(obj: dict, key: str, default, high: Optional[int] = None) -> int:
+    """A ledger file's nonnegative integer field, at most `high`."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"bad {key} {value!r} in ledger file (expected an integer >= 0)")
+    if high is not None and value > high:
+        raise ParseError(f"{key} {value} in ledger file exceeds the limit {high}")
+    return value
 
 
 @dataclass
@@ -167,9 +177,9 @@ class ClassLedger:
             ring = DiffRing.from_tag(obj["ring"])
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        ledger = ClassLedger(ring, deg_cap=obj["deg_cap"],
-                             trials=obj.get("trials", DEFAULT_TRIALS),
-                             seed=obj.get("seed", 0))
+        ledger = ClassLedger(ring, deg_cap=_count(obj, "deg_cap", None, MAX_DEG_CAP),
+                             trials=_count(obj, "trials", DEFAULT_TRIALS, MAX_TRIALS),
+                             seed=_count(obj, "seed", 0))
         for raw in obj["entries"]:
             if not isinstance(raw, dict) or "name" not in raw or "core" not in raw:
                 raise ParseError("bad ledger entry")

@@ -21,6 +21,11 @@ _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # a module file's rank may not exceed this: far above any real use, and
 # checked before the matrix is parsed
 MAX_RANK = 64
+# upper limits on a degree cap and a trial count, from a flag, the
+# environment or a ledger file, far above any real use: a larger value is an
+# input error, not a run that never finishes
+MAX_DEG_CAP = 1024
+MAX_TRIALS = 10_000
 
 
 class ParseError(Exception):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import diffmod.cli as cli
+import diffmod.monoid as monoid_mod
 import diffmod.suite as suite_mod
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import Poly, PolyMat
@@ -238,9 +239,12 @@ def _never_started(*args, **kwargs):
     (("monoid", "new", "--ledger", "led.json", "--deg-cap", cli.MAX_DEG_CAP + 1), None),
     (("suite", "--size", cli.MAX_SUITE_SIZE + 1), None),
     (("suite", "--size", 10**12), None),
-], ids=["deg_cap", "env_cap", "monoid_deg_cap", "suite_size", "suite_size_huge"])
+    (("iso", "line_x", "line_x", "--trials", cli.MAX_TRIALS + 1), None),
+    (("monoid", "new", "--ledger", "led.json", "--trials", cli.MAX_TRIALS + 1), None),
+], ids=["deg_cap", "env_cap", "monoid_deg_cap", "suite_size", "suite_size_huge",
+        "iso_trials", "monoid_trials"])
 def test_sizes_over_their_limits_are_input_errors(capsys, files, monkeypatch, argv, env):
-    for name in ("hom_space", "is_trivial", "run_suite"):
+    for name in ("hom_space", "is_trivial", "run_suite", "iso_search"):
         monkeypatch.setattr(cli, name, _never_started)
     if env is not None:
         monkeypatch.setenv("DIFFMOD_DEG_CAP", str(env))
@@ -274,6 +278,58 @@ def test_rank_over_its_limit_is_rejected_before_the_matrix(capsys, files, comman
     zero = [[[] for _ in range(MAX_RANK)] for _ in range(MAX_RANK)]
     assert module_from_json({"ring": "const_zero", "rank": MAX_RANK,
                              "matrix": zero}).rank == MAX_RANK
+
+
+@pytest.mark.parametrize("key, value", [
+    ("deg_cap", "x"), ("deg_cap", -1), ("deg_cap", 1.5), ("deg_cap", True),
+    ("deg_cap", cli.MAX_DEG_CAP + 1), ("deg_cap", 10**12),
+    ("trials", "x"), ("trials", -1), ("trials", None), ("trials", cli.MAX_TRIALS + 1),
+    ("seed", "x"), ("seed", -1), ("seed", [0]),
+])
+def test_bad_ledger_fields_are_input_errors(capsys, files, monkeypatch, key, value):
+    led = files["tmp"] / "led_bad.json"
+    run(capsys, "monoid", "new", "--ledger", led)
+    obj = load_json(led)
+    obj[key] = value
+    save_json(led, obj)
+    monkeypatch.setattr(monoid_mod, "core", _never_started)
+    for argv in (("monoid", "add-module", files["line_x"], "a", "--ledger", led),
+                 ("monoid", "report", "--ledger", led)):
+        code = cli.main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and key in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_ledger_fields_at_their_limits_load(capsys, files):
+    led = files["tmp"] / "led_max.json"
+    code, _ = run(capsys, "monoid", "new", "--ledger", led, "--deg-cap", cli.MAX_DEG_CAP,
+                  "--trials", cli.MAX_TRIALS, "--seed", 2**70)
+    assert code == 0
+    code, out = run(capsys, "monoid", "report", "--ledger", led)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["deg_cap"], result["trials"], result["seed"]) == (
+        cli.MAX_DEG_CAP, cli.MAX_TRIALS, 2**70)
+
+
+def test_negative_monoid_seed_is_input_error(capsys, files):
+    led = files["tmp"] / "led_seed.json"
+    code, _ = run(capsys, "monoid", "new", "--ledger", led, "--seed", "-1")
+    assert code == 2
+    assert not led.exists()
+
+
+def test_monoid_equal_trials_over_the_limit_is_input_error(capsys, files, monkeypatch):
+    led = files["tmp"] / "led5.json"
+    run(capsys, "monoid", "new", "--ledger", led)
+    run(capsys, "monoid", "add-module", files["line_x"], "a", "--ledger", led)
+    monkeypatch.setattr(monoid_mod, "iso_search", _never_started)
+    code, out = run(capsys, "monoid", "equal", "a", "a", "--trials", 10**12,
+                    "--ledger", led)
+    assert code == 2 and out == ""
 
 
 def test_negative_monoid_equal_trials_is_input_error(capsys, files):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, RatMat,
-                              ShapeMismatch, kernel_basis, poly_gcd,
-                              poly_xgcd, rat_nullspace, smith_normal_form,
-                              unimodular_completion)
-from diffmod.modules import _solve_linear
+                              ShapeMismatch, _int_row, _modp_nullspace,
+                              kernel_basis, poly_gcd, poly_xgcd, rat_nullspace,
+                              smith_normal_form, unimodular_completion)
+from diffmod.modules import MODP, _solve_linear
 from diffmod.rng import StableRng
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -377,6 +377,29 @@ def test_q_kernels_match_fraction_reference():
                 elif rhs is consistent_rhs:
                     pytest.fail("a consistent system was reported unsolvable")
     assert _solve_linear([], []) == []
+
+
+def test_modp_kernels_match_integer_kernels():
+    # on these inputs no minor is divisible by p, so the kernel mod p is the
+    # reduction of the kernel over Q: the same vectors, scaled to 1 at the
+    # free column, which is a vector's last nonzero entry
+    _, mats = q_kernel_inputs()
+    for M in mats:
+        rows = [_int_row(M.row(i))[0] for i in range(M.rows)]
+        expected = []
+        for x in ref_nullspace(rows, M.cols):
+            inv = pow([v for v in x if v][-1], -1, MODP)
+            expected.append([v * inv % MODP for v in x])
+        assert _modp_nullspace(rows, M.cols, MODP) == expected
+
+
+def test_modp_kernel_can_only_grow():
+    # p divides a pivot: rank 2 over Q, rank 1 mod p
+    rows = [[MODP, 0], [0, 1]]
+    assert ref_nullspace(rows, 2) == []
+    assert _modp_nullspace(rows, 2, MODP) == [[1, 0]]
+    assert _modp_nullspace([[3, 6, 9]], 3, 7) == [[5, 1, 0], [4, 0, 1]]
+    assert _modp_nullspace([], 2, 7) == [[1, 0], [0, 1]]
 
 
 # ---------------------------------------------------------------------------

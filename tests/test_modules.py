@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffmod.modules as modules
 from diffmod.diffring import DiffRing, RingMismatch
 from diffmod.exactalg import (Poly, PolyMat, RatMat, ShapeMismatch,
-                              rat_nullspace)
+                              _int_nullspace, rat_nullspace)
 from diffmod.modules import (CertificateInvalid, DiffModule, constants,
                              direct_sum, hom_space, identity_certificate,
                              is_trivial, iso_search, make_iso_certificate,
@@ -396,6 +397,104 @@ def test_top_layer_matches_oracle_singular_and_invertible():
         if invertible:
             assert hs.dimension == 0 and hs.proven_complete
     assert seen == {True, False}
+
+
+def singular_top_pairs():
+    """Seeded pairs with E = 1, 2, 3 whose top coefficients are triangular
+    with one shared eigenvalue, so the top layer L_E is singular: random
+    pairs, each module against itself (the identity is a hom) and against
+    its sum with another; and x^E I + N, N a nilpotent Jordan block, whose
+    homs to (R, x^E) and from a scrambled copy to itself have degree 2 to 5."""
+    rng = StableRng(909)
+    pairs = []
+    for E in (1, 2, 3):
+        xe = P(*[0] * E, 1)
+        jordan = poly_module([[xe, 1, 0], [0, xe, 1], [0, 0, xe]])
+        pairs += [(jordan, line(xe)), (scramble(jordan, 40 + E)[0], jordan)]
+        for _ in range(3):
+            lam = rng.nonzero_int(2)
+
+            def rand_rows(k):
+                return [[Poly([rng.randint(-2, 2) for _ in range(E)]
+                              + [lam if i == j else rng.randint(-2, 2) if j > i else 0])
+                         for j in range(k)] for i in range(k)]
+            src = poly_module(rand_rows(rng.randint(1, 2)))
+            tgt = poly_module(rand_rows(rng.randint(1, 2)))
+            pairs += [(src, tgt), (src, src), (direct_sum(src, tgt), src)]
+    return pairs
+
+
+def exact_path(monkeypatch, A, B, cap):
+    with monkeypatch.context() as mp:
+        mp.setattr(modules, "_modp_window", lambda *args: None)
+        return modules._poly_hom_basis(A, B, cap)
+
+
+def test_modp_window_matches_exact_path_on_singular_top_layers(monkeypatch):
+    seen = set()
+    for src, tgt in singular_top_pairs():
+        A, B = src.matrix, tgt.matrix
+        layers, sigma = modules._sylvester_layers(A, B)
+        assert len(layers) > 1
+        default, _ = resolve_deg_cap(src, tgt, None)
+        for cap in [*range(6), default]:
+            fast = modules._poly_hom_basis(A, B, cap)
+            assert fast == exact_path(monkeypatch, A, B, cap)
+            assert not fast[1]
+            k, D = modules._modp_window(layers, sigma, A.rows * B.rows, cap)
+            assert k == len(fast[0])
+            assert D == max((T.max_degree() for T in fast[0]), default=None)
+            seen.add(k > 0)
+        assert len(oracle_hom_basis(src, tgt, 3)) == len(modules._poly_hom_basis(A, B, 3)[0])
+    assert seen == {True, False}
+
+
+# hom((R^2, [[x, 1], [0, x]]), (R, x)): T = (t1, t2) with t1' = 0 and
+# t2' = t1, so the homs are (0, 1) of degree 0 and (1, x) of degree 1
+JORDAN_X = poly_module([[X, 1], [0, X]])
+
+
+def test_wrong_modp_window_falls_back_to_the_full_chain(monkeypatch):
+    A, B = JORDAN_X.matrix, line(X).matrix
+    real = modules._modp_window
+    assert real(*modules._sylvester_layers(A, B), 2, 3) == (2, 1)
+    windows = []
+
+    def nullspace(rows, ncols):
+        windows.append(len(rows))
+        return _int_nullspace(rows, ncols)
+    for cap in (1, 3, 32):
+        exact = exact_path(monkeypatch, A, B, cap)
+        assert len(exact[0]) == 2
+        # a D below the degree of (1, x), then a k below the dimension
+        for lie in (lambda k, D: (k, D - 1), lambda k, D: (k - 1, D)):
+            with monkeypatch.context() as mp:
+                mp.setattr(modules, "_modp_window", lambda *args: lie(*real(*args)))
+                mp.setattr(modules, "_int_nullspace", nullspace)
+                windows.clear()
+                assert modules._poly_hom_basis(A, B, cap) == exact
+                assert len(windows) == 2  # the window at D, then at the cap
+
+
+def test_modp_window_declines_when_p_divides_a_denominator():
+    src = line(X * Fraction(1, modules.MODP))
+    layers, sigma = modules._sylvester_layers(src.matrix, src.matrix)
+    assert sigma == modules.MODP
+    assert modules._modp_window(layers, sigma, 1, 5) is None
+    hs = hom_space(src, src, 5)
+    assert hs.dimension == 1 and not hs.proven_complete
+
+
+def test_basis_degree_equal_to_the_cap(monkeypatch):
+    # hom((R^3, x I + N), (R, x)) is spanned by (0, 0, 1), (0, 1, x) and
+    # (1, x, x^2/2): at caps 1 and 2 the top basis element has degree = cap
+    src = poly_module([[X, 1, 0], [0, X, 1], [0, 0, X]])
+    for cap in range(5):
+        basis, proven = modules._poly_hom_basis(src.matrix, line(X).matrix, cap)
+        assert (basis, proven) == exact_path(monkeypatch, src.matrix, line(X).matrix, cap)
+        assert len(basis) == min(cap, 2) + 1
+        assert max(T.max_degree() for T in basis) == min(cap, 2)
+        assert_same_space(src, line(X), cap)
 
 
 def test_invertible_top_layer_gives_proven_zero_hom():
