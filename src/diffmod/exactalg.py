@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 
 _R0 = Fraction(0)
 _R1 = Fraction(1)
@@ -485,8 +486,9 @@ class PolyMat:
         Smith elimination gives U*M*V = D with U, V products of elementary
         operations, so det M is a nonzero constant times the product of the
         monic diagonal of D: M is unimodular exactly when D = I, and then
-        M^{-1} = V*U.  The inverse is checked by one product, M*M^{-1} = I
-        (for a square matrix a one-sided inverse is two-sided)."""
+        M^{-1} = V*U.  The inverse is checked exactly, M*M^{-1} = I by one
+        integer evaluation (_product_is_identity); for a square matrix a
+        one-sided inverse is two-sided."""
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of a non-square matrix")
         n = self.rows
@@ -497,7 +499,7 @@ class PolyMat:
                 f"Smith form diagonal {[str(d) for d in diagonal]} is not the identity, "
                 f"so the determinant is not a nonzero constant")
         inv = PolyMat.from_rows(V) @ PolyMat.from_rows(U)
-        if self @ inv != PolyMat.identity(n):
+        if not _product_is_identity(self, inv):
             raise ArithmeticError("unimodular inverse verification failed")
         return inv
 
@@ -832,43 +834,88 @@ def rat_nullspace(M: RatMat):
 def _int_cleared(rows):
     """Scale a grid of Poly entries by the lcm of all coefficient
     denominators: returns (grid of int coefficient lists, scale)."""
-    den = 1
-    for row in rows:
-        for p in row:
-            for cf in p.coeffs:
-                den = den * cf.denominator // math.gcd(den, cf.denominator)
+    den = math.lcm(*{cf.denominator for row in rows for p in row for cf in p.coeffs})
+    if den == 1:
+        return [[[cf.numerator for cf in p.coeffs] for p in row] for row in rows], 1
     grid = [[[cf.numerator * (den // cf.denominator) for cf in p.coeffs]
              for p in row] for row in rows]
     return grid, den
 
 
-def _int_eval(grid, k: int):
-    """Evaluate a grid of int coefficient lists at an integer point."""
+def _int_mat(M: PolyMat):
+    """M cleared of denominators: ((rows, cols, row-major int coefficient
+    lists), scale), the form _vanishes takes."""
+    (ints,), den = _int_cleared([M.entries])
+    return (M.rows, M.cols, ints), den
+
+
+def _int_eval(ints, K: int):
+    """Evaluate int coefficient lists at x = 2**K."""
     out = []
-    for row in grid:
-        vals = []
-        for cs in row:
-            v = 0
-            for cf in reversed(cs):
-                v = v * k + cf
-            vals.append(v)
-        out.append(vals)
+    for cs in ints:
+        v = 0
+        for cf in reversed(cs):
+            v = (v << K) + cf
+        out.append(v)
     return out
+
+
+def _vanishes(terms) -> bool:
+    """Whether R = sum of c * F_1 @ F_2 @ ... over terms (c, [F_1, F_2, ...])
+    is the zero matrix, for integers c and integer polynomial matrices F in
+    the form of _int_mat, decided exactly by one evaluation at x = 2**K.
+
+    Every coefficient of R is at most the sum over terms of |c| times the
+    product of the factors' entry-wise l1 norms (the sum of |coefficient|
+    over all entries; the l1 norm of a polynomial product is at most the
+    product of the l1 norms), and K is the least with 2**K above that bound.
+    If an entry of R is nonzero with lowest nonzero coefficient c_j, then
+    R(2**K) = c_j 2**(jK) mod 2**((j+1)K) and 0 < |c_j| < 2**K, so R(2**K)
+    is nonzero: the test is exact.  Each factor is evaluated once, however
+    often it occurs, and the products are taken in integers.
+    """
+    bound = 0
+    for c, factors in terms:
+        for _, _, ents in factors:
+            c *= sum(sum(map(abs, cs)) for cs in ents)
+        bound += abs(c)
+    K = bound.bit_length()
+    values = {}
+    total, shape = None, None
+    for c, factors in terms:
+        for f in factors:
+            if id(f) not in values:
+                values[id(f)] = _int_eval(f[2], K)
+        rows, k, _ = factors[0]
+        acc = values[id(factors[0])]
+        for f in factors[1:]:
+            if f[0] != k:
+                raise ShapeMismatch(f"{rows}x{k} @ {f[0]}x{f[1]}")
+            k, b = f[1], values[id(f)]
+            acc = [sum(map(mul, acc[i * f[0]:(i + 1) * f[0]], b[j::k]))
+                   for i in range(rows) for j in range(k)]
+        if total is None:
+            total, shape = [c * v for v in acc], (rows, k)
+        elif (rows, k) != shape:
+            raise ShapeMismatch(f"{rows}x{k} vs {shape[0]}x{shape[1]}")
+        else:
+            total = list(map(add, total, (c * v for v in acc)))
+    return not any(total)
+
+
+def _product_is_identity(X: PolyMat, Y: PolyMat) -> bool:
+    """Whether X @ Y is the identity, by one evaluation (_vanishes)."""
+    n = X.rows
+    x, dx = _int_mat(X)
+    y, dy = _int_mat(Y)
+    eye = n, n, [[1] if i == j else [] for i in range(n) for j in range(n)]
+    return _vanishes([(1, [x, y]), (-dx * dy, [eye])])
 
 
 def _int_matmul(A, B):
     cols = list(zip(*B)) if B else []
     return [[sum(x * y for x, y in zip(row, col)) for col in cols]
             for row in A]
-
-
-def _grid_degree(grid) -> int:
-    d = 0
-    for row in grid:
-        for cs in row:
-            if len(cs) - 1 > d:
-                d = len(cs) - 1
-    return d
 
 
 def _smith_eliminate(M: PolyMat, track=("U", "Uinv", "V", "Vinv")):
@@ -879,8 +926,8 @@ def _smith_eliminate(M: PolyMat, track=("U", "Uinv", "V", "Vinv")):
     Only the transforms named in ``track`` are accumulated; the others come
     back as None and cost nothing.  The pivot sequence, and so every tracked
     transform, is the same whatever is tracked.  Nothing is verified here:
-    each caller proves what it uses (``smith_normal_form_with_inverses`` by
-    evaluation, ``PolyMat.inverse_unimodular`` by a product check).
+    each caller proves what it uses (``smith_normal_form_with_inverses`` and
+    ``PolyMat.inverse_unimodular`` by exact integer identities, _vanishes).
     """
     r, c = M.rows, M.cols
     a = M.to_rows()
@@ -1006,8 +1053,10 @@ def smith_normal_form_with_inverses(M: PolyMat):
     U, V products of elementary operations whose inverses are accumulated
     alongside (so unimodularity is verified by a product, not a determinant).
 
-    The factorization and both inverse identities are re-verified exactly
-    before returning.
+    The factorization U M V = D and both inverse identities U Uinv = I and
+    V Vinv = I are re-verified exactly before returning, each cleared of
+    denominators and checked by one integer evaluation at x = 2**K, with
+    2**K above a bound on the identity's coefficients (_vanishes).
     """
     r, c = M.rows, M.cols
     a, U, Ui, V, Vi = _smith_eliminate(M)
@@ -1018,41 +1067,13 @@ def smith_normal_form_with_inverses(M: PolyMat):
     Vim = PolyMat.from_rows(Vi) if c else PolyMat(0, 0, [])
     Dm = PolyMat.from_rows(a) if r else PolyMat(0, c, [])
 
-    # verification: the factorization, and unimodularity of U and V via
-    # their accumulated inverses.  Polynomial matrix identities of entry
-    # degree <= B hold iff they hold at B+1 distinct evaluation points, so
-    # checking products at 0..B is an exact proof and avoids the symbolic
-    # triple product.  Denominators are cleared once per matrix so the
-    # per-point work is plain integer arithmetic.
-    gu, lu = _int_cleared(U)
-    gui, lui = _int_cleared(Ui)
-    gv, lv = _int_cleared(V)
-    gvi, lvi = _int_cleared(Vi)
-    gm, lm = _int_cleared(M.to_rows())
-    gd, ld = _int_cleared(a)
-    b_fact = max(_grid_degree(gu) + _grid_degree(gm) + _grid_degree(gv),
-                 _grid_degree(gd))
-    b_uinv = _grid_degree(gu) + _grid_degree(gui)
-    b_vinv = _grid_degree(gv) + _grid_degree(gvi)
-    s_fact = lu * lm * lv
-    for k in range(max(b_fact, b_uinv, b_vinv) + 1):
-        eu, ev = _int_eval(gu, k), _int_eval(gv, k)
-        if k <= b_fact:
-            prod = _int_matmul(_int_matmul(eu, _int_eval(gm, k)), ev)
-            ed = _int_eval(gd, k)
-            if any(ld * prod[i][j] != s_fact * ed[i][j]
-                   for i in range(r) for j in range(c)):
-                raise ArithmeticError("smith normal form verification failed")
-        if k <= b_uinv:
-            prod = _int_matmul(eu, _int_eval(gui, k))
-            if any(prod[i][j] != (lu * lui if i == j else 0)
-                   for i in range(r) for j in range(r)):
-                raise ArithmeticError("transform inverse verification failed")
-        if k <= b_vinv:
-            prod = _int_matmul(ev, _int_eval(gvi, k))
-            if any(prod[i][j] != (lv * lvi if i == j else 0)
-                   for i in range(c) for j in range(c)):
-                raise ArithmeticError("transform inverse verification failed")
+    # the factorization as the integer identity d (uU)(mM)(vV) = u m v (dD),
+    # u, m, v, d the denominators cleared
+    (gu, lu), (gm, lm), (gv, lv), (gd, ld) = map(_int_mat, (Um, M, Vm, Dm))
+    if not _vanishes([(ld, [gu, gm, gv]), (-lu * lm * lv, [gd])]):
+        raise ArithmeticError("smith normal form verification failed")
+    if not (_product_is_identity(Um, Uim) and _product_is_identity(Vm, Vim)):
+        raise ArithmeticError("transform inverse verification failed")
     return Um, Dm, Vm, Uim, Vim
 
 

@@ -19,8 +19,9 @@ from typing import Optional
 
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch,
-                       _echelon_kernel, _int_gauss_jordan, _int_nullspace, _int_row,
-                       _modp_nullspace)
+                       _echelon_kernel, _int_cleared, _int_gauss_jordan, _int_mat,
+                       _int_nullspace, _int_row, _modp_nullspace, _product_is_identity,
+                       _vanishes)
 from .rng import StableRng
 from .zeroder import similar
 
@@ -71,16 +72,34 @@ def direct_sum(P: DiffModule, Q: DiffModule) -> DiffModule:
 
 
 def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
-    """Exact check of T' = T A_source - A_target T (by substitution)."""
+    """Exact check of T' = T A - B T, A and B the matrices of source and
+    target, by one integer substitution x = 2**K.
+
+    With s the common denominator of A and B and t that of T, the residual
+        R = s (tT)' - (tT)(sA) + (sB)(tT) = s t (T' - T A + B T)
+    is an integer polynomial matrix (over const_zero the derivative term is
+    absent), and T is a hom iff R = 0.  Each coefficient of R is at most
+    s |(tT)'|_1 + |tT|_1 |sA|_1 + |sB|_1 |tT|_1, |.|_1 the sum of |coefficient|
+    over all entries, since the l1 norm of a product of polynomials is at
+    most the product of their l1 norms.  K is the least with 2**K above that
+    bound.  Let c_j be the lowest nonzero coefficient of a nonzero entry of
+    R.  Then R(2**K) = c_j 2**(jK) mod 2**((j+1)K), and 0 < |c_j| < 2**K, so
+    R(2**K) is nonzero.  Hence R(2**K) = 0 iff R = 0, and the check is exact
+    (exactalg._vanishes).
+    """
     if source.ring != target.ring:
         raise RingMismatch(f"{source.ring.tag} vs {target.ring.tag}")
     if T.rows != target.rank or T.cols != source.rank:
         raise ShapeMismatch(
             f"hom {source.rank}->{target.rank} needs a {target.rank}x{source.rank} "
             f"matrix, got {T.rows}x{T.cols}")
-    lhs = source.ring.derive_mat(T)
-    rhs = T @ source.matrix - target.matrix @ T
-    return lhs == rhs
+    n, m = source.rank, target.rank
+    (a, b), s = _int_cleared([source.matrix.entries, target.matrix.entries])
+    t, _ = _int_mat(T)
+    terms = [(-1, [t, (n, n, a)]), (1, [(m, m, b), t])]
+    if source.ring is DiffRing.POLY_DX:
+        terms.append((s, [(m, n, [[i * v for i, v in enumerate(cs)][1:] for cs in t[2]])]))
+    return _vanishes(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +119,18 @@ class IsoCertificate:
 
 def make_iso_certificate(source: DiffModule, target: DiffModule,
                          forward: PolyMat, backward: PolyMat) -> IsoCertificate:
+    """The certificate, after checking exactly that both maps are homs
+    (verify_hom) and that both composites, backward . forward and
+    forward . backward, are the identity, each by one integer substitution
+    x = 2**K (exactalg._product_is_identity).  Raises CertificateInvalid
+    when a check fails."""
     if not verify_hom(forward, source, target):
         raise CertificateInvalid("forward map is not a differential homomorphism")
     if not verify_hom(backward, target, source):
         raise CertificateInvalid("backward map is not a differential homomorphism")
-    if backward @ forward != PolyMat.identity(source.rank):
+    if not _product_is_identity(backward, forward):
         raise CertificateInvalid("backward . forward is not the identity")
-    if forward @ backward != PolyMat.identity(target.rank):
+    if not _product_is_identity(forward, backward):
         raise CertificateInvalid("forward . backward is not the identity")
     return IsoCertificate(source, target, forward, backward)
 
@@ -175,32 +199,29 @@ def _sylvester_layers(A: PolyMat, B: PolyMat):
     Column-major vec: vec(T)[i + m*j] = T[i][j].  Returns (layers, sigma)
     where layers[e][r] lists the nonzero (column, value) pairs of row r of
     an integer mn x mn matrix, and the true operator for the x^e
-    coefficient is that matrix over sigma.  Row (i, j) reads column j of
-    A_e and row i of B_e, so it has at most m + n - 1 nonzeros.
+    coefficient is that matrix over sigma, the common denominator of A and
+    B.  Row (i, j) reads column j of A_e and row i of B_e, so it has at
+    most m + n - 1 nonzeros.
     """
     n, m = A.rows, B.rows
-    E = max(A.max_degree(), B.max_degree())
-    sigma = 1
-    for M in (A, B):
-        for p in M.entries:
-            for c in p.coeffs:
-                sigma = sigma * c.denominator // math.gcd(sigma, c.denominator)
+    (a, b), sigma = _int_cleared([A.entries, B.entries])
+    E = max([1, *map(len, a + b)]) - 1
     layers = []
     for e in range(E + 1):
-        Ae = A.coefficient_matrix(e)
-        Be = B.coefficient_matrix(e)
+        ae = [cs[e] if e < len(cs) else 0 for cs in a]
+        be = [cs[e] if e < len(cs) else 0 for cs in b]
         rows = []
         for j in range(n):
             for i in range(m):
                 row = {}
                 for k in range(n):
-                    c = Ae.entry(k, j)
+                    c = ae[k * n + j]
                     if c:
-                        row[i + m * k] = row.get(i + m * k, 0) + int(c * sigma)
+                        row[i + m * k] = row.get(i + m * k, 0) + c
                 for k in range(m):
-                    c = Be.entry(i, k)
+                    c = be[i * m + k]
                     if c:
-                        row[k + m * j] = row.get(k + m * j, 0) - int(c * sigma)
+                        row[k + m * j] = row.get(k + m * j, 0) - c
                 rows.append(sorted((col, v) for col, v in row.items() if v))
         layers.append(rows)
     return layers, sigma
@@ -519,22 +540,6 @@ class IsoResult:
         return self.kind == "iso"
 
 
-def _constant_det(T: PolyMat) -> Optional[Fraction]:
-    """det(T) when it is a nonzero constant, else None.  Decided exactly by
-    evaluation at deg-bound + 1 points."""
-    npts = T.rows * T.max_degree() + 1
-    first = None
-    for p in range(npts):
-        d = T.eval_at(p).determinant()
-        if not d:
-            return None
-        if first is None:
-            first = d
-        elif d != first:
-            return None
-    return first
-
-
 def _solve_linear(rows, rhs):
     """One exact solution of rows @ x = rhs (free variables zero), or None.
 
@@ -579,7 +584,7 @@ def _solve_left_inverse(T: PolyMat, hom_qp: HomSpace) -> Optional[PolyMat]:
     for c, Bl in zip(sol, basis):
         if c:
             S = S + Bl.scale(c)
-    if S @ T != PolyMat.identity(n):
+    if not _product_is_identity(S, T):
         return None
     return S
 
@@ -651,7 +656,12 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
         for c, Bl in zip(coeffs, h_pq.basis):
             if c:
                 T = T + Bl.scale(c)
-        if _constant_det(T) is None:
+        # T is a combination of verified homs P -> Q, so by Liouville's
+        # formula det(T)' = (tr A - tr B) det T.  A nonzero det T would have
+        # a derivative of lower degree than (tr A - tr B) det T unless
+        # tr A = tr B, and then det(T)' = 0: det T is 0 or a nonzero
+        # constant, so T is invertible over Q[x] iff det T(0) != 0.
+        if not T.coefficient_matrix(0).determinant():
             continue
         S = _solve_left_inverse(T, h_qp)
         if S is None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffmod.exactalg as exactalg
 from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, RatMat,
                               ShapeMismatch, _int_row, _modp_nullspace,
                               kernel_basis, poly_gcd, poly_xgcd, rat_nullspace,
@@ -222,6 +223,34 @@ def test_inverse_unimodular_on_elementary_products():
             singular.inverse_unimodular()
     with pytest.raises(ShapeMismatch):
         PolyMat(1, 2, [P(1), X]).inverse_unimodular()
+
+
+def corrupt_smith(monkeypatch, which):
+    """Make _smith_eliminate return its (D, U, Uinv, V, Vinv) with x added
+    to the top-left entry of the one at index ``which``."""
+    real = exactalg._smith_eliminate
+
+    def corrupted(M, track=("U", "Uinv", "V", "Vinv")):
+        out = real(M, track)
+        out[which][0][0] = out[which][0][0] + X
+        return out
+    monkeypatch.setattr(exactalg, "_smith_eliminate", corrupted)
+
+
+@pytest.mark.parametrize("which", [1, 3])
+def test_inverse_unimodular_rejects_a_corrupted_inverse(monkeypatch, which):
+    corrupt_smith(monkeypatch, which)
+    with pytest.raises(ArithmeticError, match="unimodular inverse verification failed"):
+        PolyMat(2, 2, [P(1), -X, X, P(1) - X * X]).inverse_unimodular()
+
+
+@pytest.mark.parametrize("which, reason", [
+    (0, "smith normal form"), (1, "smith normal form"), (2, "transform inverse"),
+    (3, "smith normal form"), (4, "transform inverse")])
+def test_smith_form_rejects_a_corrupted_factor(monkeypatch, which, reason):
+    corrupt_smith(monkeypatch, which)
+    with pytest.raises(ArithmeticError, match=reason + " verification failed"):
+        smith_normal_form(PolyMat(2, 2, [X, P(1), P(0), X]))
 
 
 def test_determinant_cubic():

@@ -557,6 +557,104 @@ def test_identity_certificate():
     assert cert.forward == PolyMat.identity(2)
 
 
+@pytest.mark.parametrize("ring", list(DiffRing))
+def test_certificate_rejects_a_one_sided_inverse(ring):
+    forward = PolyMat(2, 1, [P(1), P(0)])
+    backward = PolyMat(1, 2, [P(1), P(0)])
+    assert backward @ forward == PolyMat.identity(1)
+    with pytest.raises(CertificateInvalid, match="forward . backward"):
+        make_iso_certificate(trivial_module(ring, 1), trivial_module(ring, 2),
+                             forward, backward)
+
+
+# ---------------------------------------------------------------------------
+# verify_hom against a plain Fraction substitution
+# ---------------------------------------------------------------------------
+
+def substitution_is_hom(T: PolyMat, src: DiffModule, tgt: DiffModule) -> bool:
+    """T' == T A - B T entry by entry, in plain Poly arithmetic."""
+    A, B = src.matrix, tgt.matrix
+    for i in range(T.rows):
+        for j in range(T.cols):
+            lhs = T.entry(i, j).derivative() if src.ring is DiffRing.POLY_DX else Poly.zero()
+            rhs = Poly.zero()
+            for k in range(src.rank):
+                rhs = rhs + T.entry(i, k) * A.entry(k, j)
+            for k in range(tgt.rank):
+                rhs = rhs - B.entry(i, k) * T.entry(k, j)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def seeded_hom_pairs():
+    """Module pairs over both rings with nonzero hom spaces, square and not."""
+    rng = StableRng(808)
+    pairs = []
+    for n in (1, 2, 3):
+        base = DiffModule(DiffRing.POLY_DX, n, PolyMat(n, n, [
+            Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(rng.randint(0, 2))]) for _ in range(n * n)]))
+        twisted, _ = scramble(base, seed=rng.randint(0, 10 ** 6), ops=3 * n + 3)
+        pairs += [(base, twisted), (twisted, direct_sum(base, line(X))),
+                  (direct_sum(twisted, line(X * X)), base),
+                  (trivial_module(DiffRing.POLY_DX, n),
+                   poly_module(nilpotent_jordan(n + 1)))]
+        A, B, _ = random_similar_pair(rng, n)
+        src = DiffModule(DiffRing.CONST_ZERO, n, A.to_polymat())
+        tgt = DiffModule(DiffRing.CONST_ZERO, n, B.to_polymat())
+        pairs += [(src, tgt), (src, direct_sum(tgt, const_module([[2]]))),
+                  (direct_sum(const_module([[Fraction(1, 2)]]), src), tgt)]
+    return pairs
+
+
+def test_verify_hom_matches_substitution_on_seeded_homs_and_perturbations():
+    checked = rejected = 0
+    for src, tgt in seeded_hom_pairs():
+        basis = hom_space(src, tgt).basis
+        assert basis
+        for T in basis:
+            assert verify_hom(T, src, tgt) and substitution_is_hom(T, src, tgt)
+            # one coefficient changed, by an integer or a rational, at every
+            # position of every entry up to deg T + 1
+            for idx, e in enumerate(T.entries):
+                for d in range(T.max_degree() + 2):
+                    for delta in (Fraction(1), Fraction(-3, 7)):
+                        cs = list(e.coeffs) + [Fraction(0)] * (d + 1 - len(e.coeffs))
+                        cs[d] += delta
+                        entries = list(T.entries)
+                        entries[idx] = Poly(cs)
+                        bent = PolyMat(T.rows, T.cols, entries)
+                        expected = substitution_is_hom(bent, src, tgt)
+                        assert verify_hom(bent, src, tgt) == expected
+                        checked += 1
+                        rejected += not expected
+    assert checked > 500 and rejected > 0.9 * checked
+
+
+def test_verify_hom_on_rank_zero_and_empty_maps():
+    for ring in DiffRing:
+        zero, two = trivial_module(ring, 0), trivial_module(ring, 2)
+        for src, tgt in [(zero, zero), (zero, two), (two, zero)]:
+            T = PolyMat(tgt.rank, src.rank, [])
+            assert verify_hom(T, src, tgt) and substitution_is_hom(T, src, tgt)
+    with pytest.raises(ShapeMismatch):
+        verify_hom(PolyMat(1, 2, [P(1), P(0)]), line(X), line(X))
+
+
+@pytest.mark.parametrize("h", [1, 2, 7, 64])
+def test_verify_hom_residual_at_the_bound(h):
+    # T = 1 from (R, 0) to (R, 2^h - x): the residual B T = 2^h - x has the
+    # coefficient bound 2^h + 1, so the check evaluates at x = 2^(h+1); at
+    # x = 2^h, one bit short, the residual would vanish
+    src, tgt = line(P(0)), line(P(2 ** h, -1))
+    T = PolyMat(1, 1, [P(1)])
+    assert not substitution_is_hom(T, src, tgt)
+    assert not verify_hom(T, src, tgt)
+    with pytest.raises(CertificateInvalid):
+        make_iso_certificate(src, tgt, T, T)
+
+
 # ---------------------------------------------------------------------------
 # isomorphism search
 # ---------------------------------------------------------------------------
