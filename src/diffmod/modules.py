@@ -597,9 +597,10 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     Over poly_dx, NotIso is returned only on a proven invariant mismatch
     (rank, hom-space dimensions both ways, constants dimensions), with
     negative dimension evidence re-checked at cap + 10.  Iso certificates
-    come from sampling random integer combinations T of hom(P, Q) and
-    solving S T = identity for S in hom(Q, P); everything returned is
-    re-verified exactly.  Deterministic for a fixed seed."""
+    come from sampling random integer combinations T of hom(P, Q), keeping
+    those with det T(0) != 0, and solving S T = identity for S in
+    hom(Q, P); everything returned is re-verified exactly.  Deterministic
+    for a fixed seed."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     cap, proven = resolve_deg_cap(P, Q, deg_cap)
