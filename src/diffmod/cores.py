@@ -71,8 +71,8 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
 
     Requires w in hom(P, (R,0)), v in constants(P), and w(v) = 1 (rescale by
     the constant pairing value first; the constants being a *field* is what
-    makes that possible).  Returns (P', basis_change) where basis_change is
-    the invertible matrix W = [K | v], K = kernel_basis(w), conjugating the
+    makes that possible).  Returns (P', W, W^{-1}) where W = [K | v],
+    K = kernel_basis(w), is the invertible change of basis conjugating the
     structure matrix of P into block-diagonal form diag(A', 0), and
     P' = (R^{n-1}, A').
 
@@ -98,7 +98,7 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
         raise ArithmeticError("change of basis failed to split the trivial summand")
     A_rest = B.submatrix(0, n - 1, 0, n - 1)
     P_rest = DiffModule(P.ring, n - 1, A_rest)
-    return P_rest, W
+    return P_rest, W, Winv
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,15 @@ def core(P: DiffModule, deg_cap: Optional[int] = None,
 
     The default pivot is the first nonzero pairing entry in row-major
     order; pivot_seed selects random pivots instead and exists to exercise
-    uniqueness of the core under different split choices."""
+    uniqueness of the core under different split choices.
+
+    Both certificate maps are composed from the splits: each split's W
+    extends backward on the right and its W^{-1} extends forward on the
+    left, so nothing is inverted here; make_iso_certificate checks the
+    pair once."""
     rng = StableRng(pivot_seed) if pivot_seed is not None else None
     cur = P
-    backward = PolyMat.identity(P.rank)
+    forward = backward = PolyMat.identity(P.rank)
     s = 0
     while cur.rank > 0:
         pairing, ws, vs = _pairing_data(cur, deg_cap)
@@ -132,12 +137,12 @@ def core(P: DiffModule, deg_cap: Optional[int] = None,
         c = pairing.entry(j, k)
         w = ws[j].scale(1 / c)
         v = vs[k]
-        cur, W = split_trivial_summand(cur, w, v)
+        cur, W, Winv = split_trivial_summand(cur, w, v)
         # embed the new change of basis alongside the summands already split
         backward = backward @ PolyMat.block_diag(W, PolyMat.identity(s))
+        forward = PolyMat.block_diag(Winv, PolyMat.identity(s)) @ forward
         s += 1
     decomposed = direct_sum(cur, trivial_module(P.ring, s))
-    forward = backward.inverse_unimodular()
     cert = make_iso_certificate(P, decomposed, forward, backward)
     if cur.rank + s != P.rank:
         raise ArithmeticError("rank bookkeeping failed in core extraction")

@@ -249,22 +249,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly):
-    """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic or zero."""
-    r0, r1 = a, b
-    s0, s1 = _P_ONE, _P_ZERO
-    t0, t1 = _P_ZERO, _P_ONE
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = 1 / r0.lc()
-    return r0 * c, s0 * c, t0 * c
-
-
 # ---------------------------------------------------------------------------
 # matrices over Q[x]
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from typing import Optional
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch,
                        _echelon_kernel, _int_cleared, _int_gauss_jordan, _int_mat,
-                       _int_nullspace, _int_row, _modp_nullspace, _product_is_identity,
-                       _vanishes)
+                       _int_nullspace, _modp_nullspace, _product_is_identity, _vanishes)
 from .rng import StableRng
 from .zeroder import similar
 
@@ -540,55 +539,6 @@ class IsoResult:
         return self.kind == "iso"
 
 
-def _solve_linear(rows, rhs):
-    """One exact solution of rows @ x = rhs (free variables zero), or None.
-
-    The augmented rows are cleared of denominators and reduced by
-    fraction-free Gauss-Jordan elimination to d times their reduced row
-    echelon form, so x[pivots[k]] is the right-hand side of row k over d."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots, d, _ = _int_gauss_jordan(
-        [_int_row(list(r) + [b])[0] for r, b in zip(rows, rhs)], ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
-        return None
-    x = [Fraction(0)] * ncols
-    for k, c in enumerate(pivots):
-        x[c] = Fraction(m[k][ncols], d)
-    return x
-
-
-def _solve_left_inverse(T: PolyMat, hom_qp: HomSpace) -> Optional[PolyMat]:
-    """Solve S @ T = identity for S in the span of hom_qp.basis.
-
-    The polynomial identity is equivalent to its evaluations at
-    deg-bound + 1 points, which keeps the assembly scalar."""
-    basis = hom_qp.basis
-    if not basis:
-        return None
-    n = T.cols  # identity size
-    db = max(S.max_degree() for S in basis) + T.max_degree()
-    rows, rhs = [], []
-    for p in range(db + 1):
-        Tp = T.eval_at(p)
-        prods = [S.eval_at(p) @ Tp for S in basis]
-        for i in range(n):
-            for j in range(n):
-                rows.append([pr.entry(i, j) for pr in prods])
-                rhs.append(Fraction(1) if i == j else Fraction(0))
-    sol = _solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    S = PolyMat.zeros(basis[0].rows, basis[0].cols)
-    for c, Bl in zip(sol, basis):
-        if c:
-            S = S + Bl.scale(c)
-    if not _product_is_identity(S, T):
-        return None
-    return S
-
-
 def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
                seed: int = 0, deg_cap: Optional[int] = None) -> IsoResult:
     """Isomorphism decision, complete over const_zero (similarity, decided
@@ -597,10 +547,11 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     Over poly_dx, NotIso is returned only on a proven invariant mismatch
     (rank, hom-space dimensions both ways, constants dimensions), with
     negative dimension evidence re-checked at cap + 10.  Iso certificates
-    come from sampling random integer combinations T of hom(P, Q), keeping
-    those with det T(0) != 0, and solving S T = identity for S in
-    hom(Q, P); everything returned is re-verified exactly.  Deterministic
-    for a fixed seed."""
+    come from sampling random integer combinations T of hom(P, Q) and
+    keeping the first with det T(0) != 0: such a T is unimodular (see the
+    comment in the loop), its inverse S = T^{-1} from the Smith form is a
+    hom Q -> P of any degree, and the pair is re-verified exactly once by
+    make_iso_certificate.  Deterministic for a fixed seed."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     cap, proven = resolve_deg_cap(P, Q, deg_cap)
@@ -664,9 +615,10 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
         # constant, so T is invertible over Q[x] iff det T(0) != 0.
         if not T.coefficient_matrix(0).determinant():
             continue
-        S = _solve_left_inverse(T, h_qp)
-        if S is None:
-            continue
+        try:
+            S = T.inverse_unimodular()
+        except NotUnimodular as exc:
+            raise ArithmeticError("hom with det T(0) != 0 is not unimodular") from exc
         cert = make_iso_certificate(P, Q, T, S)
         return IsoResult("iso", cert, None, trial + 1, cap)
     return IsoResult("unknown", None,

@@ -139,6 +139,20 @@ def test_iso_unknown_exit_three(capsys, files):
     assert rep["result"]["verdict"] == "UNKNOWN"
 
 
+def test_iso_inverse_above_the_degree_cap_exit_zero(capsys, files):
+    # (R^3, 0) against its conjugate by [[1, x, 0], [0, 1, x], [0, 0, 1]],
+    # whose inverse has degree 2
+    zero3 = files["tmp"] / "zero3.json"
+    write_module(zero3, DiffRing.POLY_DX, 3, [P(0)] * 9)
+    sheared = files["tmp"] / "sheared.json"
+    write_module(sheared, DiffRing.POLY_DX, 3,
+                 [P(0), P(-1), P(0, 1), P(0), P(0), P(-1), P(0), P(0), P(0)])
+    code, rep = run_json(capsys, "iso", zero3, sheared, "--deg-cap", "1")
+    assert code == 0
+    assert rep["result"]["verdict"] == "ISO"
+    assert rep["result"]["trials_used"] == 1
+
+
 def test_const_zero_iso_decided_exit_zero(capsys, files):
     jordan = files["tmp"] / "jordan.json"
     write_module(jordan, DiffRing.CONST_ZERO, 2, [P(1), P(1), P(0), P(1)])

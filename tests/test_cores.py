@@ -58,8 +58,9 @@ def test_split_peels_one_trivial_line():
     # w: projection to the first coordinate, v: constant section e1
     w = PolyMat(1, 2, [P(1), P(0)])
     v = PolyMat(2, 1, [P(1), P(0)])
-    rest, W = split_trivial_summand(DIAG01, w, v)
+    rest, W, Winv = split_trivial_summand(DIAG01, w, v)
     assert rest.rank == 1
+    assert Winv @ W == PolyMat.identity(2)
     assert rest.matrix == PolyMat(1, 1, [P(1)])
     # W conjugates the matrix to diag(rest, 0) exactly
     A = DIAG01.matrix
@@ -70,8 +71,8 @@ def test_split_peels_one_trivial_line():
 
 def test_split_inverse_by_construction():
     # split_trivial_summand builds W^{-1} = [C - (C v) w; w] for W = [K | v]
-    # from the kernel K and completion C of w; on seeded splits it must be
-    # the two-sided inverse of the W it returns
+    # from the kernel K and completion C of w and returns it; on seeded
+    # splits it must be the two-sided inverse of the W it returns
     rng = StableRng(41)
     for _ in range(6):
         M = random_planned_module(rng, rng.randint(0, 2), rng.randint(1, 2)).module
@@ -79,10 +80,10 @@ def test_split_inverse_by_construction():
         j, k = next((j, k) for j in range(pairing.rows) for k in range(pairing.cols)
                     if pairing.entry(j, k))
         w = ws[j].scale(1 / pairing.entry(j, k))
-        rest, W = split_trivial_summand(M, w, vs[k])
+        rest, W, Winv = split_trivial_summand(M, w, vs[k])
         C = unimodular_completion(w)
         assert W == PolyMat.hstack(kernel_basis(w), vs[k])
-        Winv = PolyMat.vstack(C - (C @ vs[k]) @ w, w)
+        assert Winv == PolyMat.vstack(C - (C @ vs[k]) @ w, w)
         assert Winv @ W == PolyMat.identity(M.rank)
         assert W @ Winv == PolyMat.identity(M.rank)
         assert Winv == W.inverse_unimodular()
@@ -153,6 +154,23 @@ def test_core_unique_up_to_iso_across_pivot_choices():
     assert d1.core.rank == d2.core.rank == 2
     r = iso_search(d1.core, d2.core, seed=5)
     assert r.kind == "iso"
+
+
+def _never_called(self):
+    raise AssertionError("core inverted a matrix")
+
+
+def test_core_composes_split_inverses(monkeypatch):
+    # forward is built from each split's W^{-1}, never by inverting backward
+    rng = StableRng(58)
+    for _ in range(4):
+        planned = random_planned_module(rng, rng.randint(0, 1), rng.randint(2, 3))
+        with monkeypatch.context() as m:
+            m.setattr(PolyMat, "inverse_unimodular", _never_called)
+            d = core(planned.module, pivot_seed=rng.randint(0, 2**31))
+        assert d.multiplicity == planned.multiplicity
+        cert = d.certificate
+        assert cert.forward == cert.backward.inverse_unimodular()
 
 
 def test_core_additive_over_direct_sum():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import diffmod.modules as modules
 from diffmod.diffring import DiffRing, RingMismatch
-from diffmod.exactalg import (Poly, PolyMat, RatMat, ShapeMismatch,
+from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
                               _int_nullspace, rat_nullspace)
 from diffmod.modules import (CertificateInvalid, DiffModule, constants,
                              direct_sum, hom_space, identity_certificate,
@@ -724,6 +724,37 @@ def test_iso_search_deterministic_per_seed():
     assert a.kind == b.kind == "iso"
     assert a.certificate.forward == b.certificate.forward
     assert a.trials_used == b.trials_used
+
+
+# T = [[1, x, 0], [0, 1, x], [0, 0, 1]] carries (R^3, 0) to (R^3, -T' T^{-1});
+# its inverse [[1, -x, x^2], [0, 1, -x], [0, 0, 1]] has degree 2
+SHEAR = PolyMat(3, 3, [P(1), X, P(0), P(0), P(1), X, P(0), P(0), P(1)])
+SHEARED = DiffModule(DiffRing.POLY_DX, 3,
+                     PolyMat(3, 3, [P(0), P(-1), X, P(0), P(0), P(-1), P(0), P(0), P(0)]))
+
+
+def test_iso_inverse_may_exceed_the_degree_cap():
+    # at cap 1 every trial T has the degree of SHEAR and hom(Q, P) lacks
+    # T^{-1}; the backward map is T^{-1} whatever its degree
+    src = trivial_module(DiffRing.POLY_DX, 3)
+    assert verify_hom(SHEAR, src, SHEARED)
+    r = iso_search(src, SHEARED, deg_cap=1)
+    assert r.kind == "iso" and r.trials_used == 1
+    f, b = r.certificate.forward, r.certificate.backward
+    assert f.max_degree() == 1 and b.max_degree() == 2
+    assert verify_hom(b, SHEARED, src)
+    assert b == f.inverse_unimodular()
+
+
+def test_iso_non_unimodular_trial_is_internal_error(monkeypatch):
+    base = mod2(X, P(1), P(0), X * X)
+    twisted, _ = scramble(base, seed=5)
+
+    def not_unimodular(self):
+        raise NotUnimodular("patched")
+    monkeypatch.setattr(PolyMat, "inverse_unimodular", not_unimodular)
+    with pytest.raises(ArithmeticError, match="not unimodular"):
+        iso_search(base, twisted, seed=9)
 
 
 def test_rank_zero_modules_are_isomorphic():
