@@ -7,8 +7,9 @@ comparisons.  Exit codes: 0 definitive verdict, 2 input error (including a
 negative degree cap or trial count, a suite size below 1, or a size over
 its limit: MAX_DEG_CAP, MAX_TRIALS, MAX_SUITE_SIZE and serialize.MAX_RANK,
 also in a ledger file), 3 Unknown
-(poly_dx only), 4 internal verification failure (an ArithmeticError raised
-by an exact check inside the library; one "error: internal verification
+(poly_dx only), 4 internal verification failure (an ArithmeticError or
+CertificateInvalid raised by an exact check inside the library, whose
+commands read no certificates; one "error: internal verification
 failed: ..." line on stderr, no report), and 1 when suite items fail.
 """
 
@@ -23,7 +24,7 @@ from typing import Optional
 
 from .cores import core
 from .diffring import DiffRing, RingMismatch
-from .modules import (DEFAULT_DEG_CAP, DEFAULT_TRIALS, COEFF_HEIGHT,
+from .modules import (DEFAULT_DEG_CAP, DEFAULT_TRIALS, COEFF_HEIGHT, CertificateInvalid,
                       hom_space, is_trivial, iso_search)
 from .monoid import ClassLedger
 from .serialize import (MAX_DEG_CAP, MAX_TRIALS, ParseError, canonical_dumps,
@@ -455,7 +456,7 @@ def main(argv=None) -> int:
             PermissionError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ArithmeticError as exc:
+    except (ArithmeticError, CertificateInvalid) as exc:
         print(f"error: internal verification failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -149,9 +149,10 @@ class HomSpace:
     degree <= deg_cap.  Sound unconditionally (every element re-verified by
     substitution); complete for degree <= deg_cap, and complete outright
     when proven_complete is set: over const_zero; for constant matrices
-    when deg_cap >= rank*rank or the chain's rank test stabilized within
-    the cap; and when the top layer L_E of T |-> T A - B T is invertible,
-    so the space is {0} (see _poly_hom_basis)."""
+    when the kernel chain ker L^j of L = T |-> T A - B T stops growing by
+    j = deg_cap + 1, as it does by j = rank*rank; and when the top layer
+    L_E of T |-> T A - B T is invertible, so the space is {0} (see
+    _poly_hom_basis)."""
     source: DiffModule
     target: DiffModule
     basis: tuple
@@ -168,16 +169,14 @@ def resolve_deg_cap(P: DiffModule, Q: DiffModule, deg_cap: Optional[int]):
     Raises ValueError for a negative cap."""
     if deg_cap is not None and deg_cap < 0:
         raise ValueError(f"degree cap must be nonnegative, got {deg_cap}")
-    mn = P.rank * Q.rank
     if P.ring is DiffRing.CONST_ZERO:
         return (0 if deg_cap is None else deg_cap), True
-    both_const = P.matrix.is_constant() and Q.matrix.is_constant()
     if deg_cap is not None:
-        return deg_cap, both_const and deg_cap >= mn
-    if both_const:
+        return deg_cap, False
+    if P.matrix.is_constant() and Q.matrix.is_constant():
         # polynomial solutions have degree < rank*rank for constant matrices,
         # so raising the default to that bound makes the basis complete
-        return max(DEFAULT_DEG_CAP, mn), True
+        return max(DEFAULT_DEG_CAP, P.rank * Q.rank), True
     return DEFAULT_DEG_CAP, False
 
 
@@ -311,15 +310,17 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
       the x^(d+E) coefficient of T A - B T is S_E(T_d), while T' has degree
       d - 1, so S_E(T_d) = 0.  When S_E has full rank there is no nonzero
       solution of any degree: the result is [] before the chain starts.
-    * E = 0.  Here H[d] is proportional to S_0^d, and rank(S_0^d) never
-      increases with d; once rank(S_0^k) = rank(S_0^2k) it is constant from
-      k on, so ker S_0^k = ker S_0^(cap+1) when k <= cap + 1.  The rank is
-      tested at d = 2, 4, 8, ... <= cap + 1 against d / 2 (S_0 itself was
-      eliminated for the first proof), and at the first equality, or at a
-      zero H[d] (k = d: rank 0 cannot fall further), H[k] is the window.
-      Every solution has degree < k, so the basis is complete outright, and
-      coefficients are assembled only for d < k.  Without a stop the
-      elimination of H[cap + 1], when it was tested, still gives the window.
+    * E = 0.  Here H[d] is proportional to L^d, L = S_0, so the window's
+      kernel is ker L^(cap+1).  The kernel chain reaches it without powers
+      of L: with R the nonzero rows of an elimination whose kernel is
+      ker L^j (first that of L itself), each divided by its content so
+      that entries do not grow with j, ker L^(j+1) = ker(R L).  The chain
+      stops at the first j with rank(R L) = rank R: then ker L^j =
+      ker L^(j+1), the kernels never grow again (Fitting's lemma), every
+      solution has degree < j and the basis is complete outright.  The
+      rank falls at every other step, so this happens by j = rank(L) + 1
+      <= mn.  Otherwise the chain stops at j = cap + 1 with ker L^(cap+1),
+      complete up to the cap.  Coefficients are assembled only for d < j.
     * E >= 1, mod-p window.  The chain first runs over GF(p) to the full
       window (_modp_window).  Rank mod p never exceeds rank over Q, so the
       kernel K_cap of the window over Q has dimension at most k, the
@@ -390,28 +391,30 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
         return _int_nullspace(window, mn)
 
     stable = False
-    degree = cap
     if E == 0:
-        # echelon holds the elimination of H[tested], first S_0 itself
-        tested = 1
-        for d in range(cap + 1):
+        # echelon eliminates a matrix whose kernel is ker L^j
+        j = 1
+        while True:
+            RL = []
+            for row in echelon[0][:len(echelon[1])]:
+                g = math.gcd(*row)  # R's row is row / g
+                out = [0] * mn
+                for k, v in enumerate(row):
+                    if v:
+                        for c, w in layers[0][k]:
+                            out[c] += v // g * w
+                RL.append(out)
+            nxt = _int_gauss_jordan(RL, mn)[:3]
+            if len(nxt[1]) == len(echelon[1]):
+                stable = True
+                break
+            if j == cap + 1:
+                break
+            echelon, j = nxt, j + 1
+        degree = j - 1
+        while len(H) <= degree:
             grow()
-            if d + 1 == 2 * tested:
-                doubled = _int_gauss_jordan(H[d + 1], mn)[:3]
-                if len(doubled[1]) == len(echelon[1]):
-                    stable = True
-                    break
-                echelon, tested = doubled, d + 1
-                if not doubled[1]:  # H[d+1] = 0: rank 0 cannot fall further
-                    stable = True
-                    break
-        if stable or tested == cap + 1:
-            # the window's kernel is the kernel of H[tested]
-            t0s = _echelon_kernel(*echelon, mn)
-        else:
-            t0s = window_kernel(cap)
-        if stable:
-            degree = tested - 1
+        t0s = _echelon_kernel(*echelon, mn)
     else:
         bound = _modp_window(layers, sigma, mn, cap)
         if bound is not None:
@@ -554,7 +557,7 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     make_iso_certificate.  Deterministic for a fixed seed."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
-    cap, proven = resolve_deg_cap(P, Q, deg_cap)
+    cap, _ = resolve_deg_cap(P, Q, deg_cap)
     if P.rank != Q.rank:
         return IsoResult("not_iso", None, f"rank {P.rank} != {Q.rank}", 0, cap)
     if P.rank == 0:
@@ -641,8 +644,9 @@ def scramble(P: DiffModule, seed: int, ops: Optional[int] = None):
         empty = PolyMat(0, 0, [])
         return P, make_iso_certificate(P, P, empty, empty)
     rng = StableRng(seed)
-    U = PolyMat.identity(n)
-    Uinv = PolyMat.identity(n)
+    # each operation acts on U's rows and, inverted, on U^{-1}'s columns
+    U = PolyMat.identity(n).to_rows()
+    Uinv = PolyMat.identity(n).to_rows()
     count = ops if ops is not None else n + 2
     scales = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(3), Fraction(1, 2), Fraction(-1, 2))
@@ -658,32 +662,24 @@ def scramble(P: DiffModule, seed: int, ops: Optional[int] = None):
                 j = rng.randint(0, n - 1)
             deg = rng.randint(0, 1)
             p = Poly([rng.nonzero_int(2)] + ([rng.randint(-2, 2)] if deg else []))
-            E = PolyMat.identity(n).to_rows()
-            E[i][j] = p
-            Einv = PolyMat.identity(n).to_rows()
-            Einv[i][j] = -p
-            U = PolyMat.from_rows(E) @ U
-            Uinv = Uinv @ PolyMat.from_rows(Einv)
+            U[i] = [a + p * b for a, b in zip(U[i], U[j])]
+            for row in Uinv:
+                row[j] = row[j] - p * row[i]
         elif kind < 8:
             i = rng.randint(0, n - 1)
             c = scales[rng.randint(0, len(scales) - 1)]
-            E = PolyMat.identity(n).to_rows()
-            E[i][i] = Poly.constant(c)
-            Einv = PolyMat.identity(n).to_rows()
-            Einv[i][i] = Poly.constant(1 / c)
-            U = PolyMat.from_rows(E) @ U
-            Uinv = Uinv @ PolyMat.from_rows(Einv)
+            U[i] = [a * c for a in U[i]]
+            for row in Uinv:
+                row[i] = row[i] * (1 / c)
         else:
             i = rng.randint(0, n - 1)
             j = rng.randint(0, n - 1)
             while j == i:
                 j = rng.randint(0, n - 1)
-            rows = U.to_rows()
-            rows[i], rows[j] = rows[j], rows[i]
-            U = PolyMat.from_rows(rows)
-            cols = Uinv.transpose().to_rows()
-            cols[i], cols[j] = cols[j], cols[i]
-            Uinv = PolyMat.from_rows(cols).transpose()
+            U[i], U[j] = U[j], U[i]
+            for row in Uinv:
+                row[i], row[j] = row[j], row[i]
+    U, Uinv = PolyMat.from_rows(U), PolyMat.from_rows(Uinv)
     B = (U @ P.matrix - U.derivative()) @ Uinv
     Q = DiffModule(P.ring, n, B)
     cert = make_iso_certificate(P, Q, U, Uinv)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import diffmod.cli as cli
+import diffmod.modules as modules_mod
 import diffmod.monoid as monoid_mod
 import diffmod.suite as suite_mod
 from diffmod.diffring import DiffRing
@@ -365,6 +366,18 @@ def test_internal_verification_failure_exits_four(capsys, files, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("error: internal verification failed: "
                             "engineered certificate failure\n")
+
+
+def test_library_certificate_failure_exits_four(capsys, files, monkeypatch):
+    # a certificate the library built itself fails its own check: an
+    # internal failure, not an input error and not a traceback
+    monkeypatch.setattr(modules_mod, "_product_is_identity", lambda *args: False)
+    code = cli.main(["core", str(files["nilp"])])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == ("error: internal verification failed: "
+                            "backward . forward is not the identity\n")
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ def assert_same_space_at_default_cap(src, tgt):
 
 def test_nilpotent_chain_matches_oracle_at_every_cap():
     # hom((R^k, N), (R, 0)) has L = N^T, of nilpotent index k; caps below
-    # the index give no early stop and the window H[cap + 1]
+    # k - 1 give no early stop and the kernel ker L^(cap + 1)
     rng = StableRng(505)
     for k in range(1, 6):
         jordan = nilpotent_jordan(k)
@@ -337,7 +337,7 @@ def test_nilpotent_chain_matches_oracle_at_every_cap():
 
 def test_mixed_constant_chain_matches_oracle_at_every_cap():
     # a nilpotent block beside an invertible one: the rank of L^d falls to
-    # a nonzero floor, so only equal ranks (not a zero H[d]) end the chain
+    # a nonzero floor, so the kernel chain stops at two equal nonzero ranks
     rng = StableRng(506)
     for k in range(1, 4):
         rows = [[0] * (k + 1) for _ in range(k + 1)]
@@ -354,17 +354,74 @@ def test_mixed_constant_chain_matches_oracle_at_every_cap():
 
 def test_rank_stabilization_proves_small_caps():
     # hom(J3, J3): L = J3^T (x) I - I (x) J3 is nilpotent of index 5, so
-    # solutions have degree <= 4 and H[8] = 0 is the first zero probe: from
-    # cap 7 on the chain proves the basis complete, while the cap policy
-    # alone needs cap >= 9
+    # solutions have degree <= 4 and ker L^5 = ker L^6 is the first equal
+    # pair of the kernel chain: from cap 4 on (j = 5 <= cap + 1) the chain
+    # proves the basis complete
     src = poly_module(nilpotent_jordan(3))
     tgt = poly_module(nilpotent_jordan(3))
     complete = hom_space(src, tgt).basis
     for cap in range(9):
         hs = hom_space(src, tgt, cap)
-        assert hs.proven_complete == (cap >= 7)
+        assert hs.proven_complete == (cap >= 4)
         assert (hs.basis == complete) == (cap >= 4)
         assert_same_space(src, tgt, cap)
+
+
+def jordan_rows(blocks):
+    """Block-diagonal Jordan matrix, one (eigenvalue, size) per block."""
+    n = sum(size for _, size in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for lam, size in blocks:
+        for r in range(at, at + size):
+            rows[r][r] = lam
+            if r + 1 < at + size:
+                rows[r][r + 1] = 1
+        at += size
+    return rows
+
+
+def sylvester_matrix(a: RatMat, b: RatMat) -> RatMat:
+    """A^T (x) I - I (x) B, the matrix of vec(T) |-> vec(T A - B T) for
+    n x n A and m x m B, vec column-major: row i + m*j, column i2 + m*k."""
+    n, m = a.rows, b.rows
+    return RatMat(m * n, m * n, [
+        (a.entry(k, j) if i == i2 else 0) - (b.entry(i, i2) if j == k else 0)
+        for j in range(n) for i in range(m) for k in range(n) for i2 in range(m)])
+
+
+def fitting_index(src, tgt):
+    """The least j >= 1 with rank S^j = rank S^(j+1), for constant A and B
+    and S their sylvester_matrix; ranks by rat_nullspace."""
+    S = sylvester_matrix(src.matrix.to_ratmat(), tgt.matrix.to_ratmat())
+    power, j = S, 1
+    while len(rat_nullspace(power)) != len(rat_nullspace(power @ S)):
+        power, j = power @ S, j + 1
+    return j
+
+
+def test_kernel_chain_proves_completeness_from_the_fitting_index():
+    # for constant A and B every solution has degree < nu, the Fitting
+    # index of S, and the kernel chain finds ker S^nu = ker S^(nu+1) once
+    # nu <= cap + 1: the flag is set exactly from cap nu - 1 on
+    rng = StableRng(1010)
+    pairs = [(poly_module(nilpotent_jordan(n)), poly_module(nilpotent_jordan(m)))
+             for n in (1, 2, 3) for m in (1, 2, 3)]
+    for _ in range(8):
+        def rand_blocks():
+            sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+            return [(rng.randint(0, 1), size) for size in sizes]
+        src = poly_module(shear_conjugate(jordan_rows(rand_blocks()), rng))
+        tgt = poly_module(shear_conjugate(jordan_rows(rand_blocks()), rng))
+        pairs.append((src, tgt))
+    seen = set()
+    for src, tgt in pairs:
+        nu = fitting_index(src, tgt)
+        seen.add(nu)
+        for cap in range(nu + 2):
+            assert_same_space(src, tgt, cap)
+            assert hom_space(src, tgt, cap).proven_complete == (cap >= nu - 1)
+    assert {1, 2, 3, 5} <= seen
 
 
 def test_top_layer_matches_oracle_singular_and_invertible():
@@ -383,12 +440,8 @@ def test_top_layer_matches_oracle_singular_and_invertible():
         top = max(src.matrix.max_degree(), tgt.matrix.max_degree())
         if top == 0:
             continue
-        a = src.matrix.coefficient_matrix(top)
-        b = tgt.matrix.coefficient_matrix(top)
-        # row i + m*j, column i2 + m*k of vec(T) |-> vec(T A_E - B_E T)
-        L = RatMat(m * n, m * n, [
-            (a.entry(k, j) if i == i2 else 0) - (b.entry(i, i2) if j == k else 0)
-            for j in range(n) for i in range(m) for k in range(n) for i2 in range(m)])
+        L = sylvester_matrix(src.matrix.coefficient_matrix(top),
+                             tgt.matrix.coefficient_matrix(top))
         invertible = not rat_nullspace(L)
         seen.add(invertible)
         for cap in range(5):
