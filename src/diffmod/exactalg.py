@@ -8,6 +8,7 @@ between the objects defined here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -25,10 +26,12 @@ class NotUnimodular(Exception):
 
 
 def _as_rat(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+    # int first: isinstance against Fraction, an abstract base class's
+    # subclass, is slow for anything but a Fraction
     if isinstance(c, int):
         return Fraction(c)
+    if isinstance(c, Fraction):
+        return c
     raise TypeError(f"expected an exact rational, got {type(c).__name__}")
 
 
@@ -721,26 +724,53 @@ def _int_gauss_jordan(rows, ncols):
     return m, pivots, prev, sign
 
 
-def _modp_nullspace(rows, ncols, p):
-    """Basis of the right kernel of an integer matrix reduced mod the prime
-    p: Gauss-Jordan over GF(p), then one vector per free column fc, with
-    x[fc] = 1 and x[pivots[k]] = -m[k][fc], entries in [0, p).
+MODP = 1073741789  # the largest prime below 2**30; 2**30 = MODP + 35
+_PRIMES = [MODP]
 
-    Each row is one integer with a slot of w bits per column, so a row
-    update is one multiply-add.  Rows are reduced only when they become
-    pivot rows; a row takes at most ncols updates of less than p**2 per
-    slot, which w has room for.
+
+def _primes():
+    """The primes below 2**30 from MODP down, 2**30 - c for c = 35, 41, 83,
+    101, 105, ...; each is found once, by trial division, and kept."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            q = _PRIMES[-1] - 2
+            while any(q % f == 0 for f in range(3, math.isqrt(q) + 1, 2)):
+                q -= 2
+            _PRIMES.append(q)
+        yield _PRIMES[i]
+
+
+def _modp_width(ncols, p):
+    """Slot width of a packed row mod p: room for 2 * ncols products below
+    p**2 in each slot."""
+    return 2 * p.bit_length() + ncols.bit_length() + 1
+
+
+def _modp_pack(vals, ncols, p):
+    """A row of integers reduced mod p and packed into one integer, slot j
+    at bit w*j, w = _modp_width(ncols, p)."""
+    w = _modp_width(ncols, p)
+    return sum(v % p << (w * j) for j, v in enumerate(vals))
+
+
+def _modp_echelon(rows, ncols, p, w):
+    """Gauss-Jordan elimination over GF(p) of packed rows, slot j at bit
+    w*j for a width w >= _modp_width(ncols, p) and every slot below
+    ncols * p**2 (as _modp_pack makes them): returns (reduced, pivots).
+    reduced lists the pivot rows of the reduced row echelon form, entries
+    in [0, p): row k is 1 at column pivots[k] and 0 at the other pivot
+    columns and left of its pivot.
+
+    A row update is one multiply-add of packed integers.  Rows are reduced
+    only when they become pivot rows; a row takes at most ncols updates of
+    less than p**2 per slot, which the width has room for.
     """
-    w = 2 * p.bit_length() + ncols.bit_length() + 1
     slot = (1 << w) - 1
 
     def unpack(x):
         return [(x >> (w * j) & slot) % p for j in range(ncols)]
 
-    def pack(vals):
-        return sum(v % p << (w * j) for j, v in enumerate(vals))
-
-    m = [pack(r) for r in rows]
+    m = list(rows)
     pivots = []
     for c in range(ncols):
         r, shift = len(pivots), w * c
@@ -748,17 +778,29 @@ def _modp_nullspace(rows, ncols, p):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        vals = unpack(m[r])
-        inv = pow(vals[c], -1, p)
-        m[r] = pivot = pack([v * inv for v in vals])
+        x = m[r]
+        inv = pow((x >> shift & slot) % p, -1, p)
+        # the slots left of c are 0 mod p: the pivot row starts at c
+        m[r] = pivot = sum((x >> (w * j) & slot) * inv % p << (w * j) for j in range(c, ncols))
         for i, row in enumerate(m):
             f = (row >> shift & slot) % p
             if f and i != r:
                 m[i] = row + (p - f) * pivot
         pivots.append(c)
-    reduced = [unpack(x) for x in m[:len(pivots)]]
+    return [unpack(x) for x in m[:len(pivots)]], pivots
+
+
+def _modp_kernel(reduced, pivots, ncols, p):
+    """Basis of the right kernel of a finished _modp_echelon elimination:
+    one vector per free column fc, in ascending order, with x[fc] = 1,
+    x[pivots[k]] = -reduced[k][fc] and every other entry zero, entries in
+    [0, p).  fc is x's last nonzero entry, since reduced[k][fc] = 0 for
+    pivots[k] > fc."""
+    pivot_set = set(pivots)
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         x = [0] * ncols
         x[fc] = 1
         for k, pc in enumerate(pivots):
@@ -767,21 +809,69 @@ def _modp_nullspace(rows, ncols, p):
     return basis
 
 
-def _int_nullspace(rows, ncols):
-    """Primitive integer basis of the right kernel of an integer matrix.
+def _modp_nullspace(rows, ncols, p):
+    """Basis of the right kernel of an integer matrix reduced mod the prime
+    p, in the form of _modp_kernel."""
+    packed = [_modp_pack(r, ncols, p) for r in rows]
+    return _modp_kernel(*_modp_echelon(packed, ncols, p, _modp_width(ncols, p)), ncols, p)
 
-    Basis vectors are gcd-reduced with their first nonzero entry positive,
-    one per free column, in ascending column order.  They are read off the
-    reduced rows: for the free column fc, x[fc] = d and x[pivots[k]] =
-    -m[k][fc], every other entry zero.
+
+def _crt(x, M, y, p):
+    """The vectors congruent to x mod M and to y mod the prime p, entries
+    in [0, M p) (Chinese remaindering; M is prime to p)."""
+    inv = pow(M, -1, p)
+    return [[a + M * ((b - a) * inv % p) for a, b in zip(u, v)] for u, v in zip(x, y)]
+
+
+def _lift_vector(x, M):
+    """The rational vector with residues x mod M, cleared to a primitive
+    integer vector with its first nonzero entry positive, by rational
+    reconstruction (von zur Gathen and Gerhard, Modern Computer Algebra,
+    section 5.10); None when it fails.
+
+    The entries share one denominator den, at most bound = isqrt(M // 2).
+    An entry a with a * den mod M at most bound in absolute value is that
+    over den; for any other, the extended Euclidean algorithm on M and
+    a * den stops at the first remainder r <= bound, whose cofactor s gives
+    a * den = r / s mod M, and den is multiplied by s.  When the vector is
+    y / den with every |y_i| and den at most bound, that is the result:
+    two fractions within the bounds that agree mod M are equal, since
+    2 bound**2 < M.  Any other result is wrong or None, and callers check
+    it exactly.
     """
-    m, pivots, d, _ = _int_gauss_jordan(rows, ncols)
-    return _echelon_kernel(m, pivots, d, ncols)
+    bound = math.isqrt(M // 2)
+    den, out = 1, []
+    for a in x:
+        v = a * den % M
+        if v > bound and M - v <= bound:
+            v -= M
+        elif v > bound:
+            r0, r1, s0, s1 = M, v, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if s1 < 0:
+                r1, s1 = -r1, -s1
+            if s1 * den > bound or math.gcd(s1, M) != 1:
+                return None
+            den *= s1
+            out = [u * s1 for u in out]
+            v = r1
+        out.append(v)
+    g = math.gcd(*out)
+    if next(u for u in out if u) < 0:
+        g = -g
+    return [u // g for u in out]
 
 
 def _echelon_kernel(m, pivots, d, ncols):
-    """The primitive kernel basis of _int_nullspace, read off a finished
-    _int_gauss_jordan elimination (m, pivots, d) of the matrix."""
+    """Primitive integer basis of the right kernel of a matrix, read off a
+    finished _int_gauss_jordan elimination (m, pivots, d) of it.
+
+    Basis vectors are gcd-reduced with their first nonzero entry positive,
+    one per free column, in ascending column order: for the free column
+    fc, x[fc] = d and x[pivots[k]] = -m[k][fc], every other entry zero.
+    """
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -807,8 +897,8 @@ def rat_nullspace(M: RatMat):
     vectors (up to scaling this is canonical).
     """
     int_rows = [_int_row(M.row(i))[0] for i in range(M.rows)]
-    basis = _int_nullspace(int_rows, M.cols)
-    return [RatMat(M.cols, 1, vec) for vec in basis]
+    m, pivots, d, _ = _int_gauss_jordan(int_rows, M.cols)
+    return [RatMat(M.cols, 1, vec) for vec in _echelon_kernel(m, pivots, d, M.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -844,47 +934,57 @@ def _int_eval(ints, K: int):
     return out
 
 
-def _vanishes(terms) -> bool:
-    """Whether R = sum of c * F_1 @ F_2 @ ... over terms (c, [F_1, F_2, ...])
-    is the zero matrix, for integers c and integer polynomial matrices F in
-    the form of _int_mat, decided exactly by one evaluation at x = 2**K.
+def _vanishes(*residuals) -> bool:
+    """Whether every R = sum of c * F_1 @ F_2 @ ... over its terms
+    (c, [F_1, F_2, ...]) is the zero matrix, for integers c and integer
+    polynomial matrices F in the form of _int_mat, decided exactly by one
+    evaluation at x = 2**K.
 
-    Every coefficient of R is at most the sum over terms of |c| times the
-    product of the factors' entry-wise l1 norms (the sum of |coefficient|
-    over all entries; the l1 norm of a polynomial product is at most the
-    product of the l1 norms), and K is the least with 2**K above that bound.
-    If an entry of R is nonzero with lowest nonzero coefficient c_j, then
-    R(2**K) = c_j 2**(jK) mod 2**((j+1)K) and 0 < |c_j| < 2**K, so R(2**K)
-    is nonzero: the test is exact.  Each factor is evaluated once, however
-    often it occurs, and the products are taken in integers.
+    Every coefficient of R is at most the sum over its terms of |c| times
+    the product of the factors' entry-wise l1 norms (the sum of
+    |coefficient| over all entries; the l1 norm of a polynomial product is
+    at most the product of the l1 norms), and K is the least with 2**K
+    above the largest of these bounds.  If an entry of R is nonzero with
+    lowest nonzero coefficient c_j, then R(2**K) = c_j 2**(jK) mod
+    2**((j+1)K) and 0 < |c_j| < 2**K, so R(2**K) is nonzero: the test is
+    exact.  Each factor is evaluated once, however often it occurs in any
+    residual, and the products are taken in integers.
     """
-    bound = 0
-    for c, factors in terms:
-        for _, _, ents in factors:
-            c *= sum(sum(map(abs, cs)) for cs in ents)
-        bound += abs(c)
+    norms, bound = {}, 0
+    for terms in residuals:
+        total = 0
+        for c, factors in terms:
+            for f in factors:
+                if id(f) not in norms:
+                    norms[id(f)] = sum(sum(map(abs, cs)) for cs in f[2])
+                c *= norms[id(f)]
+            total += abs(c)
+        bound = max(bound, total)
     K = bound.bit_length()
     values = {}
-    total, shape = None, None
-    for c, factors in terms:
-        for f in factors:
-            if id(f) not in values:
-                values[id(f)] = _int_eval(f[2], K)
-        rows, k, _ = factors[0]
-        acc = values[id(factors[0])]
-        for f in factors[1:]:
-            if f[0] != k:
-                raise ShapeMismatch(f"{rows}x{k} @ {f[0]}x{f[1]}")
-            k, b = f[1], values[id(f)]
-            acc = [sum(map(mul, acc[i * f[0]:(i + 1) * f[0]], b[j::k]))
-                   for i in range(rows) for j in range(k)]
-        if total is None:
-            total, shape = [c * v for v in acc], (rows, k)
-        elif (rows, k) != shape:
-            raise ShapeMismatch(f"{rows}x{k} vs {shape[0]}x{shape[1]}")
-        else:
-            total = list(map(add, total, (c * v for v in acc)))
-    return not any(total)
+    for terms in residuals:
+        total, shape = None, None
+        for c, factors in terms:
+            for f in factors:
+                if id(f) not in values:
+                    values[id(f)] = _int_eval(f[2], K)
+            rows, k, _ = factors[0]
+            acc = values[id(factors[0])]
+            for f in factors[1:]:
+                if f[0] != k:
+                    raise ShapeMismatch(f"{rows}x{k} @ {f[0]}x{f[1]}")
+                k, b = f[1], values[id(f)]
+                acc = [sum(map(mul, acc[i * f[0]:(i + 1) * f[0]], b[j::k]))
+                       for i in range(rows) for j in range(k)]
+            if total is None:
+                total, shape = [c * v for v in acc], (rows, k)
+            elif (rows, k) != shape:
+                raise ShapeMismatch(f"{rows}x{k} vs {shape[0]}x{shape[1]}")
+            else:
+                total = list(map(add, total, (c * v for v in acc)))
+        if any(total):
+            return False
+    return True
 
 
 def _product_is_identity(X: PolyMat, Y: PolyMat) -> bool:

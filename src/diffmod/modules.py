@@ -18,9 +18,10 @@ from operator import lshift, mul
 from typing import Optional
 
 from .diffring import DiffRing, RingMismatch
-from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch,
-                       _echelon_kernel, _int_cleared, _int_gauss_jordan, _int_mat,
-                       _int_nullspace, _modp_nullspace, _product_is_identity, _vanishes)
+from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch, _crt,
+                       _int_cleared, _int_gauss_jordan, _int_mat, _lift_vector,
+                       _modp_echelon, _modp_kernel, _modp_width, _primes,
+                       _product_is_identity, _vanishes)
 from .rng import StableRng
 from .zeroder import similar
 
@@ -92,13 +93,22 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
         raise ShapeMismatch(
             f"hom {source.rank}->{target.rank} needs a {target.rank}x{source.rank} "
             f"matrix, got {T.rows}x{T.cols}")
+    return _vanishes(*_hom_residuals([T], source, target))
+
+
+def _hom_residuals(maps, source, target):
+    """verify_hom's residual for each map, A and B cleared once."""
     n, m = source.rank, target.rank
     (a, b), s = _int_cleared([source.matrix.entries, target.matrix.entries])
-    t, _ = _int_mat(T)
-    terms = [(-1, [t, (n, n, a)]), (1, [(m, m, b), t])]
-    if source.ring is DiffRing.POLY_DX:
-        terms.append((s, [(m, n, [[i * v for i, v in enumerate(cs)][1:] for cs in t[2]])]))
-    return _vanishes(terms)
+    a, b = (n, n, a), (m, m, b)
+    residuals = []
+    for T in maps:
+        t, _ = _int_mat(T)
+        terms = [(-1, [t, a]), (1, [b, t])]
+        if source.ring is DiffRing.POLY_DX:
+            terms.append((s, [(m, n, [[i * v for i, v in enumerate(cs)][1:] for cs in t[2]])]))
+        residuals.append(terms)
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +156,14 @@ def identity_certificate(P: DiffModule) -> IsoCertificate:
 @dataclass(frozen=True)
 class HomSpace:
     """Q-basis of differential homomorphisms source -> target with entry
-    degree <= deg_cap.  Sound unconditionally (every element re-verified by
-    substitution); complete for degree <= deg_cap, and complete outright
-    when proven_complete is set: over const_zero; for constant matrices
-    when the kernel chain ker L^j of L = T |-> T A - B T stops growing by
-    j = deg_cap + 1, as it does by j = rank*rank; and when the top layer
-    L_E of T |-> T A - B T is invertible, so the space is {0} (see
-    _poly_hom_basis)."""
+    degree <= deg_cap.  The basis is solved mod p, lifted to Q and checked
+    exactly by the coefficient recurrence (_poly_hom_basis), then verified
+    once more by substitution.  Complete for degree <= deg_cap, and
+    complete outright when proven_complete is set: over const_zero; for
+    constant matrices when the kernel chain ker L^j of L = T |-> T A - B T
+    stops growing by j = deg_cap + 1, as it does by j = rank*rank; and
+    when the top layer L_E of T |-> T A - B T is invertible, so the space
+    is {0}."""
     source: DiffModule
     target: DiffModule
     basis: tuple
@@ -178,17 +189,6 @@ def resolve_deg_cap(P: DiffModule, Q: DiffModule, deg_cap: Optional[int]):
         # so raising the default to that bound makes the basis complete
         return max(DEFAULT_DEG_CAP, P.rank * Q.rank), True
     return DEFAULT_DEG_CAP, False
-
-
-def _content(rows) -> int:
-    g = 0
-    for row in rows:
-        for v in row:
-            if v:
-                g = math.gcd(g, v)
-                if g == 1:
-                    return 1
-    return g or 1
 
 
 def _sylvester_layers(A: PolyMat, B: PolyMat):
@@ -225,71 +225,110 @@ def _sylvester_layers(A: PolyMat, B: PolyMat):
     return layers, sigma
 
 
-MODP = 1073741789  # the largest prime below 2**30; 2**30 = MODP + 35
-
-
-def _modp_window(layers, sigma, mn: int, cap: int):
-    """The hom chain over GF(p), p = MODP, to the full window: (k, D), or
-    None when p divides sigma or some d + 1 <= cap + E + 1.
+def _modp_window(idx, vals, sigma, E, cap, p):
+    """The hom chain over GF(p) to the window at the cap: the kernel of
+    T_0 |-> (T_{cap+1}, ..., T_{cap+E+1}) mod p as (pivots, basis), from
+    _modp_echelon and _modp_kernel.  p = 2**30 - c is a prime that divides
+    neither sigma nor any d + 1 <= cap + E + 1; idx and vals are the
+    recurrence's terms (_poly_hom_basis).
 
     G[d+1] = (sigma (d+1))^-1 sum_e L_e G[d-e] mod p is the reduction of
-    the exact chain, so k, the dimension of the window's kernel mod p, is
-    at least its dimension over Q (a rank never rises under reduction).
-    D is the last d <= cap at which G[d] moves a vector of that kernel,
-    tested on a fixed pseudo-random combination of G[d]'s rows: one that
-    vanishes too early makes D too small, which the exact chain's dimension
-    check catches.  k = 0 gives D = None.
+    the exact chain, so the kernel's dimension mod p is at least its
+    dimension over Q (a rank never rises under reduction).
 
     Each row of G[d] is one integer with mn slots of w bits (column j at
     bit w*j), so a row combination is nnz big-integer multiply-adds.
-    Entries are kept congruent mod p and below 2**31, not reduced: folding
-    the bits of every slot above 2**30 back in as 35 times their value
-    shrinks all slots at once, one fold per step for all of G[d+1] side by
-    side.  A sum of at most max(nnz, mn) products below 2**61 fits in w.
+    Entries are kept congruent mod p and below 2**31, not reduced: since
+    2**30 = c mod p, folding the bits of every slot above 2**30 back in as
+    c times their value shrinks all slots at once, one fold per step for
+    all of G[d+1] side by side.  A sum of at most max(nnz, mn) products
+    below 2**61 fits in w.
     """
-    E = len(layers) - 1
-    if sigma % MODP == 0 or cap + E + 1 >= MODP:
-        return None
-    # rows[(d + E) * mn + c] is row c of G[d] (E zero matrices stand for
-    # d < 0), so the term (e, c) of row r at step d is rows[d * mn + i]
-    # with i = (E - e) * mn + c
-    idx = [[(E - e) * mn + c for e in range(E + 1) for c, _ in layers[e][r]]
-           for r in range(mn)]
-    vals = [[v % MODP for e in range(E + 1) for _, v in layers[e][r]] for r in range(mn)]
+    mn = len(idx)
+    c = (1 << 30) - p
+    vals = [[v % p for v in row] for row in vals]
     w = 62 + max(mn, *map(len, vals)).bit_length()
-    slot, row = (1 << w) - 1, (1 << (w * mn)) - 1
+    row = (1 << (w * mn)) - 1
     ones = sum(1 << (w * j) for j in range(mn * mn))
     low, high = ones * ((1 << 30) - 1), ones * ((1 << (w - 30)) - 1)
     rounds, bits = 0, w
     while bits > 31:  # a fold takes slots below 2**bits to below 2**bits'
-        bits = max(30, bits - 24) + 1
+        bits = max(30, bits - 30 + c.bit_length()) + 1
         rounds += 1
 
     def fold(x):
         for _ in range(rounds):
-            x = (x & low) + 35 * ((x >> 30) & high)
+            x = (x & low) + c * ((x >> 30) & high)
         return x
 
-    def unpack(x):
-        return [(x >> (w * j) & slot) % MODP for j in range(mn)]
-
+    # rows[(d + E) * mn + r] is row r of G[d] (E zero matrices stand for
+    # d < 0), so the term of row r at index i is rows[d * mn + i]
     shifts = [w * mn * r for r in range(mn)]
     rows = [0] * (E * mn) + [1 << (w * j) for j in range(mn)]
     for d in range(cap + E + 1):
         get = rows[d * mn:].__getitem__
         sums = [sum(map(mul, v, map(get, i))) for v, i in zip(vals, idx)]
-        whole = fold(fold(sum(map(lshift, sums, shifts))) * pow(sigma * (d + 1), -1, MODP))
+        whole = fold(fold(sum(map(lshift, sums, shifts))) * pow(sigma * (d + 1), -1, p))
         rows += [whole >> s & row for s in shifts]
-    kernel = _modp_nullspace([unpack(x) for x in rows[(cap + E + 1) * mn:]], mn, MODP)
-    if not kernel:
-        return 0, None
-    rng = StableRng(MODP)
-    rho = [rng.randint(1, MODP - 1) for _ in range(mn)]
-    for d in range(cap, 0, -1):
-        u = unpack(fold(sum(map(mul, rho, rows[(d + E) * mn:(d + E + 1) * mn]))))
-        if any(sum(map(mul, u, v)) % MODP for v in kernel):
-            return len(kernel), d
-    return len(kernel), 0
+    # slots below 2**31 and w above _modp_width(mn, p): the rows as they are
+    reduced, pivots = _modp_echelon(rows[(cap + E + 1) * mn:], mn, p, w)
+    return pivots, _modp_kernel(reduced, pivots, mn, p)
+
+
+def _modp_kernel_chain(rows, mn, cap, p):
+    """The E = 0 kernel chain over GF(p), L the integer matrix with sparse
+    rows `rows`: ((j, stable, pivots), basis), basis that of ker L^j mod p
+    (_modp_kernel), where j is the first with rank L^(j+1) = rank L^j
+    (stable) or else cap + 1.  The basis is [] when L has full rank.
+
+    With R the reduced rows of an elimination whose kernel is ker L^j
+    (first that of L itself), ker L^(j+1) = ker(R L), and row k of R L is
+    sum_i R[k][i] times packed row i of L: mn multiply-adds of packed
+    integers, every slot below mn * p**2 as _modp_echelon needs.
+    """
+    w = _modp_width(mn, p)
+    L = [sum(v % p << (w * c) for c, v in row) for row in rows]
+    reduced, pivots = _modp_echelon(L, mn, p, w)
+    j, stable = 1, True
+    while len(pivots) < mn:
+        nxt = _modp_echelon([sum(map(mul, r, L)) for r in reduced], mn, p, w)
+        stable = len(nxt[1]) == len(pivots)
+        if stable or j == cap + 1:
+            break
+        (reduced, pivots), j = nxt, j + 1
+    return (j, stable, tuple(pivots)), _modp_kernel(reduced, pivots, mn, p)
+
+
+def _hom_run(idx, vals, E, sigma, t0, bound):
+    """The coefficients T_0, ..., T_D of the solution T with T_0 = t0, as
+    one list of integer vectors scaled by a common c > 0, when its degree
+    D is at most bound; else None.
+
+    The recurrence (d+1) sigma T_{d+1} = sum_e (sigma L_e) T_{d-e} runs in
+    integers: each new coefficient is divided by its gcd g with
+    q = (d+1) sigma, and the earlier ones are multiplied by q / g.  Once
+    E + 1 coefficients in a row vanish, every later one does, so T has
+    degree at most the last before them.
+    """
+    mn = len(t0)
+    coeffs = [0] * (E * mn) + t0
+    run = 0
+    for d in range(bound + E + 1):
+        get = coeffs[d * mn:].__getitem__
+        nxt = [sum(map(mul, v, map(get, i))) for v, i in zip(vals, idx)]
+        if any(nxt):
+            q = (d + 1) * sigma
+            g = math.gcd(q, *nxt)
+            if g < q:
+                coeffs = [v * (q // g) for v in coeffs]
+            coeffs += [v // g for v in nxt]
+            run = 0
+        else:
+            coeffs += nxt
+            run += 1
+            if run == E + 1:
+                return coeffs[E * mn:(d + 1) * mn]
+    return None
 
 
 def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
@@ -297,39 +336,47 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
     and whether that basis is proven to span every polynomial solution.
 
     The x^d coefficient of the equation reads
-        (d+1) T_{d+1} = sum_e S_e T_{d-e},
-    so T is determined linearly by T_0 and the degree-cap solutions are the
-    kernel of the window map T_0 |-> (T_{cap+1}, ..., T_{cap+E+1}).  The
-    chain H[d] (T_d = H[d] T_0 up to a tracked rational scale) runs on
-    integer matrices, one sparse row of S_e at a time; scales do not affect
-    kernels, so the window rows are stacked unscaled.  _int_nullspace reads
-    a canonical basis off the kernel alone, so any window with the same
-    kernel gives the same basis.  Three shortcuts cut the work short:
+        (d+1) T_{d+1} = sum_e L_e T_{d-e},
+    L_e the x^e coefficient of T |-> T A - B T (_sylvester_layers), so the
+    degree-cap solutions are fixed by their T_0 in the kernel K of the
+    window map T_0 |-> (T_{cap+1}, ..., T_{cap+E+1}).  Every E takes one
+    path:
 
-    * Invertible top layer.  For T of degree d with top coefficient T_d,
-      the x^(d+E) coefficient of T A - B T is S_E(T_d), while T' has degree
-      d - 1, so S_E(T_d) = 0.  When S_E has full rank there is no nonzero
-      solution of any degree: the result is [] before the chain starts.
-    * E = 0.  Here H[d] is proportional to L^d, L = S_0, so the window's
-      kernel is ker L^(cap+1).  The kernel chain reaches it without powers
-      of L: with R the nonzero rows of an elimination whose kernel is
-      ker L^j (first that of L itself), each divided by its content so
-      that entries do not grow with j, ker L^(j+1) = ker(R L).  The chain
-      stops at the first j with rank(R L) = rank R: then ker L^j =
-      ker L^(j+1), the kernels never grow again (Fitting's lemma), every
-      solution has degree < j and the basis is complete outright.  The
-      rank falls at every other step, so this happens by j = rank(L) + 1
-      <= mn.  Otherwise the chain stops at j = cap + 1 with ker L^(cap+1),
-      complete up to the cap.  Coefficients are assembled only for d < j.
-    * E >= 1, mod-p window.  The chain first runs over GF(p) to the full
-      window (_modp_window).  Rank mod p never exceeds rank over Q, so the
-      kernel K_cap of the window over Q has dimension at most k, the
-      kernel's dimension mod p: k = 0 gives [] at once.  Otherwise the
-      exact chain runs only to the window at D + 1 .. D + E + 1, where D
-      is the mod-p solutions' degree; its kernel K_D (the solutions of
-      degree <= D) lies in K_cap, so when its dimension is k it is K_cap.
-      When it is not, the exact chain runs on to the window at the cap.
-      The basis is K_cap's either way, complete only up to the cap.
+    * Top layer.  The x^(d+E) coefficient of T A - B T is L_E(T_d), while
+      T' has degree d - 1, so L_E(T_d) = 0: a full-rank L_E (by one exact
+      elimination for E >= 1, mod p for E = 0) proves K = {0} at any cap.
+    * Kernel mod p.  For E >= 1, _modp_window; for E = 0, where T_d =
+      L^d T_0 / d! and K = ker L^(cap+1), _modp_kernel_chain.
+    * Lift.  Each kernel vector, one per free column fc, is lifted by
+      rational reconstruction (_lift_vector); when that fails, the CRT
+      joins the residues of the next prime with the same pivots (and for
+      E = 0 the same j and stop).
+    * Canonical form.  Each lifted t0 must be nonzero at fc and zero at
+      the other free columns and right of fc, as its residues are.  The
+      only basis of K of that form is _echelon_kernel's, up to scale: each
+      column outside the free ones then lies in the span of the columns
+      right of it, so the free columns are the complement of the leftmost
+      pivots of any matrix with kernel K, and a vector of K is fixed by
+      its entries there.  So the basis does not depend on the primes.
+    * Check.  _hom_run runs the recurrence on each t0 in integers and
+      requires E + 1 zero coefficients in a row at a degree <= cap (for
+      E = 0, degree < j).  Its coefficients, made primitive, are the basis
+      element.
+    * Proof.  A rank never rises mod p, so dim K <= k, the kernel's
+      dimension mod p, and k checked solutions, independent by their form,
+      are a basis of K.  For E = 0 the same argument on each rank of L^i
+      shows the chain over Q stops at the same j.  A stop where the rank
+      does not fall gives ker L^j = ker L^(j+1): the kernels never grow
+      again (Fitting's lemma), every solution has degree < j and the basis
+      is complete outright; this happens by j = rank(L) + 1 <= mn.  (Were
+      p to miss only a stop at j = cap + 1, the flag would stay unset,
+      which is sound.)
+
+    A failed lift or check moves on to the next prime (_primes).  For
+    E >= 1 a prime dividing sigma is skipped, and a prime must exceed
+    cap + E + 1, the largest d + 1 the chain divides by, else ValueError.
+    An unlucky prime divides one of finitely many nonzero integers, so
+    this ends.
     """
     n, m = A.rows, B.rows
     mn = m * n
@@ -337,131 +384,80 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
         return [], True
     layers, sigma = _sylvester_layers(A, B)
     E = len(layers) - 1
-    top = [[0] * mn for _ in range(mn)]
-    for r, row in enumerate(layers[E]):
-        for c, v in row:
-            top[r][c] = v
-    echelon = _int_gauss_jordan(top, mn)[:3]
-    if len(echelon[1]) == mn:
-        return [], True
-
-    H = [[[1 if i == j else 0 for j in range(mn)] for i in range(mn)]]
-    scales = [Fraction(1)]
-    zero_mat = [[0] * mn for _ in range(mn)]
-
-    def grow():
-        """Append H[d + 1] and its scale, d the last degree so far."""
-        d = len(H) - 1
-        denoms = 1
-        terms = []  # (layer, scale of the H it acts on) per contributing layer
-        for e in range(min(d, E) + 1):
-            sc = scales[d - e]
-            if sc:
-                denoms = math.lcm(denoms, sc.denominator)
-                terms.append((e, sc))
-        acc = []
-        for r in range(mn):
-            coefs, vecs = [], []
-            for e, sc in terms:
-                w = sc.numerator * (denoms // sc.denominator)
-                prev = H[d - e]
-                for c, v in layers[e][r]:
-                    coefs.append(w * v)
-                    vecs.append(prev[c])
-            acc.append([sum(map(mul, coefs, col)) for col in zip(*vecs)]
-                       if vecs else [0] * mn)
-        if all(not any(row) for row in acc):
-            H.append(zero_mat)
-            scales.append(Fraction(0))
+    if E:
+        top = [[0] * mn for _ in range(mn)]
+        for r, row in enumerate(layers[E]):
+            for c, v in row:
+                top[r][c] = v
+        if len(_int_gauss_jordan(top, mn)[1]) == mn:
+            return [], True
+    # the term (e, c) of row r reads coefficient d - e at d: entry
+    # (E - e) * mn + c of the coefficients from d - E on
+    idx = [[(E - e) * mn + c for e in range(E + 1) for c, _ in layers[e][r]]
+           for r in range(mn)]
+    vals = [[v for e in range(E + 1) for _, v in layers[e][r]] for r in range(mn)]
+    lifts = {}  # pivots (j, stop) -> (product of their primes, residues)
+    for p in _primes():
+        if E:
+            if p <= cap + E + 1:
+                raise ValueError(f"degree cap {cap} is too large: the chain mod p "
+                                 f"needs a prime above {cap + E + 1}")
+            if sigma % p == 0:
+                continue
+            pivots, kernel = _modp_window(idx, vals, sigma, E, cap, p)
+            key, bound, stable = tuple(pivots), cap, False
         else:
-            g = _content(acc)
-            if g > 1:
-                acc = [[v // g for v in row] for row in acc]
-            H.append(acc)
-            scales.append(Fraction(g, (d + 1) * sigma * denoms))
-
-    def window_kernel(degree):
-        """Kernel of the window at degree + 1 .. degree + E + 1."""
-        while len(H) < degree + E + 2:
-            grow()
-        window = []
-        for d in range(degree + 1, degree + E + 2):
-            if scales[d]:
-                window.extend(H[d])
-        return _int_nullspace(window, mn)
-
-    stable = False
-    if E == 0:
-        # echelon eliminates a matrix whose kernel is ker L^j
-        j = 1
-        while True:
-            RL = []
-            for row in echelon[0][:len(echelon[1])]:
-                g = math.gcd(*row)  # R's row is row / g
-                out = [0] * mn
-                for k, v in enumerate(row):
-                    if v:
-                        for c, w in layers[0][k]:
-                            out[c] += v // g * w
-                RL.append(out)
-            nxt = _int_gauss_jordan(RL, mn)[:3]
-            if len(nxt[1]) == len(echelon[1]):
-                stable = True
+            key, kernel = _modp_kernel_chain(layers[0], mn, cap, p)
+            steps, stable, pivots = key
+            bound = steps - 1
+        if not kernel:
+            return [], not E
+        M, residues = lifts.get(key, (1, None))
+        residues = kernel if residues is None else _crt(residues, M, kernel, p)
+        lifts[key] = M * p, residues
+        free = [c for c in range(mn) if c not in pivots]
+        basis = []
+        for fc, x in zip(free, residues):
+            t0 = _lift_vector(x, M * p)
+            if not t0 or not t0[fc] or any(t0[fc + 1:]) or any(t0[c] for c in free if c < fc):
                 break
-            if j == cap + 1:
+            coeffs = _hom_run(idx, vals, E, sigma, t0, bound)
+            if not coeffs:
                 break
-            echelon, j = nxt, j + 1
-        degree = j - 1
-        while len(H) <= degree:
-            grow()
-        t0s = _echelon_kernel(*echelon, mn)
-    else:
-        bound = _modp_window(layers, sigma, mn, cap)
-        if bound is not None:
-            k, degree = bound
-            if not k:
-                return [], False
-            t0s = window_kernel(degree)
-        if bound is None or len(t0s) != k:
-            degree = cap
-            t0s = window_kernel(cap)
-
-    # T_d = scales[d] * H[d] t0, cleared by the lcm of the scale
-    # denominators to one primitive integer polynomial matrix
-    den = math.lcm(*(sc.denominator for sc in scales[:degree + 1]))
-    basis = []
-    for t0 in t0s:
-        coeffs = [[0] * (degree + 1) for _ in range(mn)]
-        for d in range(degree + 1):
-            sc = scales[d]
-            if sc:
-                f = sc.numerator * (den // sc.denominator)
-                vd = [sum(map(mul, row, t0)) for row in H[d]] if d else t0
-                for idx, v in enumerate(vd):
-                    coeffs[idx][d] = v * f
-        g = math.gcd(*(v for cl in coeffs for v in cl))
-        entries = [Poly([v // g for v in coeffs[i + m * j]])
-                   for i in range(m) for j in range(n)]
-        basis.append(PolyMat(m, n, [entries[j * n + k] for j in range(m) for k in range(n)]))
-    return basis, stable
+            g = math.gcd(*coeffs)
+            entries = [Poly([v // g for v in coeffs[i + m * j::mn]])
+                       for i in range(m) for j in range(n)]
+            basis.append(PolyMat(m, n, entries))
+        else:
+            return basis, stable
 
 
 @functools.lru_cache(maxsize=512)
 def _hom_basis_cached(P: DiffModule, Q: DiffModule, cap: int):
-    """The chain's (basis, proven) pair, the basis verified by substitution
-    once, on the cache miss."""
+    """The chain's (basis, proven) pair, the whole basis verified by one
+    substitution on the cache miss (verify_hom's check, with A and B
+    cleared and evaluated once for all elements)."""
     basis, proven = _poly_hom_basis(P.matrix, Q.matrix, cap)
     basis = tuple(basis)
-    if not all(verify_hom(T, P, Q) for T in basis):
+    if not _vanishes(*_hom_residuals(basis, P, Q)):
         raise ArithmeticError("hom solver returned a non-homomorphism")
     return basis, proven
 
 
 def hom_space(P: DiffModule, Q: DiffModule, deg_cap: Optional[int] = None) -> HomSpace:
     """Q-basis of differential homomorphisms P -> Q with entry degree
-    bounded by the cap, each verified by substitution.  Over const_zero
-    homs are the constant T with T A = B T: the chain at cap 0.  Complete
-    outright when the cap policy or the chain proves it."""
+    bounded by the cap: solved mod p, lifted, put in canonical form and
+    checked exactly by the chain (_poly_hom_basis), and verified by
+    substitution on the cache miss.  Over const_zero homs are the constant
+    T with T A = B T: the chain at cap 0.  Complete outright when the cap
+    policy or the chain proves it.
+
+    Raises ValueError for a negative cap, and, when the top layer L_E is
+    singular (E >= 1 the largest degree in P's and Q's matrices), for a cap
+    that no prime serves: the chain mod p divides by every d + 1 <=
+    cap + E + 1, so each prime it takes, from 2**30 - 35 down, must exceed
+    cap + E + 1.  Every cap with cap + E + 1 >= 2**30 - 35 raises.  (The
+    CLI's caps stop at MAX_DEG_CAP.)"""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     cap, proven = resolve_deg_cap(P, Q, deg_cap)

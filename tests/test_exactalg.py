@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffmod.exactalg as exactalg
-from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, RatMat,
+from diffmod.exactalg import (MODP, NotUnimodular, Poly, PolyMat, RatMat,
                               ShapeMismatch, _int_row, _modp_nullspace,
                               kernel_basis, poly_gcd, rat_nullspace,
                               smith_normal_form, unimodular_completion)
-from diffmod.modules import MODP
 from diffmod.rng import StableRng
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)

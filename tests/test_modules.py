@@ -1,6 +1,7 @@
 """Engine tests: hom spaces (cross-checked against a brute-force solver),
 constants, triviality, isomorphism search, scrambling."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 import diffmod.modules as modules
 from diffmod.diffring import DiffRing, RingMismatch
-from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
-                              _int_nullspace, rat_nullspace)
+from diffmod.exactalg import (MODP, NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
+                              rat_nullspace)
 from diffmod.modules import (CertificateInvalid, DiffModule, constants,
                              direct_sum, hom_space, identity_certificate,
                              is_trivial, iso_search, make_iso_certificate,
@@ -477,77 +478,211 @@ def singular_top_pairs():
     return pairs
 
 
-def exact_path(monkeypatch, A, B, cap):
-    with monkeypatch.context() as mp:
-        mp.setattr(modules, "_modp_window", lambda *args: None)
-        return modules._poly_hom_basis(A, B, cap)
-
-
-def test_modp_window_matches_exact_path_on_singular_top_layers(monkeypatch):
-    seen = set()
-    for src, tgt in singular_top_pairs():
-        A, B = src.matrix, tgt.matrix
-        layers, sigma = modules._sylvester_layers(A, B)
-        assert len(layers) > 1
-        default, _ = resolve_deg_cap(src, tgt, None)
-        for cap in [*range(6), default]:
-            fast = modules._poly_hom_basis(A, B, cap)
-            assert fast == exact_path(monkeypatch, A, B, cap)
-            assert not fast[1]
-            k, D = modules._modp_window(layers, sigma, A.rows * B.rows, cap)
-            assert k == len(fast[0])
-            assert D == max((T.max_degree() for T in fast[0]), default=None)
-            seen.add(k > 0)
-        assert len(oracle_hom_basis(src, tgt, 3)) == len(modules._poly_hom_basis(A, B, 3)[0])
-    assert seen == {True, False}
-
-
 # hom((R^2, [[x, 1], [0, x]]), (R, x)): T = (t1, t2) with t1' = 0 and
 # t2' = t1, so the homs are (0, 1) of degree 0 and (1, x) of degree 1
 JORDAN_X = poly_module([[X, 1], [0, X]])
+# hom((R^3, x I + N), (R, x)) is spanned by (0, 0, 1), (0, 1, x) and
+# (1, x, x^2/2), of degrees 0, 1 and 2
+JORDAN3_X = poly_module([[X, 1, 0], [0, X, 1], [0, 0, X]])
+# hom((R^2, [[3, 0], [40000, 0]]), (R, 0)) is spanned by (40000, -3): the
+# entry -40000/3 of its kernel vector has no reconstruction mod one prime
+# near 2**30, whose bounds are about 2**14.5
+TWO_PRIME = (poly_module([[3, 0], [40000, 0]]), ZERO_LINE)
 
 
-def test_wrong_modp_window_falls_back_to_the_full_chain(monkeypatch):
-    A, B = JORDAN_X.matrix, line(X).matrix
-    real = modules._modp_window
-    assert real(*modules._sylvester_layers(A, B), 2, 3) == (2, 1)
-    windows = []
+def seeded_constant_pairs():
+    """Seeded pairs of constant matrices (E = 0): shear conjugates of Jordan
+    matrices with eigenvalues 0, 1/2, 1 and -1/3, conjugated twice so that
+    their kernels have larger entries, each against another, against
+    itself and from its sum with the other; and TWO_PRIME."""
+    rng = StableRng(1111)
+    pairs = [TWO_PRIME]
+    for _ in range(10):
+        def rand_module():
+            blocks = [((0, Fraction(1, 2), 1, Fraction(-1, 3))[rng.randint(0, 3)],
+                       rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            rows = shear_conjugate(jordan_rows(blocks), rng)
+            return poly_module(shear_conjugate(rows, rng))
+        src, tgt = rand_module(), rand_module()
+        pairs += [(src, tgt), (src, src), (direct_sum(src, tgt), tgt)]
+    return pairs
 
-    def nullspace(rows, ncols):
-        windows.append(len(rows))
-        return _int_nullspace(rows, ncols)
-    for cap in (1, 3, 32):
-        exact = exact_path(monkeypatch, A, B, cap)
-        assert len(exact[0]) == 2
-        # a D below the degree of (1, x), then a k below the dimension
-        for lie in (lambda k, D: (k, D - 1), lambda k, D: (k - 1, D)):
+
+def digest_jobs():
+    """(A, B, cap) at caps 0-6 and the default cap for the seeded constant
+    pairs, singular_top_pairs(), JORDAN_X and JORDAN3_X to (R, x)."""
+    pairs = seeded_constant_pairs() + singular_top_pairs() + [
+        (JORDAN_X, line(X)), (JORDAN3_X, line(X))]
+    for src, tgt in pairs:
+        default, _ = resolve_deg_cap(src, tgt, None)
+        for cap in [*range(7), default]:
+            yield src.matrix, tgt.matrix, cap
+
+
+def basis_digest(jobs):
+    """sha256 of the chain's (basis, proven) on each job, in order."""
+    h = hashlib.sha256()
+    for A, B, cap in jobs:
+        basis, proven = modules._poly_hom_basis(A, B, cap)
+        h.update(repr(([(T.rows, T.cols, [[str(c) for c in e.coeffs] for e in T.entries])
+                        for T in basis], proven)).encode())
+    return h.hexdigest()
+
+
+def test_hom_chain_matches_the_golden_digest():
+    # recorded with the exact rational chain (Bareiss eliminations of the
+    # E = 0 kernel chain and of the E >= 1 window), which every later
+    # solver must reproduce byte for byte
+    assert basis_digest(digest_jobs()) == \
+        "191ece4e988f56710a1d1c7ca23479b616be55ee8977f3a8847945540f38f3a9"
+
+
+def spy_primes(mp):
+    """Patch the chain's primes to record each one it draws."""
+    drawn, real = [], modules._primes
+
+    def primes():
+        for p in real():
+            drawn.append(p)
+            yield p
+    mp.setattr(modules, "_primes", primes)
+    return drawn
+
+
+def test_singular_top_layers_match_the_oracle_at_one_prime(monkeypatch):
+    # E >= 1 with a singular top layer: the bases are pinned by the golden
+    # digest; at every cap the flag stays unset and the first prime's
+    # kernel lifts and checks, so its dimension is the basis's
+    seen = set()
+    for src, tgt in singular_top_pairs():
+        A, B = src.matrix, tgt.matrix
+        assert len(modules._sylvester_layers(A, B)[0]) > 1
+        default, _ = resolve_deg_cap(src, tgt, None)
+        for cap in [*range(6), default]:
             with monkeypatch.context() as mp:
-                mp.setattr(modules, "_modp_window", lambda *args: lie(*real(*args)))
-                mp.setattr(modules, "_int_nullspace", nullspace)
-                windows.clear()
-                assert modules._poly_hom_basis(A, B, cap) == exact
-                assert len(windows) == 2  # the window at D, then at the cap
+                drawn = spy_primes(mp)
+                basis, proven = modules._poly_hom_basis(A, B, cap)
+            assert not proven and drawn == [MODP]
+            seen.add(len(basis) > 0)
+        assert_same_space(src, tgt, 3)
+    assert seen == {True, False}
 
 
-def test_modp_window_declines_when_p_divides_a_denominator():
-    src = line(X * Fraction(1, modules.MODP))
+def test_corrupted_first_prime_lift_falls_back_to_the_next_prime(monkeypatch):
+    # a first-prime lift that is not in the canonical form is refused; the
+    # next prime has the same pivots, so the CRT joins their residues
+    A, B = JORDAN_X.matrix, line(X).matrix
+    expected = [PolyMat(1, 2, [P(1), X]), PolyMat(1, 2, [P(0), P(1)])]
+    real = modules._lift_vector
+
+    def corrupt(x, M):
+        t0 = real(x, M)
+        return [t0[0] + 1, *t0[1:]] if M == MODP else t0
+    for cap in (1, 3, 32):
+        assert modules._poly_hom_basis(A, B, cap) == (expected, False)
+        with monkeypatch.context() as mp:
+            mp.setattr(modules, "_lift_vector", corrupt)
+            drawn = spy_primes(mp)
+            assert modules._poly_hom_basis(A, B, cap) == (expected, False)
+        assert len(drawn) == 2
+        assert_same_space(JORDAN_X, line(X), cap)
+
+
+def test_corrupted_lift_that_fails_the_check_falls_back(monkeypatch):
+    # at cap 1 the solutions (0, 0, 1) and (0, 1, x) leave T_0[0] = 0; a
+    # lift with T_0[0] = 1 starts a solution of degree 2 and fails the check
+    A, B = JORDAN3_X.matrix, line(X).matrix
+    real = modules._lift_vector
+    with monkeypatch.context() as mp:
+        mp.setattr(modules, "_lift_vector", lambda x, M: (
+            [1, *real(x, M)[1:]] if M == MODP else real(x, M)))
+        drawn = spy_primes(mp)
+        basis, proven = modules._poly_hom_basis(A, B, 1)
+    assert len(drawn) == 2 and not proven
+    assert basis == [PolyMat(1, 3, [P(0), P(1), X]), PolyMat(1, 3, [P(0), P(0), P(1)])]
+
+
+def test_modp_window_declines_when_p_divides_a_denominator(monkeypatch):
+    # line(x / p): sigma = p, so the window skips p and runs at the next prime
+    src = line(X * Fraction(1, MODP))
     layers, sigma = modules._sylvester_layers(src.matrix, src.matrix)
-    assert sigma == modules.MODP
-    assert modules._modp_window(layers, sigma, 1, 5) is None
-    hs = hom_space(src, src, 5)
+    assert sigma == MODP and len(layers) == 2
+    primes = []
+    real = modules._modp_window
+    with monkeypatch.context() as mp:
+        mp.setattr(modules, "_modp_window", lambda *args: (
+            primes.append(args[-1]), real(*args))[1])
+        modules._hom_basis_cached.cache_clear()
+        hs = hom_space(src, src, 5)
+    assert primes == [2 ** 30 - 41]
     assert hs.dimension == 1 and not hs.proven_complete
+    assert_same_space(src, src, 5)
 
 
-def test_basis_degree_equal_to_the_cap(monkeypatch):
+def test_lines_singular_only_mod_p_are_proven_zero_both_ways(monkeypatch):
+    # L = T |-> p T (or -p T) vanishes mod p = MODP: the first prime's
+    # kernel lifts to 1, which fails the check; the next proves {0}
+    src, tgt = line(P(MODP)), ZERO_LINE
+    for a, b in ((src, tgt), (tgt, src)):
+        with monkeypatch.context() as mp:
+            drawn = spy_primes(mp)
+            assert modules._poly_hom_basis(a.matrix, b.matrix, 3) == ([], True)
+        assert len(drawn) == 2
+        for cap in (0, 3):
+            assert_same_space(a, b, cap)
+        hs = hom_space(a, b)
+        assert hs.dimension == 0 and hs.proven_complete
+
+
+def test_constant_pair_whose_kernel_needs_two_primes(monkeypatch):
+    moduli = []
+    real = modules._lift_vector
+    with monkeypatch.context() as mp:
+        mp.setattr(modules, "_lift_vector", lambda x, M: (moduli.append(M), real(x, M))[1])
+        basis, proven = modules._poly_hom_basis(TWO_PRIME[0].matrix, TWO_PRIME[1].matrix, 32)
+    assert moduli == [MODP, MODP * (2 ** 30 - 41)]
+    assert basis == [PolyMat(1, 2, [P(40000), P(-3)])] and proven
+    for cap in range(3):
+        assert_same_space(*TWO_PRIME, cap)
+    assert_same_space_at_default_cap(*TWO_PRIME)
+
+
+def test_basis_degree_equal_to_the_cap():
     # hom((R^3, x I + N), (R, x)) is spanned by (0, 0, 1), (0, 1, x) and
     # (1, x, x^2/2): at caps 1 and 2 the top basis element has degree = cap
-    src = poly_module([[X, 1, 0], [0, X, 1], [0, 0, X]])
     for cap in range(5):
-        basis, proven = modules._poly_hom_basis(src.matrix, line(X).matrix, cap)
-        assert (basis, proven) == exact_path(monkeypatch, src.matrix, line(X).matrix, cap)
-        assert len(basis) == min(cap, 2) + 1
+        basis, proven = modules._poly_hom_basis(JORDAN3_X.matrix, line(X).matrix, cap)
+        assert len(basis) == min(cap, 2) + 1 and not proven
         assert max(T.max_degree() for T in basis) == min(cap, 2)
-        assert_same_space(src, line(X), cap)
+        assert_same_space(JORDAN3_X, line(X), cap)
+
+
+def test_window_cap_without_a_prime_is_an_input_error():
+    # E >= 1 with a singular top layer divides by every d + 1 <= cap + E + 1
+    # mod p < 2**30; an invertible top layer or E = 0 needs no window
+    with pytest.raises(ValueError, match="degree cap"):
+        hom_space(JORDAN_X, line(X), 2 ** 30)
+    hs = hom_space(line(X), line(X + X), 2 ** 30)
+    assert hs.dimension == 0 and hs.proven_complete
+    hs = hom_space(NILPOTENT, NILPOTENT, 2 ** 30)
+    assert hs.basis == hom_space(NILPOTENT, NILPOTENT).basis and hs.proven_complete
+
+
+def test_cache_miss_verifies_the_whole_basis(monkeypatch):
+    real = modules._poly_hom_basis
+
+    def one_bent(A, B, cap):
+        basis, proven = real(A, B, cap)
+        return basis[:1] + [basis[1] + PolyMat(1, 2, [P(0), X])] + basis[2:], proven
+    modules._hom_basis_cached.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(modules, "_poly_hom_basis", one_bent)
+            with pytest.raises(ArithmeticError, match="non-homomorphism"):
+                hom_space(JORDAN_X, line(X), 3)
+    finally:
+        modules._hom_basis_cached.cache_clear()
+    assert hom_space(JORDAN_X, line(X), 3).dimension == 2
 
 
 def test_invertible_top_layer_gives_proven_zero_hom():
