@@ -8,7 +8,7 @@ between the objects defined here.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -725,19 +725,24 @@ def _int_gauss_jordan(rows, ncols):
 
 
 MODP = 1073741789  # the largest prime below 2**30; 2**30 = MODP + 35
-_PRIMES = [MODP]
+
+
+@functools.cache
+def _prime_below(q):
+    """The largest prime below the odd number q, by trial division."""
+    q -= 2
+    while any(q % f == 0 for f in range(3, math.isqrt(q) + 1, 2)):
+        q -= 2
+    return q
 
 
 def _primes():
     """The primes below 2**30 from MODP down, 2**30 - c for c = 35, 41, 83,
-    101, 105, ...; each is found once, by trial division, and kept."""
-    for i in itertools.count():
-        if i == len(_PRIMES):
-            q = _PRIMES[-1] - 2
-            while any(q % f == 0 for f in range(3, math.isqrt(q) + 1, 2)):
-                q -= 2
-            _PRIMES.append(q)
-        yield _PRIMES[i]
+    101, 105, ..."""
+    p = MODP
+    while True:
+        yield p
+        p = _prime_below(p)
 
 
 def _modp_width(ncols, p):
@@ -746,17 +751,10 @@ def _modp_width(ncols, p):
     return 2 * p.bit_length() + ncols.bit_length() + 1
 
 
-def _modp_pack(vals, ncols, p):
-    """A row of integers reduced mod p and packed into one integer, slot j
-    at bit w*j, w = _modp_width(ncols, p)."""
-    w = _modp_width(ncols, p)
-    return sum(v % p << (w * j) for j, v in enumerate(vals))
-
-
 def _modp_echelon(rows, ncols, p, w):
     """Gauss-Jordan elimination over GF(p) of packed rows, slot j at bit
     w*j for a width w >= _modp_width(ncols, p) and every slot below
-    ncols * p**2 (as _modp_pack makes them): returns (reduced, pivots).
+    ncols * p**2: returns (reduced, pivots).
     reduced lists the pivot rows of the reduced row echelon form, entries
     in [0, p): row k is 1 at column pivots[k] and 0 at the other pivot
     columns and left of its pivot.
@@ -766,10 +764,6 @@ def _modp_echelon(rows, ncols, p, w):
     less than p**2 per slot, which the width has room for.
     """
     slot = (1 << w) - 1
-
-    def unpack(x):
-        return [(x >> (w * j) & slot) % p for j in range(ncols)]
-
     m = list(rows)
     pivots = []
     for c in range(ncols):
@@ -787,7 +781,7 @@ def _modp_echelon(rows, ncols, p, w):
             if f and i != r:
                 m[i] = row + (p - f) * pivot
         pivots.append(c)
-    return [unpack(x) for x in m[:len(pivots)]], pivots
+    return [[(x >> (w * j) & slot) % p for j in range(ncols)] for x in m[:len(pivots)]], pivots
 
 
 def _modp_kernel(reduced, pivots, ncols, p):
@@ -807,13 +801,6 @@ def _modp_kernel(reduced, pivots, ncols, p):
             x[pc] = -reduced[k][fc] % p
         basis.append(x)
     return basis
-
-
-def _modp_nullspace(rows, ncols, p):
-    """Basis of the right kernel of an integer matrix reduced mod the prime
-    p, in the form of _modp_kernel."""
-    packed = [_modp_pack(r, ncols, p) for r in rows]
-    return _modp_kernel(*_modp_echelon(packed, ncols, p, _modp_width(ncols, p)), ncols, p)
 
 
 def _crt(x, M, y, p):

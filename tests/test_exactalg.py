@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import diffmod.exactalg as exactalg
 from diffmod.exactalg import (MODP, NotUnimodular, Poly, PolyMat, RatMat,
-                              ShapeMismatch, _int_row, _modp_nullspace,
+                              ShapeMismatch, _crt, _int_row, _lift_vector,
+                              _modp_echelon, _modp_kernel, _modp_width,
                               kernel_basis, poly_gcd, rat_nullspace,
                               smith_normal_form, unimodular_completion)
 from diffmod.rng import StableRng
@@ -376,6 +377,13 @@ def test_q_kernels_match_fraction_reference():
                     M.inverse()
 
 
+def modp_nullspace(rows, ncols, p):
+    """The kernel mod p of integer rows, by _modp_echelon and _modp_kernel."""
+    w = _modp_width(ncols, p)
+    packed = [sum(v % p << (w * j) for j, v in enumerate(r)) for r in rows]
+    return _modp_kernel(*_modp_echelon(packed, ncols, p, w), ncols, p)
+
+
 def test_modp_kernels_match_integer_kernels():
     # on these inputs no minor is divisible by p, so the kernel mod p is the
     # reduction of the kernel over Q: the same vectors, scaled to 1 at the
@@ -387,16 +395,16 @@ def test_modp_kernels_match_integer_kernels():
         for x in ref_nullspace(rows, M.cols):
             inv = pow([v for v in x if v][-1], -1, MODP)
             expected.append([v * inv % MODP for v in x])
-        assert _modp_nullspace(rows, M.cols, MODP) == expected
+        assert modp_nullspace(rows, M.cols, MODP) == expected
 
 
 def test_modp_kernel_can_only_grow():
     # p divides a pivot: rank 2 over Q, rank 1 mod p
     rows = [[MODP, 0], [0, 1]]
     assert ref_nullspace(rows, 2) == []
-    assert _modp_nullspace(rows, 2, MODP) == [[1, 0]]
-    assert _modp_nullspace([[3, 6, 9]], 3, 7) == [[5, 1, 0], [4, 0, 1]]
-    assert _modp_nullspace([], 2, 7) == [[1, 0], [0, 1]]
+    assert modp_nullspace(rows, 2, MODP) == [[1, 0]]
+    assert modp_nullspace([[3, 6, 9]], 3, 7) == [[5, 1, 0], [4, 0, 1]]
+    assert modp_nullspace([], 2, 7) == [[1, 0], [0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +460,32 @@ def test_kernel_basis_three_entries():
 def test_kernel_basis_rejects_non_unimodular_row():
     with pytest.raises(NotUnimodular):
         kernel_basis(PolyMat(1, 2, [X, X * X]))
+
+
+def test_lift_vector_recovers_rationals_within_the_bounds():
+    # y / den with every |y_i| and den at most isqrt(M // 2) comes back as
+    # the primitive integer vector y / gcd(y), its first nonzero entry
+    # positive; past the bounds of one prime, the CRT with a second
+    # recovers it
+    rng = StableRng(31)
+    p, q = MODP, 2 ** 30 - 41
+    for height in (1, 10, 150, 20000, 10 ** 6):
+        for _ in range(20):
+            den = rng.randint(1, height)
+            y = [rng.randint(-height, height) for _ in range(rng.randint(1, 6))]
+            y[rng.randint(0, len(y) - 1)] = den  # as a kernel vector's 1
+            g = math.gcd(*y)
+            if next(v for v in y if v) < 0:
+                g = -g
+            want = [v // g for v in y]
+            mod_p = [v * pow(den, -1, p) % p for v in y]
+            mod_q = [v * pow(den, -1, q) % q for v in y]
+            if max(map(abs, y)) <= math.isqrt(p // 2):
+                assert _lift_vector(mod_p, p) == want
+            both = _crt([mod_p], p, [mod_q], q)
+            assert both == [[v * pow(den, -1, p * q) % (p * q) for v in y]]
+            assert _lift_vector(both[0], p * q) == want
+    # -40000/3: the numerator is past one prime's bound of about 2**14.5
+    mod_p, mod_q = [-40000 * pow(3, -1, p) % p, 1], [-40000 * pow(3, -1, q) % q, 1]
+    assert _lift_vector(mod_p, p) != [40000, -3]
+    assert _lift_vector(_crt([mod_p], p, [mod_q], q)[0], p * q) == [40000, -3]
