@@ -261,17 +261,16 @@ def _modp_window(idx, vals, sigma, E, cap, p):
             x = (x & low) + c * ((x >> 30) & high)
         return x
 
-    # rows[(d + E) * mn + r] is row r of G[d] (E zero matrices stand for
-    # d < 0), so the term of row r at index i is rows[d * mn + i]
+    # rows holds G[d - E], ..., G[d] (zero matrices stand for d < 0), so
+    # the term of row r at index i is rows[i]
     shifts = [w * mn * r for r in range(mn)]
     rows = [0] * (E * mn) + [1 << (w * j) for j in range(mn)]
     for d in range(cap + E + 1):
-        get = rows[d * mn:].__getitem__
-        sums = [sum(map(mul, v, map(get, i))) for v, i in zip(vals, idx)]
+        sums = [sum(map(mul, v, map(rows.__getitem__, i))) for v, i in zip(vals, idx)]
         whole = fold(fold(sum(map(lshift, sums, shifts))) * pow(sigma * (d + 1), -1, p))
-        rows += [whole >> s & row for s in shifts]
+        rows = rows[mn:] + [whole >> s & row for s in shifts]
     # slots below 2**31 and w above _modp_width(mn, p): the rows as they are
-    reduced, pivots = _modp_echelon(rows[(cap + E + 1) * mn:], mn, p, w)
+    reduced, pivots = _modp_echelon(rows, mn, p, w)
     return pivots, _modp_kernel(reduced, pivots, mn, p)
 
 
