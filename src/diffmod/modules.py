@@ -232,9 +232,10 @@ def _modp_window(idx, vals, sigma, E, cap, p):
     neither sigma nor any d + 1 <= cap + E + 1; idx and vals are the
     recurrence's terms (_poly_hom_basis).
 
-    G[d+1] = (sigma (d+1))^-1 sum_e L_e G[d-e] mod p is the reduction of
-    the exact chain, so the kernel's dimension mod p is at least its
-    dimension over Q (a rank never rises under reduction).
+    T_d = G[d] T_0, and G[d+1] = (sigma (d+1))^-1 sum_e L_e G[d-e] mod p
+    (L_e integer here) is the reduction of the recurrence over Q, so the
+    kernel's dimension mod p is at least its dimension over Q (a rank
+    never rises under reduction).
 
     Each row of G[d] is one integer with mn slots of w bits (column j at
     bit w*j), so a row combination is nnz big-integer multiply-adds.
