@@ -1,22 +1,20 @@
 """Trivial-free cores and free cancellation.
 
 The pairing between homomorphisms into the rank-1 trivial module and the
-constants detects rank-1 trivial direct summands: each composite
-(R,0) -> P -> (R,0) is multiplication by a constant, and some composite is
-a unit exactly when a trivial summand splits off.  Peeling summands until
-the pairing vanishes yields the core decomposition
-P isomorphic-to core(P) + (R^s, 0), with an exact certificate accumulated
-along the way.  Cancelling free summands is then a corollary: cores of the
-two sides must be isomorphic, and the certificates compose.
+constants is a matrix of constants.  If P = C + (R^s, 0) with C
+trivial-free, it is Pi_C + I_s with Pi_C and the cross terms zero, so its
+rank is s, and one split along an invertible s x s block of it peels all s
+summands: P isomorphic-to core(P) + (R^s, 0), with an exact certificate.
+Cancelling free summands is then a corollary: cores of the two sides must
+be isomorphic, and the certificates compose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .exactalg import PolyMat, RatMat, _row_kernel_completion
+from .exactalg import PolyMat, RatMat, _int_gauss_jordan, _int_row, _row_kernel_completion
 from .modules import (DEFAULT_TRIALS, CertificateInvalid, DiffModule,
                       IsoCertificate, constants, direct_sum, hom_space,
                       iso_search, make_iso_certificate, trivial_module,
@@ -44,14 +42,11 @@ class NotAConstant(Exception):
 def _pairing_data(P: DiffModule, deg_cap: Optional[int] = None):
     ws = hom_space(P, trivial_module(P.ring, 1), deg_cap).basis
     vs = constants(P, deg_cap)
-    entries = []
-    for w in ws:
-        for v in vs:
-            prod = (w @ v).entry(0, 0)
-            if not prod.is_constant():
-                raise NonConstantPairing(f"pairing value {prod} is not constant")
-            entries.append(prod.coeff(0))
-    return RatMat(len(ws), len(vs), entries), ws, vs
+    prods = [(w @ v).entry(0, 0) for w in ws for v in vs]
+    for prod in prods:
+        if not prod.is_constant():
+            raise NonConstantPairing(f"pairing value {prod} is not constant")
+    return RatMat(len(ws), len(vs), [prod.coeff(0) for prod in prods]), ws, vs
 
 
 def trivial_pairing(P: DiffModule, deg_cap: Optional[int] = None) -> RatMat:
@@ -67,38 +62,37 @@ def is_trivial_free(P: DiffModule, deg_cap: Optional[int] = None) -> bool:
 
 
 def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
-    """Split the trivial summand spanned by the constant v off P.
+    """Split the trivial summand (R^s, 0) spanned by the constants v off P.
 
-    Requires w in hom(P, (R,0)), v in constants(P), and w(v) = 1 (rescale by
-    the constant pairing value first; the constants being a *field* is what
-    makes that possible).  Returns (P', W, W^{-1}) where W = [K | v],
-    K = kernel_basis(w), is the invertible change of basis conjugating the
-    structure matrix of P into block-diagonal form diag(A', 0), and
-    P' = (R^{n-1}, A').
-
-    W^{-1} is built, not computed: with C = unimodular_completion(w), from
-    the same verified Smith form as K, w K = 0, C K = I and w v = 1 give
-    [C - (C v) w; w] W = I.
-    """
-    n = P.rank
-    one = trivial_module(P.ring, 1)
-    if w.rows != 1 or w.cols != n or not verify_hom(w, P, one):
-        raise NotAHom("w is not a differential homomorphism onto the trivial line")
-    if v.rows != n or v.cols != 1 or not P.derive(v).is_zero():
-        raise NotAConstant("v is not a constant of P")
-    pairing = (w @ v).entry(0, 0)
-    if not pairing.is_constant() or pairing.coeff(0) != 1:
-        raise PairingNotUnit(f"w(v) = {pairing}, expected 1")
+    Requires w (s x n) in hom(P, (R^s, 0)), the s columns of v in
+    constants(P), and w v = I.  Returns (P', M, M^{-1}) where M = [K | v],
+    K = kernel_basis(w), conjugates the structure matrix of P into
+    diag(A', 0), and P' = (R^{n-s}, A').  M^{-1} is built, not computed:
+    with C = unimodular_completion(w), from the same verified Smith form as
+    K, w K = 0, C K = I and w v = I give [C - (C v) w; w] M = I."""
+    n, s = P.rank, w.rows
+    if w.cols != n or not verify_hom(w, P, trivial_module(P.ring, s)):
+        raise NotAHom("w is not a differential homomorphism onto a trivial module")
+    if v.rows != n or v.cols != s or not P.derive(v).is_zero():
+        raise NotAConstant("v is not a matrix of constants of P")
+    pairing = w @ v
+    if pairing != PolyMat.identity(s):
+        raise PairingNotUnit(f"w v = {pairing}, expected the identity")
     ker, comp = _row_kernel_completion(w)
-    W = PolyMat.hstack(ker, v)
-    Winv = PolyMat.vstack(comp - (comp @ v) @ w, w)
+    M = PolyMat.hstack(ker, v)
+    Minv = PolyMat.vstack(comp - (comp @ v) @ w, w)
     # structure matrix in the new basis; must come out block diagonal
-    B = Winv @ (P.ring.derive_mat(W) + P.matrix @ W)
-    if not B.submatrix(0, n, n - 1, n).is_zero() or not B.submatrix(n - 1, n, 0, n).is_zero():
+    B = Minv @ (P.ring.derive_mat(M) + P.matrix @ M)
+    r = n - s
+    if not B.submatrix(0, n, r, n).is_zero() or not B.submatrix(r, n, 0, n).is_zero():
         raise ArithmeticError("change of basis failed to split the trivial summand")
-    A_rest = B.submatrix(0, n - 1, 0, n - 1)
-    P_rest = DiffModule(P.ring, n - 1, A_rest)
-    return P_rest, W, Winv
+    return DiffModule(P.ring, r, B.submatrix(0, r, 0, r)), M, Minv
+
+
+def _pivots(M: RatMat, rows, cols):
+    """The first independent columns of M[rows, :], taken in order cols."""
+    ints = [_int_row([M.entry(j, k) for k in cols])[0] for j in rows]
+    return [cols[c] for c in _int_gauss_jordan(ints, len(cols))[1]]
 
 
 @dataclass(frozen=True)
@@ -113,14 +107,17 @@ class CoreDecomposition:
 
 def core(P: DiffModule, deg_cap: Optional[int] = None,
          pivot_seed: Optional[int] = None) -> CoreDecomposition:
-    """Peel rank-1 trivial summands until the trivial pairing vanishes.
+    """Peel all rank Pi trivial summands with one split per pairing Pi.
 
-    The default pivot is the first nonzero pairing entry in row-major
-    order; pivot_seed selects random pivots instead and exists to exercise
-    uniqueness of the core under different split choices.
+    Rows J, then columns K, are the first independent ones of Pi (for s = 1
+    the first nonzero entry in row-major order); pivot_seed permutes both
+    first, to exercise uniqueness of the core under other split choices.
+    w = Pi_JK^{-1} [w_j] and v = [v_k] give w v = I.  One more pairing
+    confirms the core; only cap-relative hom spaces can leave it nonzero,
+    and then the core is split again.
 
-    Both certificate maps are composed from the splits: each split's W
-    extends backward on the right and its W^{-1} extends forward on the
+    Both certificate maps are composed from the splits: each split's M
+    extends backward on the right and its M^{-1} extends forward on the
     left, so nothing is inverted here; make_iso_certificate checks the
     pair once."""
     rng = StableRng(pivot_seed) if pivot_seed is not None else None
@@ -129,19 +126,21 @@ def core(P: DiffModule, deg_cap: Optional[int] = None,
     s = 0
     while cur.rank > 0:
         pairing, ws, vs = _pairing_data(cur, deg_cap)
-        nonzero = [(j, k) for j in range(pairing.rows) for k in range(pairing.cols)
-                   if pairing.entry(j, k)]
-        if not nonzero:
+        rows, cols = list(range(pairing.rows)), list(range(pairing.cols))
+        if rng:
+            rows, cols = (sorted(o, key=lambda _: rng.next_u64()) for o in (rows, cols))
+        J = _pivots(pairing.transpose(), cols, rows)
+        if not J:
             break
-        j, k = nonzero[rng.randint(0, len(nonzero) - 1)] if rng else nonzero[0]
-        c = pairing.entry(j, k)
-        w = ws[j].scale(1 / c)
-        v = vs[k]
-        cur, W, Winv = split_trivial_summand(cur, w, v)
+        K = _pivots(pairing, J, cols)
+        block = RatMat.from_rows([[pairing.entry(j, k) for k in K] for j in J])
+        w = block.inverse().to_polymat() @ PolyMat.from_rows([ws[j].row(0) for j in J])
+        v = PolyMat.from_rows([[vs[k].entry(i, 0) for k in K] for i in range(cur.rank)])
+        cur, M, Minv = split_trivial_summand(cur, w, v)
         # embed the new change of basis alongside the summands already split
-        backward = backward @ PolyMat.block_diag(W, PolyMat.identity(s))
-        forward = PolyMat.block_diag(Winv, PolyMat.identity(s)) @ forward
-        s += 1
+        backward = backward @ PolyMat.block_diag(M, PolyMat.identity(s))
+        forward = PolyMat.block_diag(Minv, PolyMat.identity(s)) @ forward
+        s += len(J)
     decomposed = direct_sum(cur, trivial_module(P.ring, s))
     cert = make_iso_certificate(P, decomposed, forward, backward)
     if cur.rank + s != P.rank:

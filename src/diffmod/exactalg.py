@@ -1157,34 +1157,34 @@ def smith_normal_form(M: PolyMat):
 
 
 def _row_kernel_completion(w: PolyMat):
-    """Kernel basis K (n x (n-1)) and completion C ((n-1) x n) of a
-    unimodular row w, from one verified Smith normal form U w V = D with
-    D = (1, 0, ..., 0): K = V[:, 1:] and C = V^{-1}[1:, :].  The verified
+    """Kernel basis K (n x (n-s)) and completion C ((n-s) x n) of an s x n
+    matrix w whose s x s minors generate the unit ideal (for s = 1, a
+    unimodular row), from one verified Smith normal form U w V = D with
+    D = [I | 0]: K = V[:, s:] and C = V^{-1}[s:, :].  The verified
     factorization gives w V = U^{-1} D, hence w K = 0; V^{-1} V = I gives
-    C K = I; so [w; C] V = diag(U^{-1}, I) with U^{-1} a nonzero constant,
-    and [w; C] is invertible over Q[x].  Raises NotUnimodular when the
-    entries of w do not generate the unit ideal."""
-    if w.rows != 1:
-        raise ShapeMismatch("expected a single row")
-    n = w.cols
-    if n == 0:
-        raise NotUnimodular("empty row generates the zero ideal")
+    C K = I; so [w; C] V = diag(U^{-1}, I) with U^{-1} unimodular, and
+    [w; C] is invertible over Q[x].  Raises NotUnimodular when an invariant
+    factor of w is not a nonzero constant."""
+    s, n = w.rows, w.cols
+    if s > n:
+        raise NotUnimodular(f"{s} rows in {n} columns generate a proper ideal")
     _, D, V, _, Vinv = smith_normal_form_with_inverses(w)
-    d = D.entry(0, 0)
-    if d != _P_ONE:
-        raise NotUnimodular(f"gcd of row entries is {d}, not a nonzero constant")
-    return V.submatrix(0, n, 1, n), Vinv.submatrix(1, n, 0, n)
+    for i in range(s):
+        if D.entry(i, i) != _P_ONE:
+            raise NotUnimodular(f"invariant factor {D.entry(i, i)} is not a nonzero constant")
+    return V.submatrix(0, n, s, n), Vinv.submatrix(s, n, 0, n)
 
 
 def kernel_basis(w: PolyMat) -> PolyMat:
-    """Basis of the kernel of a unimodular row w (1xn), as the columns of an
-    n x (n-1) matrix.  Raises NotUnimodular when the entries of w do not
-    generate the unit ideal (kernel then has no free complement of this form).
+    """Basis of the kernel of w (s x n, its s x s minors generating the unit
+    ideal; for s = 1 a unimodular row), as the columns of an n x (n-s)
+    matrix.  Raises NotUnimodular otherwise (the kernel then has no free
+    complement of this form).
     """
     return _row_kernel_completion(w)[0]
 
 
 def unimodular_completion(w: PolyMat) -> PolyMat:
-    """An (n-1) x n matrix C such that [w; C] is invertible over Q[x], with
+    """An (n-s) x n matrix C such that [w; C] is invertible over Q[x], with
     C times kernel_basis(w) equal to the identity."""
     return _row_kernel_completion(w)[1]

@@ -1,19 +1,21 @@
 """Trivial-summand extraction: pairing, splitting, cores, free cancellation."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from diffmod.cores import (CertificateInvalid, NotAHom, PairingNotUnit,
+from diffmod import cores
+from diffmod.cores import (CertificateInvalid, NotAConstant, NotAHom, PairingNotUnit,
                            _pairing_data, cancel_free, core, is_trivial_free,
                            split_trivial_summand, trivial_pairing)
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import (Poly, PolyMat, kernel_basis,
                               unimodular_completion)
-from diffmod.modules import (DiffModule, direct_sum, iso_search,
-                             make_iso_certificate, scramble, trivial_module,
-                             verify_hom)
+from diffmod.modules import (DiffModule, constants, direct_sum, hom_space,
+                             iso_search, make_iso_certificate, scramble,
+                             trivial_module, verify_hom)
 from diffmod.suite import random_planned_module, random_similar_pair
 from diffmod.rng import StableRng
 
@@ -31,6 +33,12 @@ def line(f) -> DiffModule:
 
 DIAG01 = DiffModule(DiffRing.POLY_DX, 2,
                     PolyMat(2, 2, [P(0), P(0), P(0), P(1)]))
+
+
+def two_trivial_lines_and_x():
+    """(R,0)^2 + (R,x), scrambled so that the pairing is [[0, 3], [3, 0]]."""
+    M, _ = scramble(direct_sum(trivial_module(DiffRing.POLY_DX, 2), line(X)), seed=13)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +114,51 @@ def test_split_rejects_non_unit_pairing():
         split_trivial_summand(DIAG01, w, v)
 
 
+def test_split_two_rows_checks_its_inputs():
+    M = two_trivial_lines_and_x()
+    pairing, ws, vs = _pairing_data(M)
+    assert pairing.to_rows() == [[0, 3], [3, 0]]
+    w = PolyMat.vstack(ws[1], ws[0]).scale(Fraction(1, 3))
+    v = PolyMat.hstack(vs[0], vs[1])
+    rest, W, Winv = split_trivial_summand(M, w, v)
+    assert rest.rank == 1 and Winv @ W == PolyMat.identity(3)
+    assert W.derivative() + M.matrix @ W == \
+        W @ PolyMat.block_diag(rest.matrix, PolyMat.zeros(2, 2))
+    x_first = PolyMat.diagonal([X, P(1)])
+    with pytest.raises(NotAHom):
+        split_trivial_summand(M, x_first @ w, v)
+    with pytest.raises(NotAConstant):
+        split_trivial_summand(M, w, v @ x_first)
+    with pytest.raises(PairingNotUnit):
+        split_trivial_summand(M, w, PolyMat.hstack(vs[1], vs[0]))
+
+
 # ---------------------------------------------------------------------------
 # core
 # ---------------------------------------------------------------------------
+
+def test_core_peels_two_summands_with_one_split(monkeypatch):
+    # the (0, 0) pairing entry is zero, and one split along the invertible
+    # 2 x 2 block peels both trivial lines; one more pairing confirms
+    M = two_trivial_lines_and_x()
+    assert trivial_pairing(M).entry(0, 0) == 0
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(cores, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("split_trivial_summand", "_pairing_data"):
+        monkeypatch.setattr(cores, name, counted(name))
+    d = core(M)
+    assert calls["split_trivial_summand"] == 1 and calls["_pairing_data"] <= 2
+    assert d.multiplicity == 2 and d.core.rank == 1
+    assert iso_search(d.core, line(X), seed=1).kind == "iso"
+
 
 def test_core_of_diag01():
     d = core(DIAG01)
@@ -247,6 +297,34 @@ def test_cancel_free_recovers_unpadded_iso():
     assert out.source == p_mod and out.target == q_mod
     assert verify_hom(out.forward, p_mod, q_mod)
     assert out.forward @ out.backward == PolyMat.identity(p_mod.rank)
+
+
+def test_cancel_free_with_mixed_certificates():
+    # the pad is mixed into Q by the unipotent automorphisms [[I, g], [0, 1]]
+    # and [[I, 0], [f, 1]] of Q + (R, 0), g a constant of Q and f a hom
+    # Q -> (R, 0), so the certificate is not block diagonal
+    for seed in (31, 47, 58):
+        p_mod, q_mod, cert = _padded_pair(seed, 1, 1, 1)
+        n = q_mod.rank
+        g = constants(q_mod)[0]
+        f = hom_space(q_mod, trivial_module(DiffRing.POLY_DX, 1)).basis[0]
+
+        def unipotent(upper, lower):
+            return PolyMat.vstack(PolyMat.hstack(PolyMat.identity(n), upper),
+                                  PolyMat.hstack(lower, PolyMat.identity(1)))
+
+        col, row = PolyMat.zeros(n, 1), PolyMat.zeros(1, n)
+        mix = unipotent(g, row) @ unipotent(col, f)
+        mix_inv = unipotent(col, -f) @ unipotent(-g, row)
+        mixed = make_iso_certificate(cert.source, cert.target,
+                                     mix @ cert.forward, cert.backward @ mix_inv)
+        assert not mixed.forward.submatrix(0, n, n, n + 1).is_zero()
+        assert not mixed.forward.submatrix(n, n + 1, 0, n).is_zero()
+        out = cancel_free(p_mod, q_mod, 1, mixed, seed=6)
+        assert out is not None
+        assert out.source == p_mod and out.target == q_mod
+        assert verify_hom(out.forward, p_mod, q_mod)
+        assert out.forward @ out.backward == PolyMat.identity(p_mod.rank)
 
 
 def test_cancel_free_two_pad_lines():

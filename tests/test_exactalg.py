@@ -462,6 +462,22 @@ def test_kernel_basis_rejects_non_unimodular_row():
         kernel_basis(PolyMat(1, 2, [X, X * X]))
 
 
+def test_kernel_basis_of_two_rows_with_unit_minors():
+    # the 2 x 2 minors 1, x and x^2 generate the unit ideal
+    w = PolyMat(2, 3, [P(1), X, P(0), P(0), P(1), X])
+    K = kernel_basis(w)
+    assert K.rows == 3 and K.cols == 1
+    assert (w @ K).is_zero()
+    C = unimodular_completion(w)
+    assert C @ K == PolyMat.identity(1)
+    det = PolyMat.vstack(w, C).determinant()
+    assert det.is_constant() and not det.is_zero()
+    with pytest.raises(NotUnimodular):
+        kernel_basis(PolyMat(2, 3, [P(1), P(0), P(0), P(0), X, X * X]))
+    with pytest.raises(NotUnimodular):
+        kernel_basis(PolyMat(2, 1, [P(1), P(0)]))
+
+
 def test_lift_vector_recovers_rationals_within_the_bounds():
     # y / den with every |y_i| and den at most isqrt(M // 2) comes back as
     # the primitive integer vector y / gcd(y), its first nonzero entry
