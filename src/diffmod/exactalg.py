@@ -985,8 +985,7 @@ def _product_is_identity(X: PolyMat, Y: PolyMat) -> bool:
 
 def _int_matmul(A, B):
     cols = list(zip(*B)) if B else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
-            for row in A]
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def _smith_eliminate(M: PolyMat, track=("U", "Uinv", "V", "Vinv")):

@@ -95,7 +95,7 @@ def module_from_json(obj) -> DiffModule:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 0:
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
         raise ParseError(f"bad rank {rank!r}")
     if rank > MAX_RANK:
         raise ParseError(f"rank {rank} exceeds the limit {MAX_RANK}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .exactalg import (Poly, RatMat, ShapeMismatch, _echelon_kernel, _int_gauss_jordan,
@@ -53,21 +54,22 @@ def _from_cleared(rows, den) -> RatMat:
     return RatMat(len(rows), len(rows), [Fraction(v, den) for row in rows for v in row])
 
 
+def _check_cleared(T, t, U, u, Ai, a, Bi, b):
+    """T/t @ U/u == I and T/t @ Ai/a @ U/u == Bi/b, by integer products.  U
+    is square, so once T U = I also U T = I, and T A U = B is checked as
+    A U = U B: two products with U, none with T."""
+    n = len(U)
+    if _int_matmul(T, U) != [[t * u if i == j else 0 for j in range(n)] for i in range(n)]:
+        raise ArithmeticError("similarity transform and inverse do not compose to identity")
+    if [[b * v for v in row] for row in _int_matmul(Ai, U)] != \
+            [[a * v for v in row] for row in _int_matmul(U, Bi)]:
+        raise ArithmeticError("similarity certificate fails transform @ A @ inverse == B")
+
+
 def _check_certificate(A: RatMat, B: RatMat, cert: SimilarityCertificate):
     """transform @ inverse == I and transform @ A @ inverse == B, checked by
     integer products of the denominator-cleared matrices."""
-    T, t = _cleared(cert.transform)
-    U, u = _cleared(cert.inverse)
-    Ai, a = _cleared(A)
-    Bi, b = _cleared(B)
-    tu = t * u
-    if _int_matmul(T, U) != [[tu if i == j else 0 for j in range(A.rows)]
-                             for i in range(A.rows)]:
-        raise ArithmeticError("similarity transform and inverse do not compose to identity")
-    tau = tu * a
-    if [[b * v for v in row] for row in _int_matmul(_int_matmul(T, Ai), U)] != \
-            [[tau * v for v in row] for row in Bi]:
-        raise ArithmeticError("similarity certificate fails transform @ A @ inverse == B")
+    _check_cleared(*_cleared(cert.transform), *_cleared(cert.inverse), *_cleared(A), *_cleared(B))
 
 
 def companion(f: Poly) -> RatMat:
@@ -97,7 +99,7 @@ class FrobeniusForm:
 
 
 def _apply(M, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in M]
+    return [sum(map(mul, row, v)) for row in M]
 
 
 def _krylov_decomposition(Bi, b, rng: StableRng, bound: int):
@@ -133,7 +135,7 @@ def _krylov_decomposition(Bi, b, rng: StableRng, bound: int):
     Bt = list(zip(*Bi))
     for _ in range(d - 1):
         duals.append(_apply(Bt, duals[-1]))
-    hankel = [[sum(x * y for x, y in zip(r, k)) for k in krylov[:d]] for r in duals]
+    hankel = [[sum(map(mul, r, k)) for k in krylov[:d]] for r in duals]
     if len(_int_gauss_jordan(hankel, d)[1]) < d:
         return None
     red, pivots, dd, _ = _int_gauss_jordan(duals, m)
@@ -157,6 +159,53 @@ def _krylov_decomposition(Bi, b, rng: StableRng, bound: int):
     return [group] + lifted
 
 
+def _frobenius(A: RatMat):
+    """(factors, F, P, P^{-1}) for a square A, the matrices as (integer
+    rows, den): the invariant factors, the block diagonal F of their
+    companion matrices and the Krylov basis P.  The draws need no proof:
+    after the factor checks P is inverted by one elimination of [P | I], and
+    P^{-1} P = I, P^{-1} A P = F are checked in integers.  The Frobenius
+    form is unique, so a wrong decomposition can only raise ArithmeticError."""
+    n = A.rows
+    if n == 0:
+        return (), ([], 1), ([], 1), ([], 1)
+    Ai, a = _cleared(A)
+    rng = StableRng(_RCF_SEED)
+    for attempt in range(_RCF_ATTEMPTS):
+        groups = _krylov_decomposition(Ai, a, rng, _RCF_BOUND << attempt)
+        if groups is not None:
+            break
+    else:
+        raise ArithmeticError(f"no cyclic decomposition found in {_RCF_ATTEMPTS} draws")
+    groups.reverse()
+    factors = tuple(f for f, _ in groups)
+    if any(f.degree is None or f.degree < 1 or f.lc() != 1 for f in factors):
+        raise ArithmeticError("invariant factors must be monic and nonconstant")
+    if any(not (g % f).is_zero() for f, g in zip(factors, factors[1:])):
+        raise ArithmeticError("invariant factors out of divisibility order")
+    columns = [c for _, cols in groups for c in cols]
+    if len(columns) != n:
+        raise ArithmeticError("cyclic generators did not span")
+    p = math.lcm(*(den for _, den in columns))
+    P = [[vec[i] * (p // den) for vec, den in columns] for i in range(n)]
+    m, pivots, d, _ = _int_gauss_jordan(
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(P)], n)
+    if len(pivots) < n:
+        raise ArithmeticError("cyclic generators are dependent: P is singular")
+    Q = [row[n:] for row in m]  # Q P = d I, so (P / p)^{-1} = p Q / d
+    f = math.lcm(*(c.denominator for g in factors for c in g.coeffs))
+    F, o = [[0] * n for _ in range(n)], 0
+    for g in factors:  # the companion block of g at rows and columns o, o+1, ...
+        k = g.degree
+        for i in range(k):
+            F[o + i][o + k - 1] = -g.coeffs[i].numerator * (f // g.coeffs[i].denominator)
+            if i:
+                F[o + i][o + i - 1] = f
+        o += k
+    _check_cleared(Q, d, P, 1, Ai, a, F, f)
+    return factors, (F, f), (P, p), ([[p * v for v in row] for row in Q], d)
+
+
 def rcf(A: RatMat) -> FrobeniusForm:
     """Rational canonical form with a verified similarity certificate.
 
@@ -170,43 +219,13 @@ def rcf(A: RatMat) -> FrobeniusForm:
     replays bit-exactly; an unlucky draw is retried with fresh vectors from
     a range twice as wide.
 
-    The draws need no proof: the final check does it, P^{-1} P = I and
-    P^{-1} A P equal to the block diagonal of the companion matrices of
-    factors that form a divisibility chain, with integer products.  That
-    block diagonal is a Frobenius form of A, and the Frobenius form is
-    unique, so the check pins the invariant factors; a wrong decomposition
-    can only raise ArithmeticError, never return a wrong form."""
+    _frobenius checks the factors and P^{-1} P = I, P^{-1} A P = form in
+    integers, once; rcf only turns its integer matrices into RatMats."""
     if A.rows != A.cols:
         raise ShapeMismatch("rational canonical form of a non-square matrix")
-    n = A.rows
-    if n == 0:
-        cert = SimilarityCertificate(RatMat.identity(0), RatMat.identity(0))
-        return FrobeniusForm(A, (), cert)
-    Ai, a = _cleared(A)
-    rng = StableRng(_RCF_SEED)
-    for attempt in range(_RCF_ATTEMPTS):
-        groups = _krylov_decomposition(Ai, a, rng, _RCF_BOUND << attempt)
-        if groups is not None:
-            break
-    else:
-        raise ArithmeticError(f"no cyclic decomposition found in {_RCF_ATTEMPTS} draws")
-    groups.reverse()
-    factors = tuple(f for f, _ in groups)
-    if any(f.degree is None or f.degree < 1 or f.lc() != 1 for f in factors):
-        raise ArithmeticError("invariant factors must be monic and nonconstant")
-    for f, g in zip(factors, factors[1:]):
-        if not (g % f).is_zero():
-            raise ArithmeticError("invariant factors out of divisibility order")
-    columns = [c for _, cols in groups for c in cols]
-    if len(columns) != n:
-        raise ArithmeticError("cyclic generators did not span")
-    P = RatMat(n, n, [Fraction(vec[i], den) for i in range(n) for vec, den in columns])
-    form = RatMat(0, 0, [])
-    for f in factors:
-        form = RatMat.block_diag(form, companion(f))
-    cert = SimilarityCertificate(P.inverse(), P)
-    _check_certificate(A, form, cert)
-    return FrobeniusForm(form, factors, cert)
+    factors, form, P, Pinv = _frobenius(A)
+    cert = SimilarityCertificate(_from_cleared(*Pinv), _from_cleared(*P))
+    return FrobeniusForm(_from_cleared(*form), factors, cert)
 
 
 @dataclass(frozen=True)
@@ -219,27 +238,22 @@ class SimilarityResult:
 def similar(A: RatMat, B: RatMat) -> SimilarityResult:
     """Complete decision of similarity over Q, by comparing rational
     canonical forms; a positive answer carries a transform composed from
-    the two checked rcf certificates, which proves it."""
+    the two decompositions that _frobenius has checked, which proves it."""
     if A.rows != A.cols or B.rows != B.cols:
         raise ShapeMismatch("similarity needs square matrices")
     if A.rows != B.rows:
         return SimilarityResult(False, None, f"size {A.rows} != {B.rows}")
-    fa = rcf(A)
-    fb = rcf(B)
-    if fa.invariant_factors != fb.invariant_factors:
+    fa, _, (Pa, pa), (Qa, qa) = _frobenius(A)
+    fb, _, (Pb, pb), (Qb, qb) = _frobenius(B)
+    if fa != fb:
         return SimilarityResult(
             False, None,
-            f"invariant factors differ: {[str(f) for f in fa.invariant_factors]} "
-            f"vs {[str(f) for f in fb.invariant_factors]}")
-    # A -> form -> B.  rcf has checked Pa^{-1} Pa = I, Pb^{-1} Pb = I (so
+            f"invariant factors differ: {[str(f) for f in fa]} vs {[str(f) for f in fb]}")
+    # A -> F -> B.  _frobenius has checked Pa^{-1} Pa = I, Pb^{-1} Pb = I (so
     # also Pb Pb^{-1} = I, the matrices being square) and
     # Pa^{-1} A Pa = F = Pb^{-1} B Pb, F being built from the equal factors.
     # So T = Pb Pa^{-1} and T^{-1} = Pa Pb^{-1} satisfy T T^{-1} = I and
     # T A T^{-1} = Pb F Pb^{-1} = B: the composite needs no second check.
-    Pa, pa = _cleared(fa.certificate.inverse)
-    Qa, qa = _cleared(fa.certificate.transform)
-    Pb, pb = _cleared(fb.certificate.inverse)
-    Qb, qb = _cleared(fb.certificate.transform)
     transform = _from_cleared(_int_matmul(Pb, Qa), pb * qa)
     inverse = _from_cleared(_int_matmul(Pa, Qb), pa * qb)
     return SimilarityResult(True, SimilarityCertificate(transform, inverse), None)
@@ -273,9 +287,10 @@ def cancel_zero_derivation(a: int, b: int, m: int, f: RatMat) -> SimilarityCerti
     if f.determinant() == 0:
         raise BlockNotInvertible("f is singular")
     top = f.submatrix(0, a, 0, b)
-    if top.determinant() == 0:
-        raise BlockNotInvertible("upper-left block is singular")
-    cert = SimilarityCertificate(top, top.inverse())
+    try:
+        cert = SimilarityCertificate(top, top.inverse())
+    except ZeroDivisionError:
+        raise BlockNotInvertible("upper-left block is singular") from None
     if cert.transform @ cert.inverse != RatMat.identity(a):
         raise ArithmeticError("certificate inverse check failed")
     return cert

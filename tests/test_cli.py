@@ -295,6 +295,24 @@ def test_rank_over_its_limit_is_rejected_before_the_matrix(capsys, files, comman
                              "matrix": zero}).rank == MAX_RANK
 
 
+@pytest.mark.parametrize("command, ring", [("rcf", DiffRing.CONST_ZERO),
+                                           ("core", DiffRing.POLY_DX)])
+@pytest.mark.parametrize("rank", [True, False])
+def test_boolean_rank_is_an_input_error(capsys, files, command, ring, rank):
+    # a bool is an int to isinstance: "rank": true with a 1x1 matrix must not
+    # load as rank 1, nor "rank": false with an empty one as rank 0
+    path = files["tmp"] / "bool_rank.json"
+    n = int(rank)
+    obj = module_to_json(DiffModule(ring, n, PolyMat(n, n, [P(2)] * n)))
+    obj["rank"] = rank
+    save_json(path, obj)
+    code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bad rank" in captured.err and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("key, value", [
     ("deg_cap", "x"), ("deg_cap", -1), ("deg_cap", 1.5), ("deg_cap", True),
     ("deg_cap", cli.MAX_DEG_CAP + 1), ("deg_cap", 10**12),

@@ -141,6 +141,15 @@ def test_cancel_rejects_singular_block():
         cancel_zero_derivation(1, 1, 1, f)
 
 
+def test_cancel_reports_a_singular_upper_left_block(monkeypatch):
+    # unreachable for a genuine intertwiner, whose determinant is checked
+    # first: let that check pass, and the block's own inverse must refuse
+    monkeypatch.setattr(RatMat, "determinant", lambda self: Fraction(1))
+    f = RatMat.block_diag(RatMat.zeros(1, 1), M(1, 1))
+    with pytest.raises(BlockNotInvertible, match="upper-left block is singular"):
+        cancel_zero_derivation(1, 1, 1, f)
+
+
 def test_cancel_shape_guard():
     with pytest.raises(ShapeMismatch):
         cancel_zero_derivation(2, 1, 1, M(2, 1, 0, 0, 1))
