@@ -219,8 +219,9 @@ def rcf(A: RatMat) -> FrobeniusForm:
     replays bit-exactly; an unlucky draw is retried with fresh vectors from
     a range twice as wide.
 
-    _frobenius checks the factors and P^{-1} P = I, P^{-1} A P = form in
-    integers, once; rcf only turns its integer matrices into RatMats."""
+    Every identity is checked once, in _frobenius: the factors' chain, then
+    P^{-1} P = I and A P = P form (so P^{-1} A P = form) by integer
+    products; rcf only turns the checked matrices into RatMats."""
     if A.rows != A.cols:
         raise ShapeMismatch("rational canonical form of a non-square matrix")
     factors, form, P, Pinv = _frobenius(A)
@@ -237,8 +238,8 @@ class SimilarityResult:
 
 def similar(A: RatMat, B: RatMat) -> SimilarityResult:
     """Complete decision of similarity over Q, by comparing rational
-    canonical forms; a positive answer carries a transform composed from
-    the two decompositions that _frobenius has checked, which proves it."""
+    canonical forms; a positive answer carries T = Pb Pa^{-1}, composed from
+    the two decompositions _frobenius checked, which proves it (see below)."""
     if A.rows != A.cols or B.rows != B.cols:
         raise ShapeMismatch("similarity needs square matrices")
     if A.rows != B.rows:
