@@ -22,17 +22,17 @@ import sys
 import time
 from typing import Optional
 
-from .cores import core
 from .diffring import DiffRing, RingMismatch
 from .modules import (DEFAULT_DEG_CAP, DEFAULT_TRIALS, COEFF_HEIGHT, CertificateInvalid,
                       hom_space, is_trivial, iso_search)
-from .monoid import ClassLedger
 from .serialize import (MAX_DEG_CAP, MAX_TRIALS, ParseError, canonical_dumps,
                         certificate_to_json, core_decomposition_to_json, load_module,
                         module_to_json, polymat_to_json, poly_to_json,
                         ratmat_to_json, save_json)
-from .suite import run_suite
-from .zeroder import rcf
+
+# Each command imports the layers only it runs (cores, monoid, suite,
+# zeroder) inside its own function, so that a command started as a new
+# process loads and compiles no module it never calls.
 
 EXIT_OK = 0
 EXIT_SUITE_FAIL = 1
@@ -159,6 +159,7 @@ def cmd_trivial(args, argv) -> int:
 
 
 def cmd_core(args, argv) -> int:
+    from .cores import core
     started = time.time()
     inputs = {"module": _file_ref(args.module)}
     P = load_module(args.module)
@@ -201,6 +202,7 @@ def cmd_iso(args, argv) -> int:
 
 
 def cmd_rcf(args, argv) -> int:
+    from .zeroder import rcf
     started = time.time()
     inputs = {"module": _file_ref(args.module)}
     P = load_module(args.module)
@@ -221,6 +223,7 @@ def cmd_rcf(args, argv) -> int:
 
 
 def cmd_suite(args, argv) -> int:
+    from .suite import run_suite
     started = time.time()
     _at_least("--size", args.size, 1)
     _at_most("--size", args.size, MAX_SUITE_SIZE)
@@ -248,13 +251,15 @@ def cmd_suite(args, argv) -> int:
 
 # -- monoid subcommands -------------------------------------------------------
 
-def _load_ledger(path: str) -> ClassLedger:
+def _load_ledger(path: str):
+    from .monoid import ClassLedger
     if not os.path.exists(path):
         raise ParseError(f"no ledger at {path!r} (create one with 'monoid new')")
     return ClassLedger.load(path)
 
 
 def cmd_monoid_new(args, argv) -> int:
+    from .monoid import ClassLedger
     started = time.time()
     if os.path.exists(args.ledger):
         raise ParseError(f"refusing to overwrite existing ledger {args.ledger!r}")

@@ -23,7 +23,6 @@ from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch, _crt,
                        _modp_echelon, _modp_kernel, _modp_width, _primes,
                        _product_is_identity, _vanishes)
 from .rng import StableRng
-from .zeroder import similar
 
 DEFAULT_DEG_CAP = 32
 DEFAULT_TRIALS = 32
@@ -560,6 +559,7 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
         empty = PolyMat(0, 0, [])
         return IsoResult("iso", make_iso_certificate(P, Q, empty, empty), None, 0, cap)
     if P.ring is DiffRing.CONST_ZERO:
+        from .zeroder import similar  # only const_zero pairs need zeroder
         s = similar(P.matrix.to_ratmat(), Q.matrix.to_ratmat())
         if not s.similar:
             return IsoResult("not_iso", None, s.witness, 0, cap)

@@ -152,6 +152,8 @@ def load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply to parse") from exc
 
 
 def save_json(path, obj) -> None:

@@ -285,7 +285,9 @@ def cancel_zero_derivation(a: int, b: int, m: int, f: RatMat) -> SimilarityCerti
     if a != b:
         # intertwiners are block diagonal, so an invertible one needs a == b
         raise BlockNotInvertible(f"no invertible intertwiner exists for a={a}, b={b}")
-    if f.determinant() == 0:
+    # f is block diagonal here, so it is invertible exactly when both blocks
+    # are: test the lower one's determinant, and invert the upper one once
+    if f.submatrix(a, a + m, b, b + m).determinant() == 0:
         raise BlockNotInvertible("f is singular")
     top = f.submatrix(0, a, 0, b)
     try:

@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, report shape, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +191,18 @@ def test_malformed_file_is_input_error(capsys, files):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [("trivial", "{}"), ("monoid", "report", "--ledger", "{}")],
+                         ids=["module", "ledger"])
+def test_deeply_nested_json_is_input_error(capsys, files, command):
+    deep = files["tmp"] / "deep.json"
+    deep.write_text("[" * 100_000)
+    code = cli.main([a.format(deep) for a in command])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {deep}: JSON nested too deeply to parse\n"
+
+
 def test_missing_file_is_input_error(capsys, files):
     code, _ = run(capsys, "trivial", files["tmp"] / "ghost.json")
     assert code == 2
@@ -259,8 +273,9 @@ def _never_started(*args, **kwargs):
 ], ids=["deg_cap", "env_cap", "monoid_deg_cap", "suite_size", "suite_size_huge",
         "iso_trials", "monoid_trials"])
 def test_sizes_over_their_limits_are_input_errors(capsys, files, monkeypatch, argv, env):
-    for name in ("hom_space", "is_trivial", "run_suite", "iso_search"):
+    for name in ("hom_space", "is_trivial", "iso_search"):
         monkeypatch.setattr(cli, name, _never_started)
+    monkeypatch.setattr(suite_mod, "run_suite", _never_started)
     if env is not None:
         monkeypatch.setenv("DIFFMOD_DEG_CAP", str(env))
     args = [files["tmp"] / a if a == "led.json" else files.get(a, a) for a in argv]
@@ -515,6 +530,65 @@ def test_module_invocation_round_trip(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["verdict"] == "NOT_TRIVIAL"
+
+
+# a child process runs one command, then writes the diffmod modules it
+# loaded to the file named by its first argument, so stdout stays the report
+_PROBE = """
+import sys
+from diffmod.cli import main
+code = main(sys.argv[2:])
+import json
+with open(sys.argv[1], "w") as fh:
+    json.dump(sorted(m for m in sys.modules if m.startswith("diffmod")), fh)
+sys.exit(code)
+"""
+
+
+def _loaded_by(tmp_path, *argv):
+    """Run one command in a new process; its exit code and loaded modules."""
+    listing = tmp_path / "modules.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(listing),
+                           *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["argv"] == [str(a) for a in argv]
+    return proc.returncode, set(json.loads(listing.read_text()))
+
+
+_LAYERS = {"diffmod.cores", "diffmod.monoid", "diffmod.suite", "diffmod.zeroder"}
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (("hom", "line_x", "twist_a"), set()),
+    (("trivial", "nilp"), set()),
+    (("iso", "twist_a", "twist_b"), set()),
+    (("core", "twist_a"), {"diffmod.cores"}),
+    (("rcf", "const"), {"diffmod.zeroder"}),
+], ids=["hom", "trivial", "iso", "core", "rcf"])
+def test_each_command_loads_only_the_layers_it_runs(files, argv, needs):
+    code, loaded = _loaded_by(files["tmp"], *(files.get(a, a) for a in argv))
+    assert code == 0
+    assert loaded & _LAYERS == needs
+
+
+def test_monoid_commands_load_no_suite_or_zeroder(files):
+    led = files["tmp"] / "led.json"
+    L = ("--ledger", led)
+    for argv in [("new", *L),
+                 ("add-module", files["twist_a"], "p", *L),
+                 ("add-module", files["twist_b"], "q", *L),
+                 ("add-module", files["nilp"], "z", *L),
+                 ("add-classes", "p", "z", "pz", *L),
+                 ("equal", "p", "q", *L),
+                 ("equal", "p", "pz", *L),
+                 ("report", *L)]:
+        code, loaded = _loaded_by(files["tmp"], "monoid", *argv)
+        assert code == 0, argv
+        assert loaded & _LAYERS == {"diffmod.cores", "diffmod.monoid"}, argv
 
 
 def test_suite_item_dataclass_carries_detail():
