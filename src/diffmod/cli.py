@@ -5,8 +5,8 @@ invocations (same files, flags, seeds) produce byte-identical reports except
 for the "timing" block, which is the one field excluded from determinism
 comparisons.  Exit codes: 0 definitive verdict, 2 input error (including a
 negative degree cap or trial count, a suite size below 1, or a size over
-its limit: MAX_DEG_CAP, MAX_TRIALS, MAX_SUITE_SIZE and serialize.MAX_RANK,
-also in a ledger file), 3 Unknown
+its limit: MAX_DEG_CAP, MAX_TRIALS, MAX_SUITE_SIZE, serialize.MAX_RANK and
+serialize.MAX_DEGREE, also in a ledger file), 3 Unknown
 (poly_dx only), 4 internal verification failure (an ArithmeticError or
 CertificateInvalid raised by an exact check inside the library, whose
 commands read no certificates; one "error: internal verification

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
 _R0 = Fraction(0)
 _R1 = Fraction(1)
@@ -63,10 +63,6 @@ class Poly:
     @staticmethod
     def one() -> "Poly":
         return _P_ONE
-
-    @staticmethod
-    def x() -> "Poly":
-        return _P_X
 
     @staticmethod
     def constant(c) -> "Poly":
@@ -242,7 +238,6 @@ def _coerce_poly(v):
 
 _P_ZERO = Poly()
 _P_ONE = Poly((_R1,))
-_P_X = Poly((_R0, _R1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -253,32 +248,29 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# matrices over Q[x]
+# matrices
 # ---------------------------------------------------------------------------
 
-class PolyMat:
-    """Immutable row-major matrix with Poly entries.  Zero-row or zero-column
-    shapes are legal and arise for rank-0 modules."""
+class _Matrix:
+    """Immutable row-major matrix over the ring a subclass fixes: each entry
+    passes through its _coerce, and _ZERO and _ONE fill the constructors.
+    Zero-row or zero-column shapes are legal and arise for rank-0 modules.
+    Matrices of different classes never compare equal or add."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        es = []
-        for e in entries:
-            p = _coerce_poly(e)
-            if p is NotImplemented:
-                raise TypeError(f"bad matrix entry {e!r}")
-            es.append(p)
+        es = tuple(map(self._coerce, entries))
         if len(es) != rows * cols:
             raise ShapeMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(es)}")
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(es)
+        self.entries = es
 
     # -- constructors -------------------------------------------------------
 
-    @staticmethod
-    def from_rows(rows) -> "PolyMat":
+    @classmethod
+    def from_rows(cls, rows):
         r = len(rows)
         c = len(rows[0]) if r else 0
         flat = []
@@ -286,15 +278,104 @@ class PolyMat:
             if len(row) != c:
                 raise ShapeMismatch("ragged rows")
             flat.extend(row)
-        return PolyMat(r, c, flat)
+        return cls(r, c, flat)
+
+    @classmethod
+    def zeros(cls, r: int, c: int):
+        return cls(r, c, [cls._ZERO] * (r * c))
+
+    @classmethod
+    def identity(cls, n: int):
+        one, zero = cls._ONE, cls._ZERO
+        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+
+    @classmethod
+    def block_diag(cls, a, b):
+        r, c = a.rows + b.rows, a.cols + b.cols
+        out = [cls._ZERO] * (r * c)
+        for i in range(a.rows):
+            out[i * c:i * c + a.cols] = a.row(i)
+        for i in range(b.rows):
+            start = (a.rows + i) * c + a.cols
+            out[start:start + b.cols] = b.row(i)
+        return cls(r, c, out)
+
+    # -- access -------------------------------------------------------------
+
+    def entry(self, i: int, j: int):
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int):
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def to_rows(self):
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def submatrix(self, r0: int, r1: int, c0: int, c1: int):
+        ents = [self.entry(i, j) for i in range(r0, r1) for j in range(c0, c1)]
+        return type(self)(r1 - r0, c1 - c0, ents)
+
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _same_shape(self, other):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._same_shape(other)
+        return type(self)(self.rows, self.cols, list(map(add, self.entries, other.entries)))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._same_shape(other)
+        return type(self)(self.rows, self.cols, list(map(sub, self.entries, other.entries)))
+
+    def __neg__(self):
+        return type(self)(self.rows, self.cols, [-a for a in self.entries])
+
+    def scale(self, c):
+        c = self._coerce(c)
+        return type(self)(self.rows, self.cols, [a * c for a in self.entries])
+
+    def transpose(self):
+        return type(self)(self.cols, self.rows,
+                          [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
+
+    # -- comparisons ---------------------------------------------------------
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.rows}x{self.cols}, {[str(e) for e in self.entries]})"
+
+
+class PolyMat(_Matrix):
+    """Immutable row-major matrix with Poly entries."""
+
+    __slots__ = ()
+    _ZERO, _ONE = _P_ZERO, _P_ONE
 
     @staticmethod
-    def zeros(r: int, c: int) -> "PolyMat":
-        return PolyMat(r, c, [_P_ZERO] * (r * c))
+    def _coerce(e) -> Poly:
+        if isinstance(e, Poly):
+            return e
+        if isinstance(e, (int, Fraction)):
+            return Poly.constant(e)
+        raise TypeError(f"bad matrix entry {e!r}")
 
-    @staticmethod
-    def identity(n: int) -> "PolyMat":
-        return PolyMat(n, n, [_P_ONE if i == j else _P_ZERO for i in range(n) for j in range(n)])
+    # -- constructors -------------------------------------------------------
 
     @staticmethod
     def diagonal(entries) -> "PolyMat":
@@ -304,22 +385,6 @@ class PolyMat:
 
     # -- access -------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def col_vector(self, j: int) -> "PolyMat":
-        return PolyMat(self.rows, 1, [self.entry(i, j) for i in range(self.rows)])
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "PolyMat":
-        ents = [self.entry(i, j) for i in range(r0, r1) for j in range(c0, c1)]
-        return PolyMat(r1 - r0, c1 - c0, ents)
-
     def max_degree(self) -> int:
         """Largest entry degree; 0 for a zero or empty matrix."""
         d = 0
@@ -327,9 +392,6 @@ class PolyMat:
             if e.coeffs:
                 d = max(d, len(e.coeffs) - 1)
         return d
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
 
     def is_constant(self) -> bool:
         return all(e.is_constant() for e in self.entries)
@@ -348,29 +410,6 @@ class PolyMat:
         return self.coefficient_matrix(0)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def __add__(self, other):
-        if not isinstance(other, PolyMat):
-            return NotImplemented
-        self._same_shape(other)
-        return PolyMat(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyMat):
-            return NotImplemented
-        self._same_shape(other)
-        return PolyMat(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return PolyMat(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, c) -> "PolyMat":
-        c = _coerce_poly(c)
-        return PolyMat(self.rows, self.cols, [a * c for a in self.entries])
 
     def __matmul__(self, other):
         if not isinstance(other, PolyMat):
@@ -403,26 +442,10 @@ class PolyMat:
                 out.append(Poly([Fraction(v, den) for v in acc]) if acc else _P_ZERO)
         return PolyMat(n, m, out)
 
-    def transpose(self) -> "PolyMat":
-        return PolyMat(self.cols, self.rows,
-                       [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
-
     def derivative(self) -> "PolyMat":
         return PolyMat(self.rows, self.cols, [e.derivative() for e in self.entries])
 
     # -- block operations ----------------------------------------------------
-
-    @staticmethod
-    def block_diag(a: "PolyMat", b: "PolyMat") -> "PolyMat":
-        r, c = a.rows + b.rows, a.cols + b.cols
-        out = [_P_ZERO] * (r * c)
-        for i in range(a.rows):
-            for j in range(a.cols):
-                out[i * c + j] = a.entry(i, j)
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[(a.rows + i) * c + (a.cols + j)] = b.entry(i, j)
-        return PolyMat(r, c, out)
 
     @staticmethod
     def hstack(a: "PolyMat", b: "PolyMat") -> "PolyMat":
@@ -440,31 +463,22 @@ class PolyMat:
     # -- determinant / inverse ----------------------------------------------
 
     def determinant(self) -> Poly:
-        """Exact determinant by fraction-free (Bareiss) elimination in Q[x].
-        The 0x0 determinant is 1."""
+        """Exact determinant, read off the Smith elimination U*M*V = D
+        (_smith_eliminate).  U and V are products of elementary operations,
+        so det U * det V is a nonzero constant and det M = c * p for
+        p = prod diag D.  c = det M(k) / p(k) at the first integer k in
+        0..deg p that is not a root of p, det M(k) by integer elimination
+        (RatMat.determinant).  The 0x0 determinant is 1."""
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return _P_ONE
-        m = self.to_rows()
-        sign = 1
-        prev = _P_ONE
-        for k in range(n - 1):
-            piv = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-            if piv is None:
-                return _P_ZERO
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    m[i][j] = num.exact_div(prev)
-                m[i][k] = _P_ZERO
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
-        return -d if sign < 0 else d
+        D = _smith_eliminate(self, track=())[0]
+        p = _P_ONE
+        for i in range(self.rows):
+            p = p * D[i][i]
+        if p.is_zero():
+            return _P_ZERO
+        k = next(k for k in range(len(p.coeffs)) if p(k))
+        return p * (self.eval_at(k).determinant() / p(k))
 
     def inverse_unimodular(self) -> "PolyMat":
         """Inverse of a matrix whose determinant is a nonzero constant.
@@ -490,130 +504,27 @@ class PolyMat:
             raise ArithmeticError("unimodular inverse verification failed")
         return inv
 
-    # -- comparisons ---------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyMat):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"PolyMat({self.rows}x{self.cols}, {[str(e) for e in self.entries]})"
-
-
-# ---------------------------------------------------------------------------
-# matrices over Q
-# ---------------------------------------------------------------------------
-
-class RatMat:
+class RatMat(_Matrix):
     """Immutable row-major matrix with Fraction entries."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        es = [_as_rat(e) for e in entries]
-        if len(es) != rows * cols:
-            raise ShapeMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(es)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(es)
-
-    @staticmethod
-    def from_rows(rows) -> "RatMat":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ShapeMismatch("ragged rows")
-            flat.extend(row)
-        return RatMat(r, c, flat)
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "RatMat":
-        return RatMat(r, c, [_R0] * (r * c))
-
-    @staticmethod
-    def identity(n: int) -> "RatMat":
-        return RatMat(n, n, [_R1 if i == j else _R0 for i in range(n) for j in range(n)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def __add__(self, other):
-        if not isinstance(other, RatMat):
-            return NotImplemented
-        self._same_shape(other)
-        return RatMat(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if not isinstance(other, RatMat):
-            return NotImplemented
-        self._same_shape(other)
-        return RatMat(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return RatMat(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, c) -> "RatMat":
-        c = _as_rat(c)
-        return RatMat(self.rows, self.cols, [a * c for a in self.entries])
+    __slots__ = ()
+    _ZERO, _ONE = _R0, _R1
+    _coerce = staticmethod(_as_rat)
 
     def __matmul__(self, other):
+        """The product, from integer dot products of the factors cleared of
+        denominators, one Fraction per entry."""
         if not isinstance(other, RatMat):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
-        out = []
-        for i in range(n):
-            ri = self.row(i)
-            for j in range(m):
-                acc = _R0
-                for t in range(k):
-                    a = ri[t]
-                    if a:
-                        b = other.entries[t * m + j]
-                        if b:
-                            acc += a * b
-                out.append(acc)
-        return RatMat(n, m, out)
-
-    def transpose(self) -> "RatMat":
-        return RatMat(self.cols, self.rows,
-                      [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    @staticmethod
-    def block_diag(a: "RatMat", b: "RatMat") -> "RatMat":
-        r, c = a.rows + b.rows, a.cols + b.cols
-        out = [_R0] * (r * c)
-        for i in range(a.rows):
-            for j in range(a.cols):
-                out[i * c + j] = a.entry(i, j)
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[(a.rows + i) * c + (a.cols + j)] = b.entry(i, j)
-        return RatMat(r, c, out)
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "RatMat":
-        ents = [self.entry(i, j) for i in range(r0, r1) for j in range(c0, c1)]
-        return RatMat(r1 - r0, c1 - c0, ents)
+        a, da = _int_row(self.entries)
+        b, db = _int_row(other.entries)
+        den = da * db
+        return RatMat(n, m, [Fraction(sum(map(mul, a[i * k:(i + 1) * k], b[j::m])), den)
+                             for i in range(n) for j in range(m)])
 
     def determinant(self) -> Fraction:
         """Exact determinant, by the fraction-free Gauss-Jordan elimination
@@ -651,17 +562,6 @@ class RatMat:
 
     def to_polymat(self) -> PolyMat:
         return PolyMat(self.rows, self.cols, [Poly.constant(e) for e in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, RatMat):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"RatMat({self.rows}x{self.cols}, {[str(e) for e in self.entries]})"
 
 
 # ---------------------------------------------------------------------------

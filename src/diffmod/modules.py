@@ -491,11 +491,6 @@ class TrivialityResult:
     deg_cap: int
     proven_complete: bool
 
-    @property
-    def constants_matrix(self) -> Optional[PolyMat]:
-        """Columns are a constants basis (the backward map of the certificate)."""
-        return self.certificate.backward if self.certificate else None
-
 
 def is_trivial(M: DiffModule, deg_cap: Optional[int] = None) -> TrivialityResult:
     """Decide M isomorphic to (R^n, 0), with certificate.
@@ -531,10 +526,6 @@ class IsoResult:
     witness: Optional[str]
     trials_used: int
     deg_cap: int
-
-    @property
-    def is_iso(self) -> bool:
-        return self.kind == "iso"
 
 
 def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,

@@ -17,12 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cores import core
 from .diffring import DiffRing, RingMismatch
 from .modules import (DEFAULT_DEG_CAP, DEFAULT_TRIALS, DiffModule,
                       IsoCertificate, direct_sum, iso_search)
 from .serialize import (MAX_DEG_CAP, MAX_TRIALS, ParseError, load_json,
                         module_from_json, module_to_json, save_json)
+
+
+def core(P: DiffModule, deg_cap: Optional[int] = None):
+    """cores.core, imported at the first call, so that the ledger commands
+    which record no class (new, equal, report) never load cores."""
+    from .cores import core as split_core
+    return split_core(P, deg_cap)
 
 
 def _count(obj: dict, key: str, default, high: Optional[int] = None) -> int:

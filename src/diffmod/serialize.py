@@ -18,9 +18,11 @@ from .modules import DiffModule, IsoCertificate, make_iso_certificate
 
 _RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
-# a module file's rank may not exceed this: far above any real use, and
-# checked before the matrix is parsed
+# a module file's rank, and the degree of a polynomial in any file, may not
+# exceed these: far above any real use, and checked before the entries are
+# parsed
 MAX_RANK = 64
+MAX_DEGREE = 1024
 # upper limits on a degree cap and a trial count, from a flag, the
 # environment or a ledger file, far above any real use: a larger value is an
 # input error, not a run that never finishes
@@ -49,6 +51,8 @@ def poly_to_json(p: Poly):
 def poly_from_json(obj) -> Poly:
     if not isinstance(obj, list):
         raise ParseError(f"bad polynomial {obj!r} (expected a coefficient array)")
+    if len(obj) > MAX_DEGREE + 1:
+        raise ParseError(f"polynomial of {len(obj)} coefficients exceeds the degree limit {MAX_DEGREE}")
     return Poly([rat_from_str(c) for c in obj])
 
 

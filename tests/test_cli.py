@@ -16,7 +16,7 @@ import diffmod.suite as suite_mod
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import Poly, PolyMat
 from diffmod.modules import DiffModule, scramble, trivial_module
-from diffmod.serialize import (MAX_RANK, certificate_from_json, load_json, load_module,
+from diffmod.serialize import (MAX_DEGREE, MAX_RANK, certificate_from_json, load_json, load_module,
                                module_from_json, module_to_json, save_json)
 from diffmod.suite import SuiteItem
 
@@ -310,6 +310,48 @@ def test_rank_over_its_limit_is_rejected_before_the_matrix(capsys, files, comman
                              "matrix": zero}).rank == MAX_RANK
 
 
+def _tall(coefficient):
+    """An entry one degree over MAX_DEGREE."""
+    return [coefficient] * (MAX_DEGREE + 2)
+
+
+def _assert_degree_error(capsys, argv):
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "exceeds the degree limit" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["trivial", "core"])
+def test_module_degree_over_its_limit_is_rejected_before_the_coefficients(
+        capsys, files, monkeypatch, command):
+    path = files["tmp"] / "tall.json"
+    # the coefficients are not even rationals: only the degree check can fire
+    save_json(path, {"ring": "poly_dx", "rank": 2,
+                     "matrix": [[[], _tall("unparsed")], [[], []]]})
+    monkeypatch.setattr(cli, "is_trivial", _never_started)
+    _assert_degree_error(capsys, (command, path))
+    at_limit = [[[], ["0"] * MAX_DEGREE + ["1"]], [[], []]]
+    M = module_from_json({"ring": "poly_dx", "rank": 2, "matrix": at_limit})
+    assert M.matrix.max_degree() == MAX_DEGREE
+
+
+def test_ledger_degree_over_its_limit_is_an_input_error(capsys, files, monkeypatch):
+    led = files["tmp"] / "led_tall.json"
+    run(capsys, "monoid", "new", "--ledger", led)
+    run(capsys, "monoid", "add-module", files["line_x"], "a", "--ledger", led)
+    obj = load_json(led)
+    obj["entries"][0]["core"]["matrix"] = [[_tall("1")]]
+    save_json(led, obj)
+    monkeypatch.setattr(monoid_mod, "core", _never_started)
+    monkeypatch.setattr(monoid_mod, "iso_search", _never_started)
+    for argv in (("monoid", "report", "--ledger", led),
+                 ("monoid", "add-module", files["line_x"], "b", "--ledger", led),
+                 ("monoid", "equal", "a", "a", "--ledger", led)):
+        _assert_degree_error(capsys, argv)
+
+
 @pytest.mark.parametrize("command, ring", [("rcf", DiffRing.CONST_ZERO),
                                            ("core", DiffRing.POLY_DX)])
 @pytest.mark.parametrize("rank", [True, False])
@@ -578,17 +620,19 @@ def test_each_command_loads_only_the_layers_it_runs(files, argv, needs):
 def test_monoid_commands_load_no_suite_or_zeroder(files):
     led = files["tmp"] / "led.json"
     L = ("--ledger", led)
-    for argv in [("new", *L),
-                 ("add-module", files["twist_a"], "p", *L),
-                 ("add-module", files["twist_b"], "q", *L),
-                 ("add-module", files["nilp"], "z", *L),
-                 ("add-classes", "p", "z", "pz", *L),
-                 ("equal", "p", "q", *L),
-                 ("equal", "p", "pz", *L),
-                 ("report", *L)]:
+    ledger_only = {"diffmod.monoid"}
+    with_core = {"diffmod.cores", "diffmod.monoid"}
+    for argv, needs in [(("new", *L), ledger_only),
+                        (("add-module", files["twist_a"], "p", *L), with_core),
+                        (("add-module", files["twist_b"], "q", *L), with_core),
+                        (("add-module", files["nilp"], "z", *L), with_core),
+                        (("add-classes", "p", "z", "pz", *L), with_core),
+                        (("equal", "p", "q", *L), ledger_only),
+                        (("equal", "p", "pz", *L), ledger_only),
+                        (("report", *L), ledger_only)]:
         code, loaded = _loaded_by(files["tmp"], "monoid", *argv)
         assert code == 0, argv
-        assert loaded & _LAYERS == {"diffmod.cores", "diffmod.monoid"}, argv
+        assert loaded & _LAYERS == needs, argv
 
 
 def test_suite_item_dataclass_carries_detail():

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: polynomial/matrix laws and the normal forms."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -116,6 +117,30 @@ def test_polymat_shape_checks():
         B @ B
 
 
+def test_polymat_and_ratmat_stay_apart():
+    pm, rm = PolyMat.identity(2), RatMat.identity(2)
+    assert pm != rm and rm != pm and not pm == rm
+    for a, b in ((pm, rm), (rm, pm)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    for cls in (PolyMat, RatMat):
+        M = cls.from_rows([[1, 2], [3, Fraction(1, 2)]])
+        made = [cls.zeros(2, 3), cls.identity(2), M, cls.block_diag(M, cls.zeros(1, 0)),
+                M.submatrix(0, 1, 0, 2), M.transpose(), M + M, M - M, -M, M.scale(2)]
+        assert all(type(m) is cls for m in made)
+        assert cls.block_diag(M, cls.identity(1)).to_rows() == [
+            [1, 2, 0], [3, Fraction(1, 2), 0], [0, 0, 1]]
+    assert repr(PolyMat.from_rows([[X, 0], [Fraction(1, 2), 1]])) == \
+        "PolyMat(2x2, ['x', '0', '1/2', '1'])"
+    assert repr(RatMat.from_rows([[0, Fraction(-1, 2)]])) == "RatMat(1x2, ['0', '-1/2'])"
+    with pytest.raises(TypeError, match="bad matrix entry 'a'"):
+        PolyMat(1, 1, ["a"])
+    with pytest.raises(TypeError, match="expected an exact rational, got Poly"):
+        RatMat(1, 1, [X])
+
+
 def test_matmul_and_derivative():
     A = PolyMat(2, 2, [X, P(1), P(0), X * X])
     B = PolyMat(2, 2, [P(1), P(0), X, P(1)])
@@ -129,15 +154,16 @@ def test_matmul_and_derivative():
 
 
 def naive_matmul(A, B):
-    """Reference product: each entry a running sum of Poly products."""
+    """Reference product: each entry a running sum of Poly or Fraction
+    products."""
     out = []
     for i in range(A.rows):
         for j in range(B.cols):
-            acc = Poly.zero()
+            acc = Poly.zero() if isinstance(A, PolyMat) else Fraction(0)
             for t in range(A.cols):
                 acc = acc + A.entry(i, t) * B.entry(t, j)
             out.append(acc)
-    return PolyMat(A.rows, B.cols, out)
+    return type(A)(A.rows, B.cols, out)
 
 
 def test_matmul_matches_naive_product():
@@ -152,6 +178,12 @@ def test_matmul_matches_naive_product():
                 entries.append(Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 6))
                                      for _ in range(rng.randint(1, 4))]))
         return PolyMat(r, c, entries)
+    rat_rng = StableRng(43)
+
+    def rand_ratmat(r, c):
+        return RatMat(r, c, [0 if rat_rng.randint(0, 3) == 0 else
+                             Fraction(rat_rng.randint(-5, 5), rat_rng.randint(1, 6))
+                             for _ in range(r * c)])
     shapes = [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0), (1, 1, 1)]
     shapes += [(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)) for _ in range(30)]
     for r, k, c in shapes:
@@ -160,10 +192,17 @@ def test_matmul_matches_naive_product():
         assert (prod.rows, prod.cols) == (r, c)
         assert prod == naive_matmul(A, B)
         assert all(type(cf) is Fraction for p in prod.entries for cf in p.coeffs)
-    # entries that cancel to the zero polynomial
+        A, B = rand_ratmat(r, k), rand_ratmat(k, c)
+        prod = A @ B
+        assert (prod.rows, prod.cols) == (r, c)
+        assert prod == naive_matmul(A, B)
+        assert all(type(v) is Fraction for v in prod.entries)
+    # entries that cancel to the zero polynomial, and to zero
     row = PolyMat(1, 2, [X, -X])
     col = PolyMat(2, 1, [P(Fraction(1, 3)), P(Fraction(1, 3))])
     assert (row @ col).entry(0, 0).coeffs == ()
+    assert (RatMat(1, 2, [Fraction(1, 2), Fraction(-1, 2)]) @ RatMat(2, 1, [3, 3])
+            == RatMat.zeros(1, 1))
 
 
 def test_determinant_and_unimodular_inverse():
@@ -251,6 +290,54 @@ def test_determinant_cubic():
                        P(0), X, P(1),
                        P(1), P(0), X])
     assert A.determinant() == X * X * X + P(1)
+
+
+def leibniz_det(M):
+    """Reference determinant: the sum over permutations, in Poly."""
+    total = Poly.zero()
+    for perm in itertools.permutations(range(M.rows)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = P(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * M.entry(i, j)
+        total = total + term
+    return total
+
+
+def determinant_inputs():
+    """Seeded n = 0..4 matrices with fractional coefficients, with a zero
+    row, with a row combining two others (singular), and diagonals whose
+    determinant vanishes at 0, 1, ..., so the constant is read past them."""
+    rng = StableRng(59)
+
+    def rand_poly():
+        if rng.randint(0, 4) == 0:
+            return Poly.zero()
+        return Poly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 3))])
+    for trial in range(60):
+        n = trial % 5
+        rows = [[rand_poly() for _ in range(n)] for _ in range(n)]
+        if n and trial % 3 == 1:
+            rows[rng.randint(0, n - 1)] = [Poly.zero()] * n
+        if n >= 2 and trial % 3 == 2:
+            f, g = rand_poly(), rand_poly()
+            rows[-1] = [f * a + g * b for a, b in zip(rows[0], rows[1])]
+        yield PolyMat.from_rows(rows)
+    for n in range(1, 5):
+        yield PolyMat.diagonal([(X - P(i)) * Fraction(i + 2, 3) for i in range(n)])
+        yield PolyMat.diagonal([X - P(i) for i in range(n)]) @ PolyMat.from_rows(
+            [[P(1) if j >= i else X for j in range(n)] for i in range(n)])
+
+
+def test_polymat_determinant_matches_leibniz_expansion():
+    for M in determinant_inputs():
+        det = M.determinant()
+        assert det == leibniz_det(M), M
+        assert all(type(cf) is Fraction for cf in det.coeffs)
+    assert PolyMat(0, 0, []).determinant() == P(1)
+    with pytest.raises(ShapeMismatch):
+        PolyMat.zeros(2, 3).determinant()
 
 
 def test_ratmat_inverse():
