@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactalg import PolyMat, RatMat, _int_gauss_jordan, _int_row, _row_kernel_completion
+from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, _int_gauss_jordan, _int_row,
+                       _product_is_identity, _smith_eliminate)
 from .modules import (DEFAULT_TRIALS, CertificateInvalid, DiffModule,
                       IsoCertificate, constants, direct_sum, hom_space,
                       iso_search, make_iso_certificate, trivial_module,
@@ -65,11 +66,13 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
     """Split the trivial summand (R^s, 0) spanned by the constants v off P.
 
     Requires w (s x n) in hom(P, (R^s, 0)), the s columns of v in
-    constants(P), and w v = I.  Returns (P', M, M^{-1}) where M = [K | v],
-    K = kernel_basis(w), conjugates the structure matrix of P into
-    diag(A', 0), and P' = (R^{n-s}, A').  M^{-1} is built, not computed:
-    with C = unimodular_completion(w), from the same verified Smith form as
-    K, w K = 0, C K = I and w v = I give [C - (C v) w; w] M = I."""
+    constants(P), and w v = I.  Returns (P', M, M^{-1}) where M = [K | v]
+    conjugates the structure matrix of P into diag(A', 0), and
+    P' = (R^{n-s}, A').  One Smith elimination w V = U^{-1} [I | 0] (raising
+    NotUnimodular unless D = [I | 0]) gives the kernel basis K = V[:, s:] of w
+    and its completion C = V^{-1}[s:, :], so M^{-1} = [C - (C v) w; w] is
+    built, not computed.  The elimination is not re-checked: one exact
+    M^{-1} M = I and the block-diagonal check make M an isomorphism."""
     n, s = P.rank, w.rows
     if w.cols != n or not verify_hom(w, P, trivial_module(P.ring, s)):
         raise NotAHom("w is not a differential homomorphism onto a trivial module")
@@ -78,9 +81,16 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
     pairing = w @ v
     if pairing != PolyMat.identity(s):
         raise PairingNotUnit(f"w v = {pairing}, expected the identity")
-    ker, comp = _row_kernel_completion(w)
+    D, _, _, V, Vinv = _smith_eliminate(w, track=("V", "Vinv"))
+    for i in range(s):
+        if D[i][i] != Poly.one():
+            raise NotUnimodular(f"invariant factor {D[i][i]} is not a nonzero constant")
+    ker = PolyMat(n, n - s, [e for row in V for e in row[s:]])
+    comp = PolyMat(n - s, n, [e for row in Vinv[s:] for e in row])
     M = PolyMat.hstack(ker, v)
     Minv = PolyMat.vstack(comp - (comp @ v) @ w, w)
+    if not _product_is_identity(Minv, M):
+        raise ArithmeticError("change of basis is not invertible")
     # structure matrix in the new basis; must come out block diagonal
     B = Minv @ (P.ring.derive_mat(M) + P.matrix @ M)
     r = n - s
@@ -116,10 +126,18 @@ def core(P: DiffModule, deg_cap: Optional[int] = None,
     confirms the core; only cap-relative hom spaces can leave it nonzero,
     and then the core is split again.
 
-    Both certificate maps are composed from the splits: each split's M
-    extends backward on the right and its M^{-1} extends forward on the
-    left, so nothing is inverted here; make_iso_certificate checks the
-    pair once."""
+    Both certificate maps are composed from the splits (_decompose), and
+    make_iso_certificate checks the pair once."""
+    cur, s, forward, backward = _decompose(P, deg_cap, pivot_seed)
+    cert = make_iso_certificate(P, direct_sum(cur, trivial_module(P.ring, s)),
+                                forward, backward)
+    return CoreDecomposition(P, cur, s, cert)
+
+
+def _decompose(P: DiffModule, deg_cap: Optional[int], pivot_seed: Optional[int] = None):
+    """core's splits as (core, multiplicity, forward, backward), unchecked as
+    a whole: each split's M extends backward on the right and its M^{-1}
+    extends forward on the left, so nothing is inverted."""
     rng = StableRng(pivot_seed) if pivot_seed is not None else None
     cur = P
     forward = backward = PolyMat.identity(P.rank)
@@ -141,11 +159,9 @@ def core(P: DiffModule, deg_cap: Optional[int] = None,
         backward = backward @ PolyMat.block_diag(M, PolyMat.identity(s))
         forward = PolyMat.block_diag(Minv, PolyMat.identity(s)) @ forward
         s += len(J)
-    decomposed = direct_sum(cur, trivial_module(P.ring, s))
-    cert = make_iso_certificate(P, decomposed, forward, backward)
     if cur.rank + s != P.rank:
         raise ArithmeticError("rank bookkeeping failed in core extraction")
-    return CoreDecomposition(P, cur, s, cert)
+    return cur, s, forward, backward
 
 
 def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
@@ -155,8 +171,9 @@ def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
     certified isomorphism P = Q, or None when the search is inconclusive.
 
     Rather than replaying an induction on n, this routes through cores:
-    core(P) and core(Q) are isomorphic, and the decomposition certificates
-    splice the core isomorphism back up to P = Q."""
+    core(P) and core(Q) are isomorphic, and the decompositions (_decompose)
+    splice the core isomorphism back up to P = Q.  Only the input,
+    iso_search's certificate and the composite are checked."""
     sum_p = direct_sum(P, trivial_module(P.ring, n))
     sum_q = direct_sum(Q, trivial_module(Q.ring, n))
     if cert.source != sum_p or cert.target != sum_q:
@@ -165,9 +182,9 @@ def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
         make_iso_certificate(sum_p, sum_q, cert.forward, cert.backward)
     except Exception as exc:
         raise CertificateInvalid(f"certificate failed verification: {exc}") from exc
-    dp = core(P, deg_cap)
-    dq = core(Q, deg_cap)
-    result = iso_search(dp.core, dq.core, trials=trials, seed=seed, deg_cap=deg_cap)
+    core_p, s, fwd_p, bwd_p = _decompose(P, deg_cap)
+    core_q, s_q, fwd_q, bwd_q = _decompose(Q, deg_cap)
+    result = iso_search(core_p, core_q, trials=trials, seed=seed, deg_cap=deg_cap)
     if result.kind == "unknown":
         return None
     if result.kind == "not_iso":
@@ -176,11 +193,10 @@ def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
         raise ArithmeticError(
             f"cores proved non-isomorphic ({result.witness}) despite a valid "
             f"stabilized certificate")
-    if dp.multiplicity != dq.multiplicity:
+    if s != s_q:
         raise ArithmeticError("core multiplicities disagree for stably isomorphic modules")
-    s = dp.multiplicity
     mid = PolyMat.block_diag(result.certificate.forward, PolyMat.identity(s))
     mid_inv = PolyMat.block_diag(result.certificate.backward, PolyMat.identity(s))
-    forward = dq.certificate.backward @ mid @ dp.certificate.forward
-    backward = dp.certificate.backward @ mid_inv @ dq.certificate.forward
+    forward = bwd_q @ mid @ fwd_p
+    backward = bwd_p @ mid_inv @ fwd_q
     return make_iso_certificate(P, Q, forward, backward)

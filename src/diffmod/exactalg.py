@@ -896,8 +896,7 @@ def _smith_eliminate(M: PolyMat, track=("U", "Uinv", "V", "Vinv")):
     Only the transforms named in ``track`` are accumulated; the others come
     back as None and cost nothing.  The pivot sequence, and so every tracked
     transform, is the same whatever is tracked.  Nothing is verified here:
-    each caller proves what it uses (``smith_normal_form_with_inverses`` and
-    ``PolyMat.inverse_unimodular`` by exact integer identities, _vanishes).
+    each caller proves what it uses by exact integer identities (_vanishes).
     """
     r, c = M.rows, M.cols
     a = M.to_rows()

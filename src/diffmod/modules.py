@@ -92,22 +92,13 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
         raise ShapeMismatch(
             f"hom {source.rank}->{target.rank} needs a {target.rank}x{source.rank} "
             f"matrix, got {T.rows}x{T.cols}")
-    return _vanishes(*_hom_residuals([T], source, target))
-
-
-def _hom_residuals(maps, source, target):
-    """verify_hom's residual for each map, A and B cleared once."""
     n, m = source.rank, target.rank
     (a, b), s = _int_cleared([source.matrix.entries, target.matrix.entries])
-    a, b = (n, n, a), (m, m, b)
-    residuals = []
-    for T in maps:
-        t, _ = _int_mat(T)
-        terms = [(-1, [t, a]), (1, [b, t])]
-        if source.ring is DiffRing.POLY_DX:
-            terms.append((s, [(m, n, [[i * v for i, v in enumerate(cs)][1:] for cs in t[2]])]))
-        residuals.append(terms)
-    return residuals
+    t, _ = _int_mat(T)
+    terms = [(-1, [t, (n, n, a)]), (1, [(m, m, b), t])]
+    if source.ring is DiffRing.POLY_DX:
+        terms.append((s, [(m, n, [[i * v for i, v in enumerate(cs)][1:] for cs in t[2]])]))
+    return _vanishes(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +146,14 @@ def identity_certificate(P: DiffModule) -> IsoCertificate:
 @dataclass(frozen=True)
 class HomSpace:
     """Q-basis of differential homomorphisms source -> target with entry
-    degree <= deg_cap.  The basis is solved mod p, lifted to Q and checked
-    exactly by the coefficient recurrence (_poly_hom_basis), then verified
-    once more by substitution.  Complete for degree <= deg_cap, and
-    complete outright when proven_complete is set: over const_zero; for
-    constant matrices when the kernel chain ker L^j of L = T |-> T A - B T
-    stops growing by j = deg_cap + 1, as it does by j = rank*rank; and
-    when the top layer L_E of T |-> T A - B T is invertible, so the space
-    is {0}."""
+    degree <= deg_cap.  The basis is solved mod p, lifted to Q and proven
+    exactly, once, by the integer coefficient recurrence (_poly_hom_basis);
+    verify_hom re-checks any element by substitution.  Complete for
+    degree <= deg_cap, and complete outright when proven_complete is set:
+    over const_zero; for constant matrices when the kernel chain ker L^j
+    of L = T |-> T A - B T stops growing by j = deg_cap + 1, as it does by
+    j = rank*rank; and when the top layer L_E of T |-> T A - B T is
+    invertible, so the space is {0}."""
     source: DiffModule
     target: DiffModule
     basis: tuple
@@ -433,21 +424,18 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
 
 @functools.lru_cache(maxsize=512)
 def _hom_basis_cached(P: DiffModule, Q: DiffModule, cap: int):
-    """The chain's (basis, proven) pair, the whole basis verified by one
-    substitution on the cache miss (verify_hom's check, with A and B
-    cleared and evaluated once for all elements)."""
+    """The chain's (basis, proven) pair.  Nothing is re-checked here:
+    _hom_run's exact integer recurrence has already proven each element a
+    hom (E + 1 zero coefficients in a row at a degree <= cap)."""
     basis, proven = _poly_hom_basis(P.matrix, Q.matrix, cap)
-    basis = tuple(basis)
-    if not _vanishes(*_hom_residuals(basis, P, Q)):
-        raise ArithmeticError("hom solver returned a non-homomorphism")
-    return basis, proven
+    return tuple(basis), proven
 
 
 def hom_space(P: DiffModule, Q: DiffModule, deg_cap: Optional[int] = None) -> HomSpace:
     """Q-basis of differential homomorphisms P -> Q with entry degree
     bounded by the cap: solved mod p, lifted, put in canonical form and
-    checked exactly by the chain (_poly_hom_basis), and verified by
-    substitution on the cache miss.  Over const_zero homs are the constant
+    proven exactly by the chain's integer recurrence (_poly_hom_basis), on
+    the cache miss only.  Over const_zero homs are the constant
     T with T A = B T: the chain at cap 0.  Complete outright when the cap
     policy or the chain proves it.
 
@@ -533,14 +521,16 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     """Isomorphism decision, complete over const_zero (similarity, decided
     by zeroder.similar) and three-valued over poly_dx.
 
-    Over poly_dx, NotIso is returned only on a proven invariant mismatch
-    (rank, hom-space dimensions both ways, constants dimensions), with
-    negative dimension evidence re-checked at cap + 10.  Iso certificates
-    come from sampling random integer combinations T of hom(P, Q) and
-    keeping the first with det T(0) != 0: such a T is unimodular (see the
-    comment in the loop), its inverse S = T^{-1} from the Smith form is a
-    hom Q -> P of any degree, and the pair is re-verified exactly once by
-    make_iso_certificate.  Deterministic for a fixed seed."""
+    Over poly_dx, NotIso rests on a proof: unequal ranks, a zero hom space
+    that is proven_complete, or unequal constants dimensions with the
+    smaller side's space proven complete.  Without the proof the same
+    evidence at the cap is named in the witness of an UNKNOWN, at once when
+    hom(P, Q) is zero.  Iso certificates come from sampling random integer
+    combinations T of hom(P, Q) and keeping the first with det T(0) != 0:
+    such a T is unimodular (see the comment in the loop), its inverse
+    S = T^{-1} from the Smith form is a hom Q -> P of any degree, and the
+    pair is re-verified exactly once by make_iso_certificate.
+    Deterministic for a fixed seed."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     cap, _ = resolve_deg_cap(P, Q, deg_cap)
@@ -558,32 +548,21 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
                                     s.certificate.inverse.to_polymat())
         return IsoResult("iso", cert, None, 0, cap)
 
-    def stabilized_dim(src, tgt):
-        # hom space at the working cap, raising the cap once if a zero
-        # dimension fails to stabilize
-        h = hom_space(src, tgt, cap)
-        if h.dimension > 0 or h.proven_complete:
-            return h, h.dimension
-        h2 = hom_space(src, tgt, cap + 10)
-        return (h2, h2.dimension) if h2.dimension else (h, 0)
-
-    h_pq, d_pq = stabilized_dim(P, Q)
-    h_qp, d_qp = stabilized_dim(Q, P)
-    if d_pq == 0 or d_qp == 0:
-        zero, direction = (h_pq, "P->Q") if d_pq == 0 else (h_qp, "Q->P")
-        caps = f"degree cap {cap}" + ("" if zero.proven_complete else f" and {cap + 10}")
-        return IsoResult("not_iso", None,
-                         f"hom space {direction} has dimension 0 ({caps})", 0, cap)
-
-    c_p = len(constants(P, cap))
-    c_q = len(constants(Q, cap))
-    if c_p != c_q:
-        c_p2 = len(constants(P, cap + 10))
-        c_q2 = len(constants(Q, cap + 10))
-        if c_p2 != c_q2:
-            return IsoResult(
-                "not_iso", None,
-                f"constants dimension {c_p2} != {c_q2} (degree cap {cap + 10})", 0, cap)
+    h_pq = hom_space(P, Q, cap)
+    # (mismatch, proven) at the cap: a proven one refutes, the rest is evidence
+    gaps = [(f"hom space {d} has dimension 0", h.proven_complete)
+            for h, d in ((h_pq, "P->Q"), (hom_space(Q, P, cap), "Q->P")) if not h.basis]
+    if h_pq.basis and not any(proven for _, proven in gaps):
+        c_p, c_q = _constants_space(P, cap), _constants_space(Q, cap)
+        if c_p.dimension != c_q.dimension:
+            gaps.append((f"constants dimension {c_p.dimension} != {c_q.dimension}",
+                         min(c_p, c_q, key=lambda c: c.dimension).proven_complete))
+    for gap, proven in gaps:
+        if proven:
+            return IsoResult("not_iso", None, f"{gap} (degree cap {cap})", 0, cap)
+    evidence = f"{gaps[0][0]} (degree cap {cap}, not proven complete)" if gaps else None
+    if not h_pq.basis:
+        return IsoResult("unknown", None, evidence, 0, cap)
 
     if P.matrix == Q.matrix:
         return IsoResult("iso", make_iso_certificate(
@@ -611,8 +590,9 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
             raise ArithmeticError("hom with det T(0) != 0 is not unimodular") from exc
         cert = make_iso_certificate(P, Q, T, S)
         return IsoResult("iso", cert, None, trial + 1, cap)
-    return IsoResult("unknown", None,
-                     f"no invertible combination found in {trials} trials", trials, cap)
+    failed = f"no invertible combination found in {trials} trials"
+    return IsoResult("unknown", None, f"{evidence}; {failed}" if evidence else failed,
+                     trials, cap)
 
 
 # ---------------------------------------------------------------------------

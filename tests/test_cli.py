@@ -142,6 +142,24 @@ def test_iso_unknown_exit_three(capsys, files):
     assert rep["result"]["verdict"] == "UNKNOWN"
 
 
+def test_iso_past_the_degree_cap_is_unknown_not_refuted(capsys, files):
+    # A = [[0, 1], [x, 0]] against its conjugate by [[1, x^50], [0, 1]]:
+    # every hom between them has degree 50
+    A = DiffModule(DiffRing.POLY_DX, 2, PolyMat(2, 2, [P(0), P(1), P(0, 1), P(0)]))
+    U = PolyMat(2, 2, [P(1), P(*[0] * 50, 1), P(0), P(1)])
+    Uinv = PolyMat(2, 2, [P(1), P(*[0] * 50, -1), P(0), P(1)])
+    B = DiffModule(DiffRing.POLY_DX, 2, (U @ A.matrix - U.derivative()) @ Uinv)
+    a, b = files["tmp"] / "airy.json", files["tmp"] / "airy_x50.json"
+    save_json(a, module_to_json(A))
+    save_json(b, module_to_json(B))
+    code, rep = run_json(capsys, "iso", a, b)
+    assert code == 3 and rep["result"]["verdict"] == "UNKNOWN"
+    assert rep["result"]["witness"] == \
+        "hom space P->Q has dimension 0 (degree cap 32, not proven complete)"
+    code, rep = run_json(capsys, "iso", a, b, "--deg-cap", "50")
+    assert code == 0 and rep["result"]["verdict"] == "ISO"
+
+
 def test_iso_inverse_above_the_degree_cap_exit_zero(capsys, files):
     # (R^3, 0) against its conjugate by [[1, x, 0], [0, 1, x], [0, 0, 1]],
     # whose inverse has degree 2

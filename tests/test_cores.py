@@ -11,7 +11,7 @@ from diffmod.cores import (CertificateInvalid, NotAConstant, NotAHom, PairingNot
                            _pairing_data, cancel_free, core, is_trivial_free,
                            split_trivial_summand, trivial_pairing)
 from diffmod.diffring import DiffRing
-from diffmod.exactalg import (Poly, PolyMat, kernel_basis,
+from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, kernel_basis,
                               unimodular_completion)
 from diffmod.modules import (DiffModule, constants, direct_sum, hom_space,
                              iso_search, make_iso_certificate, scramble,
@@ -368,3 +368,87 @@ def test_cancel_free_const_zero_without_trials():
     assert out.source == p_mod and out.target == q_mod
     assert verify_hom(out.forward, p_mod, q_mod)
     assert out.forward @ out.backward == PolyMat.identity(3)
+
+
+# ---------------------------------------------------------------------------
+# each check runs once, where the answer leaves the library
+# ---------------------------------------------------------------------------
+
+def count_calls(mp, calls, name, *modules_):
+    """Wrap the function `name` in every module given, counting its calls
+    in calls[name] however it is reached."""
+    real = getattr(modules_[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    for mod in modules_:
+        mp.setattr(mod, name, wrapper)
+
+
+def checks_counted(mp):
+    from diffmod import exactalg, modules
+    calls = Counter()
+    count_calls(mp, calls, "make_iso_certificate", modules, cores)
+    count_calls(mp, calls, "_product_is_identity", exactalg, modules, cores)
+    count_calls(mp, calls, "smith_normal_form_with_inverses", exactalg)
+    return calls
+
+
+def test_core_checks_one_certificate(monkeypatch):
+    rng = StableRng(1601)
+    for mult in (0, 1, 2):
+        M = random_planned_module(rng, 1, mult).module
+        with monkeypatch.context() as mp:
+            calls = checks_counted(mp)
+            d = core(M)
+        assert d.multiplicity == mult
+        assert calls["make_iso_certificate"] == 1
+
+
+def test_cancel_free_checks_three_certificates(monkeypatch):
+    # its input, iso_search's result and the composite; the two cores'
+    # decompositions are covered by the composite
+    for args in [(31, 1, 1, 1), (57, 1, 0, 2)]:
+        p_mod, q_mod, cert = _padded_pair(*args)
+        with monkeypatch.context() as mp:
+            calls = checks_counted(mp)
+            out = cancel_free(p_mod, q_mod, args[3], cert, seed=6)
+        assert out is not None
+        assert calls["make_iso_certificate"] == 3
+
+
+def two_row_split():
+    """two_trivial_lines_and_x() with w and v, w v = I, for one split."""
+    M = two_trivial_lines_and_x()
+    _, ws, vs = _pairing_data(M)
+    return M, PolyMat.vstack(ws[1], ws[0]).scale(Fraction(1, 3)), PolyMat.hstack(vs[0], vs[1])
+
+
+def test_split_checks_one_product_and_no_smith_form(monkeypatch):
+    M, w, v = two_row_split()
+    calls = checks_counted(monkeypatch)
+    assert split_trivial_summand(M, w, v)[0].rank == 1
+    assert calls["_product_is_identity"] == 1
+    assert calls["smith_normal_form_with_inverses"] == 0
+    assert calls["make_iso_certificate"] == 0
+
+
+def test_split_rejects_an_inverse_that_fails_its_product_check(monkeypatch):
+    M, w, v = two_row_split()
+    monkeypatch.setattr(cores, "_product_is_identity", lambda X, Y: False)
+    with pytest.raises(ArithmeticError, match="not invertible"):
+        split_trivial_summand(M, w, v)
+
+
+def test_split_reads_the_invariant_factors_off_the_elimination(monkeypatch):
+    M, w, v = two_row_split()
+    real = cores._smith_eliminate
+
+    def bent(m, track):
+        D, *transforms = real(m, track)
+        D[1][1] = X
+        return (D, *transforms)
+    monkeypatch.setattr(cores, "_smith_eliminate", bent)
+    with pytest.raises(NotUnimodular, match="invariant factor x"):
+        split_trivial_summand(M, w, v)

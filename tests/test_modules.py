@@ -668,21 +668,75 @@ def test_window_cap_without_a_prime_is_an_input_error():
     assert hs.basis == hom_space(NILPOTENT, NILPOTENT).basis and hs.proven_complete
 
 
-def test_cache_miss_verifies_the_whole_basis(monkeypatch):
-    real = modules._poly_hom_basis
+def rectangular_hom_jobs():
+    """240 seeded (src, tgt, cap) with nonzero hom spaces: m, n in 1..4,
+    E in 0..3 over poly_dx and cap 0 over const_zero, non-integer Fraction
+    coefficients.  src = C + Z and tgt = S C S^-1 + W for a shared block C
+    of rank r <= min(m, n), a rational shear product S and random Z, W;
+    every other C is f I + N, N a nilpotent Jordan block, whose
+    endomorphisms have degrees up to r - 1."""
+    rng = StableRng(1616)
+    jobs = []
+    for k in range(240):
+        ring = DiffRing.CONST_ZERO if k % 5 == 4 else DiffRing.POLY_DX
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        E = rng.randint(0, 3) if ring is DiffRing.POLY_DX else 0
+        r = rng.randint(1, min(n, m))
 
-    def one_bent(A, B, cap):
-        basis, proven = real(A, B, cap)
-        return basis[:1] + [basis[1] + PolyMat(1, 2, [P(0), X])] + basis[2:], proven
+        def entry():
+            return Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(E + 1)])
+
+        def block(size):
+            return PolyMat(size, size, [entry() for _ in range(size * size)])
+        if k % 2:
+            f = entry()
+            C = PolyMat(r, r, [f if i == j else P(int(j == i + 1))
+                               for i in range(r) for j in range(r)])
+        else:
+            C = block(r)
+        S = RatMat.identity(r)
+        for _ in range(r if r > 1 else 0):
+            i = rng.randint(0, r - 1)
+            j = (i + rng.randint(1, r - 1)) % r
+            rows = RatMat.identity(r).to_rows()
+            rows[i][j] = Fraction(rng.nonzero_int(3), rng.randint(1, 2))
+            S = RatMat.from_rows(rows) @ S
+        gauged = S.to_polymat() @ C @ S.inverse().to_polymat()
+        src = DiffModule(ring, n, PolyMat.block_diag(C, block(n - r)))
+        tgt = DiffModule(ring, m, PolyMat.block_diag(gauged, block(m - r)))
+        jobs.append((src, tgt, 0 if ring is DiffRing.CONST_ZERO else rng.randint(2, 5)))
+    return jobs
+
+
+def test_poly_hom_basis_elements_pass_verify_hom():
+    # hom_space re-checks nothing on a cache miss: every element rests on
+    # _hom_run's integer recurrence over _sylvester_layers, which must be
+    # the true operator T |-> T A - B T
+    shapes, degrees, elements, positive = set(), set(), 0, 0
+    for src, tgt, cap in rectangular_hom_jobs():
+        basis, _ = modules._poly_hom_basis(src.matrix, tgt.matrix, cap)
+        assert basis
+        shapes.add((tgt.rank, src.rank))
+        degrees.add(max(src.matrix.max_degree(), tgt.matrix.max_degree()))
+        for T in basis:
+            assert T.max_degree() <= cap
+            assert verify_hom(T, src, tgt)
+            elements += 1
+            positive += T.max_degree() > 0
+    assert len(shapes) == 16 and degrees == {0, 1, 2, 3}
+    assert elements >= 300 and positive >= 100
+
+
+def test_cache_miss_runs_no_substitution_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr(modules, "_vanishes", lambda *r: calls.append(r))
     modules._hom_basis_cached.cache_clear()
     try:
-        with monkeypatch.context() as mp:
-            mp.setattr(modules, "_poly_hom_basis", one_bent)
-            with pytest.raises(ArithmeticError, match="non-homomorphism"):
-                hom_space(JORDAN_X, line(X), 3)
+        hs = hom_space(JORDAN_X, line(X), 3)
+        assert modules._hom_basis_cached.cache_info().misses == 1
     finally:
         modules._hom_basis_cached.cache_clear()
-    assert hom_space(JORDAN_X, line(X), 3).dimension == 2
+    assert hs.dimension == 2 and calls == []
 
 
 def test_invertible_top_layer_gives_proven_zero_hom():
@@ -878,6 +932,98 @@ def test_zero_hom_witness_uses_the_zero_direction(monkeypatch):
     r = iso_search(src, tgt, deg_cap=6)
     assert r.kind == "not_iso"
     assert r.witness == "hom space Q->P has dimension 0 (degree cap 6)"
+
+
+AIRY = mod2(P(0), P(1), X, P(0))
+
+
+def gauged(src: DiffModule, D: int):
+    """src conjugated by U = [[1, x^D], [0, 1]]: (Q, U, U^-1), U an
+    isomorphism src -> Q of degree D, and every hom AIRY -> Q has degree D."""
+    U = PolyMat(2, 2, [P(1), Poly([0] * D + [1]), P(0), P(1)])
+    Uinv = PolyMat(2, 2, [P(1), Poly([0] * D + [-1]), P(0), P(1)])
+    B = (U @ src.matrix - U.derivative()) @ Uinv
+    return DiffModule(DiffRing.POLY_DX, 2, B), U, Uinv
+
+
+def test_gauged_pairs_are_never_refuted():
+    # a zero hom space at the cap is no proof when it is cap-relative: past
+    # the cap the answer is UNKNOWN, never NOT_ISO (x^50 against AIRY was
+    # refuted by zero spaces at caps 32 and 42)
+    rng = StableRng(5050)
+    sources = [AIRY] + [mod2(*[Poly([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                                     for _ in range(2)]) for _ in range(4)])
+                        for _ in range(2)]
+    for src in sources:
+        for D in range(1, 61):
+            tgt, U, Uinv = gauged(src, D)
+            make_iso_certificate(src, tgt, U, Uinv)
+            r = iso_search(src, tgt, seed=rng.randint(0, 2**31))
+            assert r.kind == ("iso" if D <= 32 else "unknown"), (src, D)
+            if r.kind == "unknown":
+                assert r.witness == ("hom space P->Q has dimension 0 "
+                                     "(degree cap 32, not proven complete)")
+                assert r.trials_used == 0
+    tgt, _, _ = gauged(AIRY, 50)
+    r = iso_search(AIRY, tgt, deg_cap=50)
+    assert r.kind == "iso" and r.certificate.forward.max_degree() == 50
+
+
+ONE = trivial_module(DiffRing.POLY_DX, 1)
+GAUGED_AIRY = gauged(AIRY, 1)[0]
+
+
+def replace_spaces(mp, changed):
+    """Patch hom_space so that the pairs in changed get (dimension, proven)
+    from it, with zero basis elements; every other pair is solved."""
+    real = modules.hom_space
+
+    def fake(a, b, cap):
+        if (a, b) not in changed:
+            return real(a, b, cap)
+        dim, proven = changed[(a, b)]
+        return modules.HomSpace(a, b, (PolyMat.zeros(b.rank, a.rank),) * dim, cap, proven)
+    mp.setattr(modules, "hom_space", fake)
+
+
+@pytest.mark.parametrize("proven", [True, False])
+def test_constants_mismatch_is_a_proof_only_on_the_smaller_proven_side(monkeypatch, proven):
+    # the larger side is never proven; only the smaller side's flag counts
+    src, tgt = AIRY, GAUGED_AIRY
+    replace_spaces(monkeypatch, {(ONE, src): (1, False), (ONE, tgt): (0, proven)})
+    r = iso_search(src, tgt, trials=0, deg_cap=6)
+    if proven:
+        assert r.kind == "not_iso"
+        assert r.witness == "constants dimension 1 != 0 (degree cap 6)"
+    else:
+        assert r.kind == "unknown"
+        assert r.witness == ("constants dimension 1 != 0 (degree cap 6, not proven "
+                             "complete); no invertible combination found in 0 trials")
+
+
+def test_constants_mismatch_on_constant_matrices_is_proven():
+    # constants of diag(0, 1) are e1, of I none; E = 0 proves both spaces
+    src = poly_module([[0, 0], [0, 1]])
+    tgt = poly_module([[1, 0], [0, 1]])
+    r = iso_search(src, tgt)
+    assert r.kind == "not_iso" and r.witness == "constants dimension 1 != 0 (degree cap 32)"
+
+
+def test_cap_relative_evidence_does_not_stop_the_search(monkeypatch):
+    # a zero hom space Q->P at the cap, and a constants mismatch, leave the
+    # search over hom(P, Q) to run; an empty hom(P, Q) leaves nothing to try
+    src, tgt = AIRY, GAUGED_AIRY
+    with monkeypatch.context() as mp:
+        replace_spaces(mp, {(tgt, src): (0, False), (ONE, src): (1, False)})
+        assert iso_search(src, tgt, deg_cap=6).kind == "iso"
+        r = iso_search(src, tgt, trials=0, deg_cap=6)
+        assert r.kind == "unknown" and r.witness == (
+            "hom space Q->P has dimension 0 (degree cap 6, not proven complete); "
+            "no invertible combination found in 0 trials")
+    replace_spaces(monkeypatch, {(src, tgt): (0, False)})
+    r = iso_search(src, tgt, deg_cap=6)
+    assert r.kind == "unknown" and r.trials_used == 0
+    assert r.witness == "hom space P->Q has dimension 0 (degree cap 6, not proven complete)"
 
 
 def test_iso_on_equal_modules_is_fast_path():
