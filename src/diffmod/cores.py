@@ -5,8 +5,9 @@ constants is a matrix of constants.  If P = C + (R^s, 0) with C
 trivial-free, it is Pi_C + I_s with Pi_C and the cross terms zero, so its
 rank is s, and one split along an invertible s x s block of it peels all s
 summands: P isomorphic-to core(P) + (R^s, 0), with an exact certificate.
-Cancelling free summands is then a corollary: cores of the two sides must
-be isomorphic, and the certificates compose.
+Cancelling free summands is then a construction: conjugated by the two
+decompositions, the given isomorphism restricts to one of the cores, and
+the certificates compose.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, _int_gauss_jordan, 
                        _product_is_identity, _smith_eliminate)
 from .modules import (DEFAULT_TRIALS, CertificateInvalid, DiffModule,
                       IsoCertificate, constants, direct_sum, hom_space,
-                      iso_search, make_iso_certificate, trivial_module,
-                      verify_hom)
+                      make_iso_certificate, trivial_module, verify_hom)
 from .rng import StableRng
 
 
@@ -167,13 +167,14 @@ def _decompose(P: DiffModule, deg_cap: Optional[int], pivot_seed: Optional[int] 
 def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
                 trials: int = DEFAULT_TRIALS, seed: int = 0,
                 deg_cap: Optional[int] = None) -> Optional[IsoCertificate]:
-    """Given a certified isomorphism P + (R^n, 0) = Q + (R^n, 0), produce a
-    certified isomorphism P = Q, or None when the search is inconclusive.
-
-    Rather than replaying an induction on n, this routes through cores:
-    core(P) and core(Q) are isomorphic, and the decompositions (_decompose)
-    splice the core isomorphism back up to P = Q.  Only the input,
-    iso_search's certificate and the composite are checked."""
+    """Build a certified isomorphism P = Q from a certified
+    P + (R^n, 0) = Q + (R^n, 0), or None when a core keeps a trivial summand
+    at this degree cap.  The pair, conjugated by P = C + (R^s, 0) and
+    Q = D + (R^t, 0) (_decompose), is F: C + R^(s+n) -> D + R^(t+n) and
+    G = F^{-1}, and G_11 F_11 = I - N with N = G_12 F_21.  On trivial-free
+    cores F_21 G_12 is a pairing matrix, hence 0, so N^2 = 0 and F_11 has the
+    inverse (I + N) G_11; rank C != rank D or N^2 != 0 gives None.  Only the
+    input and the result are checked.  trials and seed are ignored."""
     sum_p = direct_sum(P, trivial_module(P.ring, n))
     sum_q = direct_sum(Q, trivial_module(Q.ring, n))
     if cert.source != sum_p or cert.target != sum_q:
@@ -183,20 +184,17 @@ def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
     except Exception as exc:
         raise CertificateInvalid(f"certificate failed verification: {exc}") from exc
     core_p, s, fwd_p, bwd_p = _decompose(P, deg_cap)
-    core_q, s_q, fwd_q, bwd_q = _decompose(Q, deg_cap)
-    result = iso_search(core_p, core_q, trials=trials, seed=seed, deg_cap=deg_cap)
-    if result.kind == "unknown":
+    core_q, _, fwd_q, bwd_q = _decompose(Q, deg_cap)
+    c, m, pad = core_p.rank, sum_p.rank, PolyMat.identity(n)
+    if core_q.rank != c:
         return None
-    if result.kind == "not_iso":
-        # impossible for genuinely isomorphic stabilizations; a proven
-        # mismatch here means the inputs (or this library) are inconsistent
-        raise ArithmeticError(
-            f"cores proved non-isomorphic ({result.witness}) despite a valid "
-            f"stabilized certificate")
-    if s != s_q:
-        raise ArithmeticError("core multiplicities disagree for stably isomorphic modules")
-    mid = PolyMat.block_diag(result.certificate.forward, PolyMat.identity(s))
-    mid_inv = PolyMat.block_diag(result.certificate.backward, PolyMat.identity(s))
-    forward = bwd_q @ mid @ fwd_p
-    backward = bwd_p @ mid_inv @ fwd_q
+    F = PolyMat.block_diag(fwd_q, pad) @ cert.forward @ PolyMat.block_diag(bwd_p, pad)
+    G = PolyMat.block_diag(fwd_p, pad) @ cert.backward @ PolyMat.block_diag(bwd_q, pad)
+    N = G.submatrix(0, c, c, m) @ F.submatrix(c, m, 0, c)
+    if not (N @ N).is_zero():
+        return None
+    phi_inv = (PolyMat.identity(c) + N) @ G.submatrix(0, c, 0, c)
+    eye = PolyMat.identity(s)
+    forward = bwd_q @ PolyMat.block_diag(F.submatrix(0, c, 0, c), eye) @ fwd_p
+    backward = bwd_p @ PolyMat.block_diag(phi_inv, eye) @ fwd_q
     return make_iso_certificate(P, Q, forward, backward)

@@ -261,6 +261,8 @@ class _Matrix:
 
     def __init__(self, rows: int, cols: int, entries):
         es = tuple(map(self._coerce, entries))
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch(f"negative shape {rows}x{cols}")
         if len(es) != rows * cols:
             raise ShapeMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(es)}")
         self.rows = rows

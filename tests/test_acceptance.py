@@ -162,7 +162,7 @@ def test_criterion_5_free_cancellation_100_instances():
             PolyMat.block_diag(q_cert.forward, PolyMat.identity(1)),
             PolyMat.block_diag(q_cert.backward, PolyMat.identity(1)))
         try:
-            out = cancel_free(p_mod, q_mod, 1, cert, seed=sub.randint(0, 2**31))
+            out = cancel_free(p_mod, q_mod, 1, cert)
             if out is None:
                 unknown += 1
                 continue
@@ -178,7 +178,7 @@ def test_criterion_5_free_cancellation_100_instances():
     _LEDGERS.append(ledger)
     elapsed = time.perf_counter() - started
     assert failed == 0, f"{failed} verified failures"
-    assert verified >= 95, f"only {verified}/100 verified ({unknown} unknown)"
+    assert verified == 100, f"only {verified}/100 verified ({unknown} unknown)"
     assert elapsed < 120.0
 
 

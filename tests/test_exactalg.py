@@ -117,6 +117,17 @@ def test_polymat_shape_checks():
         B @ B
 
 
+def test_negative_shapes_are_rejected():
+    # (-2) * (-2) = 4 entries would pass the entry-count check alone
+    for cls in (PolyMat, RatMat):
+        for r, c in [(-2, -2), (-1, 0), (0, -3)]:
+            with pytest.raises(ShapeMismatch, match="negative shape"):
+                cls.zeros(r, c)
+    with pytest.raises(ShapeMismatch, match="negative shape"):
+        PolyMat(-1, -1, [P(1)])
+    assert PolyMat.zeros(0, 3).cols == 3 and RatMat.zeros(2, 0).rows == 2
+
+
 def test_polymat_and_ratmat_stay_apart():
     pm, rm = PolyMat.identity(2), RatMat.identity(2)
     assert pm != rm and rm != pm and not pm == rm
