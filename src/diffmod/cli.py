@@ -213,10 +213,7 @@ def cmd_rcf(args, argv) -> int:
     result = {
         "invariant_factors": [poly_to_json(p) for p in f.invariant_factors],
         "form": ratmat_to_json(f.form),
-        "certificate": {
-            "transform": ratmat_to_json(f.certificate.transform),
-            "inverse": ratmat_to_json(f.certificate.inverse),
-        },
+        "certificate": {k: ratmat_to_json(m) for k, m in f.certificate._asdict().items()},
     }
     _emit(_report("rcf", argv, inputs, {}, result, started), args.output)
     return EXIT_OK

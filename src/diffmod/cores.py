@@ -12,8 +12,7 @@ the certificates compose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, _int_gauss_jordan, _int_row,
                        _product_is_identity, _smith_eliminate)
@@ -105,8 +104,7 @@ def _pivots(M: RatMat, rows, cols):
     return [cols[c] for c in _int_gauss_jordan(ints, len(cols))[1]]
 
 
-@dataclass(frozen=True)
-class CoreDecomposition:
+class CoreDecomposition(NamedTuple):
     """input isomorphic-to core + (R^multiplicity, 0), certificate verified
     against that direct sum."""
     input: DiffModule

@@ -8,7 +8,7 @@ over the rational-constants ring every element must be a constant polynomial
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactalg import Poly, PolyMat
 
@@ -55,8 +55,7 @@ class DiffRing(enum.Enum):
                              projective_class_monoid_trivial=True)
 
 
-@dataclass(frozen=True)
-class RingConstants:
+class RingConstants(NamedTuple):
     field_name: str
     is_field: bool
     projective_class_monoid_trivial: bool

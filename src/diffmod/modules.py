@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import lshift, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch, _crt,
@@ -33,21 +32,36 @@ class CertificateInvalid(Exception):
     """A claimed isomorphism certificate failed exact re-verification."""
 
 
-@dataclass(frozen=True)
 class DiffModule:
     """(R^rank, matrix): the free module R^rank with derivation
-    v |-> v' + matrix @ v."""
-    ring: DiffRing
-    rank: int
-    matrix: PolyMat
+    v |-> v' + matrix @ v; immutable, equal and hashed by value (a cache key)."""
+    __slots__ = ("ring", "rank", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.rank or self.matrix.cols != self.rank:
+    def __init__(self, ring: DiffRing, rank: int, matrix: PolyMat):
+        if matrix.rows != rank or matrix.cols != rank:
             raise ShapeMismatch(
-                f"rank {self.rank} module needs a {self.rank}x{self.rank} matrix, "
-                f"got {self.matrix.rows}x{self.matrix.cols}")
-        for e in self.matrix.entries:
-            self.ring.validate_element(e)
+                f"rank {rank} module needs a {rank}x{rank} matrix, "
+                f"got {matrix.rows}x{matrix.cols}")
+        for e in matrix.entries:
+            ring.validate_element(e)
+        for name, value in zip(self.__slots__, (ring, rank, matrix)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ring, self.rank, self.matrix) == (other.ring, other.rank, other.matrix)
+
+    def __hash__(self):
+        return hash((self.ring, self.rank, self.matrix))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return DiffModule, (self.ring, self.rank, self.matrix)
 
     def derive(self, v: PolyMat) -> PolyMat:
         """The derivation action on a column vector (or matrix of columns)."""
@@ -105,8 +119,7 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
 # isomorphism certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(NamedTuple):
     """forward: source -> target and backward: target -> source, with both
     composites the identity.  Certificates are re-verified exactly at
     construction time; trust nothing that was not checked."""
@@ -143,8 +156,7 @@ def identity_certificate(P: DiffModule) -> IsoCertificate:
 # hom spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(NamedTuple):
     """Q-basis of differential homomorphisms source -> target with entry
     degree <= deg_cap.  The basis is solved mod p, lifted to Q and proven
     exactly, once, by the integer coefficient recurrence (_poly_hom_basis);
@@ -167,9 +179,10 @@ class HomSpace:
 
 def resolve_deg_cap(P: DiffModule, Q: DiffModule, deg_cap: Optional[int]):
     """Effective cap and whether completeness at that cap is proven.
-    Raises ValueError for a negative cap."""
-    if deg_cap is not None and deg_cap < 0:
-        raise ValueError(f"degree cap must be nonnegative, got {deg_cap}")
+    Raises ValueError unless the cap is None or an int >= 0 (not a bool)."""
+    if deg_cap is not None and (isinstance(deg_cap, bool) or not isinstance(deg_cap, int)
+                                or deg_cap < 0):
+        raise ValueError(f"degree cap must be nonnegative, got {deg_cap!r}")
     if P.ring is DiffRing.CONST_ZERO:
         return (0 if deg_cap is None else deg_cap), True
     if deg_cap is not None:
@@ -471,8 +484,7 @@ def constants(M: DiffModule, deg_cap: Optional[int] = None):
 # triviality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrivialityResult:
+class TrivialityResult(NamedTuple):
     trivial: bool
     certificate: Optional[IsoCertificate]  # M isomorphic to (R^n, 0) when trivial
     constants_dim: int
@@ -507,8 +519,7 @@ def is_trivial(M: DiffModule, deg_cap: Optional[int] = None) -> TrivialityResult
 # isomorphism search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     kind: str  # "iso" | "not_iso" | "unknown"
     certificate: Optional[IsoCertificate]
     witness: Optional[str]
@@ -530,9 +541,11 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     such a T is unimodular (see the comment in the loop), its inverse
     S = T^{-1} from the Smith form is a hom Q -> P of any degree, and the
     pair is re-verified exactly once by make_iso_certificate.
-    Deterministic for a fixed seed."""
+    Deterministic for a fixed seed.  ValueError unless trials is an int >= 0."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
+        raise ValueError(f"trial count must be nonnegative, got {trials!r}")
     cap, _ = resolve_deg_cap(P, Q, deg_cap)
     if P.rank != Q.rank:
         return IsoResult("not_iso", None, f"rank {P.rank} != {Q.rank}", 0, cap)

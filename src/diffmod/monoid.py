@@ -14,8 +14,7 @@ only accumulate) and persists as JSON, loadable bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diffring import DiffRing, RingMismatch
 from .modules import (DEFAULT_DEG_CAP, DEFAULT_TRIALS, DiffModule,
@@ -41,15 +40,15 @@ def _count(obj: dict, key: str, default, high: Optional[int] = None) -> int:
     return value
 
 
-@dataclass
 class ClassEntry:
-    name: str
-    core: DiffModule
-    provenance: list = field(default_factory=list)
+    """A named class by its core; the one mutable record (provenance grows)."""
+
+    def __init__(self, name: str, core: DiffModule, provenance: Optional[list] = None):
+        self.name, self.core = name, core
+        self.provenance = [] if provenance is None else provenance
 
 
-@dataclass(frozen=True)
-class EqualityResult:
+class EqualityResult(NamedTuple):
     kind: str  # "equal" | "not_equal" | "unknown"
     certificate: Optional[IsoCertificate]
     witness: Optional[str]

@@ -9,8 +9,8 @@ properties checkable without trusting the code under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cores import cancel_free, core, is_trivial_free, trivial_pairing
 from .diffring import DiffRing
@@ -54,8 +54,7 @@ def random_module(rng: StableRng, rank: int, max_deg: int, bound: int = 3) -> Di
                       random_polymat(rng, rank, rank, max_deg, bound))
 
 
-@dataclass(frozen=True)
-class PlannedModule:
+class PlannedModule(NamedTuple):
     """A module built as scramble(sum of nonzero rank-1 lines + trivial lines),
     so its core data is known by construction."""
     module: DiffModule
@@ -100,8 +99,7 @@ def random_similar_pair(rng: StableRng, n: int, bound: int = 3):
 # suite items
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteItem:
+class SuiteItem(NamedTuple):
     name: str
     passed: bool
     cases: int

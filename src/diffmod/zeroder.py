@@ -9,10 +9,9 @@ identity-structured summands falls out of the eigenspace decomposition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactalg import (Poly, RatMat, ShapeMismatch, _echelon_kernel, _int_gauss_jordan,
                        _int_matmul, _int_row)
@@ -34,8 +33,7 @@ class BlockNotInvertible(Exception):
     was not a genuine isomorphism of the padded structures."""
 
 
-@dataclass(frozen=True)
-class SimilarityCertificate:
+class SimilarityCertificate(NamedTuple):
     """transform @ A @ inverse == B and transform @ inverse == I, proved
     exactly before the certificate leaves this module."""
     transform: RatMat
@@ -89,8 +87,7 @@ def companion(f: Poly) -> RatMat:
     return RatMat(m, m, ents)
 
 
-@dataclass(frozen=True)
-class FrobeniusForm:
+class FrobeniusForm(NamedTuple):
     """Companion-block diagonal form with invariant factors in divisibility
     order, plus the certified change of basis to it."""
     form: RatMat
@@ -229,8 +226,7 @@ def rcf(A: RatMat) -> FrobeniusForm:
     return FrobeniusForm(_from_cleared(*form), factors, cert)
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
+class SimilarityResult(NamedTuple):
     similar: bool
     certificate: Optional[SimilarityCertificate]
     witness: Optional[str]

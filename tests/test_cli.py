@@ -600,13 +600,15 @@ from diffmod.cli import main
 code = main(sys.argv[2:])
 import json
 with open(sys.argv[1], "w") as fh:
-    json.dump(sorted(m for m in sys.modules if m.startswith("diffmod")), fh)
+    json.dump(sorted(m for m in sys.modules
+                     if m.startswith("diffmod") or m == "dataclasses"), fh)
 sys.exit(code)
 """
 
 
 def _loaded_by(tmp_path, *argv):
-    """Run one command in a new process; its exit code and loaded modules."""
+    """Run one command in a new process; its exit code and the diffmod
+    modules it loaded, plus "dataclasses" if that was loaded."""
     listing = tmp_path / "modules.json"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -633,6 +635,7 @@ def test_each_command_loads_only_the_layers_it_runs(files, argv, needs):
     code, loaded = _loaded_by(files["tmp"], *(files.get(a, a) for a in argv))
     assert code == 0
     assert loaded & _LAYERS == needs
+    assert "dataclasses" not in loaded
 
 
 def test_monoid_commands_load_no_suite_or_zeroder(files):
@@ -651,6 +654,7 @@ def test_monoid_commands_load_no_suite_or_zeroder(files):
         code, loaded = _loaded_by(files["tmp"], "monoid", *argv)
         assert code == 0, argv
         assert loaded & _LAYERS == needs, argv
+        assert "dataclasses" not in loaded, argv
 
 
 def test_suite_item_dataclass_carries_detail():

@@ -3,6 +3,7 @@ constants, triviality, isomorphism search, scrambling."""
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,39 @@ def test_cap_policy_nonconstant_not_proven():
 def test_cap_policy_explicit_cap_wins():
     cap, proven = resolve_deg_cap(line(X), line(X), 7)
     assert cap == 7 and not proven
+
+
+@pytest.mark.parametrize("cap", [-1, 1.5, "3", True, False, Fraction(2)],
+                         ids=["negative", "float", "str", "true", "false", "fraction"])
+def test_a_cap_that_is_not_an_int_is_an_input_error(cap):
+    # before the check, 1.5 and "3" failed with TypeError deep in the chain,
+    # True came back as HomSpace(deg_cap=True) and core(M, 2.5) answered
+    from diffmod.cores import cancel_free, core
+    M = line(X)
+    padded = direct_sum(M, trivial_module(DiffRing.POLY_DX, 1))
+    cert = identity_certificate(padded)
+    for call in (lambda: hom_space(M, M, cap), lambda: is_trivial(M, cap),
+                 lambda: iso_search(M, mod2(X, P(0), P(0), X), deg_cap=cap),
+                 lambda: iso_search(M, M, deg_cap=cap), lambda: core(M, cap),
+                 lambda: cancel_free(padded, padded, 0, cert, deg_cap=cap)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'degree cap must be nonnegative, got {cap!r}')}$"):
+            call()
+    const = DiffModule(DiffRing.CONST_ZERO, 1, PolyMat(1, 1, [P(2)]))
+    with pytest.raises(ValueError, match="degree cap"):
+        iso_search(const, const, deg_cap=cap)
+
+
+@pytest.mark.parametrize("trials", [-1, 2.5, "3", True, None],
+                         ids=["negative", "float", "str", "true", "none"])
+def test_a_trial_count_that_is_not_an_int_is_an_input_error(trials):
+    # before the check, -1 answered UNKNOWN with trials_used=-1, 2.5 raised
+    # TypeError and True ran one trial
+    base = mod2(P(0), X, P(1), P(0))
+    twisted, _ = scramble(base, seed=21)
+    for Q in (twisted, line(X)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'trial count must be nonnegative, got {trials!r}')}$"):
+            iso_search(base, Q, trials=trials)
+    assert iso_search(base, twisted, trials=0).trials_used == 0
 
 
 def const_module(rows) -> DiffModule:
