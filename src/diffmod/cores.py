@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional
 
 from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, _int_gauss_jordan, _int_row,
                        _product_is_identity, _smith_eliminate)
-from .modules import (DEFAULT_TRIALS, CertificateInvalid, DiffModule,
-                      IsoCertificate, constants, direct_sum, hom_space,
-                      make_iso_certificate, trivial_module, verify_hom)
+from .modules import (CertificateInvalid, DiffModule, IsoCertificate, constants,
+                      direct_sum, hom_space, make_iso_certificate, trivial_module,
+                      verify_hom)
 from .rng import StableRng
 
 
@@ -163,8 +163,7 @@ def _decompose(P: DiffModule, deg_cap: Optional[int], pivot_seed: Optional[int] 
 
 
 def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
-                trials: int = DEFAULT_TRIALS, seed: int = 0,
-                deg_cap: Optional[int] = None) -> Optional[IsoCertificate]:
+                seed: int = 0, deg_cap: Optional[int] = None) -> Optional[IsoCertificate]:
     """Build a certified isomorphism P = Q from a certified
     P + (R^n, 0) = Q + (R^n, 0), or None when a core keeps a trivial summand
     at this degree cap.  The pair, conjugated by P = C + (R^s, 0) and
@@ -172,7 +171,7 @@ def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
     G = F^{-1}, and G_11 F_11 = I - N with N = G_12 F_21.  On trivial-free
     cores F_21 G_12 is a pairing matrix, hence 0, so N^2 = 0 and F_11 has the
     inverse (I + N) G_11; rank C != rank D or N^2 != 0 gives None.  Only the
-    input and the result are checked.  trials and seed are ignored."""
+    input and the result are checked.  seed is ignored."""
     sum_p = direct_sum(P, trivial_module(P.ring, n))
     sum_q = direct_sum(Q, trivial_module(Q.ring, n))
     if cert.source != sum_p or cert.target != sum_q:

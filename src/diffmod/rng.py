@@ -11,6 +11,10 @@ _MASK = (1 << 64) - 1
 
 class StableRng:
     def __init__(self, seed: int):
+        """ValueError unless seed is an int (not a bool); any int is masked
+        to 64 bits, so negative and huge seeds are legal."""
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self._state = seed & _MASK
 
     def next_u64(self) -> int:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report shape, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -549,9 +550,63 @@ def test_monoid_unknown_exit_three(capsys, files):
 
 
 def test_monoid_missing_ledger_is_input_error(capsys, files):
-    code, _ = run(capsys, "monoid", "report", "--ledger",
-                  files["tmp"] / "nope.json")
-    assert code == 2
+    led = files["tmp"] / "nope.json"
+    for argv in [("add-module", files["line_x"], "a"), ("add-classes", "a", "b", "ab"),
+                 ("equal", "a", "b"), ("report",)]:
+        code = cli.main(["monoid", *map(str, argv), "--ledger", str(led)])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "", argv
+        assert captured.err == f"error: [Errno 2] No such file or directory: {str(led)!r}\n", argv
+        assert not led.exists(), argv
+
+
+# ---------------------------------------------------------------------------
+# the report runner
+# ---------------------------------------------------------------------------
+
+def _digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_main_builds_every_report(capsys, files):
+    """Every command's report has the runner's keys and names its command;
+    a ledger is hashed before the command rewrites it; core's -o is the core
+    module, while suite's -o is its report."""
+    tmp, led = files["tmp"], files["tmp"] / "runner.json"
+    L = ("--ledger", led)
+    reports = {}
+    for argv in [("hom", files["line_x"], files["line_x"]),
+                 ("trivial", files["nilp"]),
+                 ("core", files["diag01"], "-o", tmp / "core_module.json"),
+                 ("iso", files["twist_a"], files["twist_b"]),
+                 ("rcf", files["const"]),
+                 ("monoid", "new", *L),
+                 ("monoid", "add-module", files["line_x"], "a", *L),
+                 ("monoid", "add-classes", "a", "a", "aa", *L),
+                 ("monoid", "equal", "a", "aa", *L),
+                 ("monoid", "report", *L)]:
+        before = _digest(led) if led.exists() else None
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        name = f"monoid-{argv[1]}" if argv[0] == "monoid" else argv[0]
+        reports[name] = rep = json.loads(out)
+        if name == "monoid-add-module":
+            assert rep["inputs"]["ledger"] == {"path": str(led), "sha256": before}
+            assert rep["inputs"]["module"]["sha256"] == _digest(files["line_x"])
+            assert _digest(led) != before
+    code, table = run(capsys, "suite", "--size", "1", "-o", tmp / "suite.json")
+    assert code == 0
+    assert table.splitlines()[-1].endswith("property groups passed (seed=0, size=1)")
+    reports["suite"] = load_json(tmp / "suite.json")
+    assert len(reports) == 11
+    for name, rep in reports.items():
+        assert set(rep) == {"command", "argv", "defaults", "params", "inputs", "result",
+                            "timing"}, name
+        assert rep["command"] == name
+    assert reports["suite"]["result"]["failed"] == 0
+    assert reports["core"]["result"]["multiplicity"] == 1
+    assert load_module(tmp / "core_module.json").matrix == PolyMat(1, 1, [P(1)])
 
 
 # ---------------------------------------------------------------------------

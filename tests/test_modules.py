@@ -241,6 +241,25 @@ def test_a_trial_count_that_is_not_an_int_is_an_input_error(trials):
     assert iso_search(base, twisted, trials=0).trials_used == 0
 
 
+@pytest.mark.parametrize("seed", [1.5, "3", None, True], ids=["float", "str", "none", "true"])
+def test_a_seed_that_is_not_an_int_is_an_input_error(seed):
+    # before the check, 1.5, "3" and None failed with TypeError at the 64-bit
+    # mask, and True ran as seed 1; core's pivot_seed=None means no shuffle
+    from diffmod.cores import core
+    base = mod2(P(0), X, P(1), P(0))
+    twisted, _ = scramble(base, seed=21)
+    calls = [lambda: iso_search(base, twisted, seed=seed), lambda: scramble(base, seed=seed)]
+    if seed is not None:
+        calls.append(lambda: core(base, pivot_seed=seed))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be an integer, got {seed!r}')}$"):
+            call()
+    # negative and huge seeds stay legal: they are masked to 64 bits
+    assert StableRng(-1).next_u64() == StableRng(2**64 - 1).next_u64()
+    assert StableRng(2**70 + 5).next_u64() == StableRng(5).next_u64()
+    assert iso_search(base, twisted, seed=-(2**70)).kind == "iso"
+
+
 def const_module(rows) -> DiffModule:
     return DiffModule(DiffRing.CONST_ZERO, len(rows), PolyMat.from_rows(
         [[P(Fraction(v)) for v in row] for row in rows]))
