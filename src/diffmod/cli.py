@@ -2,10 +2,11 @@
 
 A command loads its inputs, calls the library and returns (params, result)
 or (params, result, exit code); its sub-parser names its report and the
-file arguments it reads.  main alone builds reports: it hashes those files
-before the command runs (a ledger command rewrites its ledger), times the
-command, prints the canonical-JSON report and writes it to -o (`suite`
-prints a pass/fail table instead, and `core -o` names the core module).
+file arguments it reads.  main alone builds reports: before the command
+runs it hashes those files (a ledger command rewrites its ledger) and
+checks that -o can be written; it times the command, prints the
+canonical-JSON report and writes it to -o (`suite` prints a pass/fail
+table instead, and `core -o` names the core module).
 Identical invocations give byte-identical reports outside "timing".
 
 Exit codes: 0 definitive verdict, 2 input error (including a negative
@@ -385,6 +386,11 @@ def main(argv=None) -> int:
         # hashed before the command runs, which rewrites a ledger it reads
         inputs = {name: {"path": getattr(args, name), "sha256": _sha256(getattr(args, name))}
                   for name in args.inputs}
+        if args.output:  # an unwritable path fails before the command runs
+            made = not os.path.lexists(args.output)
+            open(args.output, "a").close()  # truncates nothing
+            if made:
+                os.remove(args.output)
         params, result, *code = args.fn(args)
         text = canonical_dumps({
             "command": args.report,
@@ -401,9 +407,9 @@ def main(argv=None) -> int:
             with open(args.output, "w") as fh:
                 fh.write(text)
         return code[0] if code else EXIT_OK
-    except (ParseError, RingMismatch, FileNotFoundError, IsADirectoryError,
-            PermissionError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, RingMismatch, OSError, ValueError, KeyError) as exc:
+        # a KeyError's str() is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, CertificateInvalid) as exc:
         print(f"error: internal verification failed: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ from typing import NamedTuple, Optional
 
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch, _crt,
-                       _int_cleared, _int_gauss_jordan, _int_mat, _lift_vector,
-                       _modp_echelon, _modp_kernel, _modp_width, _primes,
-                       _product_is_identity, _vanishes)
+                       _int_cleared, _int_mat, _lift_vector, _modp_echelon,
+                       _modp_kernel, _modp_width, _primes, _product_is_identity,
+                       _vanishes)
 from .rng import StableRng
 
 DEFAULT_DEG_CAP = 32
@@ -164,8 +164,8 @@ class HomSpace(NamedTuple):
     degree <= deg_cap, and complete outright when proven_complete is set:
     over const_zero; for constant matrices when the kernel chain ker L^j
     of L = T |-> T A - B T stops growing by j = deg_cap + 1, as it does by
-    j = rank*rank; and when the top layer L_E of T |-> T A - B T is
-    invertible, so the space is {0}."""
+    j = rank*rank; and when the top layer L_E of T |-> T A - B T has full
+    rank mod a prime of the chain, so the space is {0}."""
     source: DiffModule
     target: DiffModule
     basis: tuple
@@ -229,9 +229,9 @@ def _sylvester_layers(A: PolyMat, B: PolyMat):
 
 
 def _modp_window(idx, vals, sigma, E, cap, p):
-    """The hom chain over GF(p) to the window at the cap: the kernel of
-    T_0 |-> (T_{cap+1}, ..., T_{cap+E+1}) mod p as (pivots, basis), from
-    _modp_echelon and _modp_kernel.  p = 2**30 - c is a prime that divides
+    """The hom chain over GF(p) to the window at the cap: (reduced, pivots),
+    the _modp_echelon of the window map T_0 |-> (T_{cap+1}, ...,
+    T_{cap+E+1}) mod p.  p = 2**30 - c is a prime that divides
     neither sigma nor any d + 1 <= cap + E + 1; idx and vals are the
     recurrence's terms (_poly_hom_basis).
 
@@ -274,32 +274,26 @@ def _modp_window(idx, vals, sigma, E, cap, p):
         whole = fold(fold(sum(map(lshift, sums, shifts))) * pow(sigma * (d + 1), -1, p))
         rows = rows[mn:] + [whole >> s & row for s in shifts]
     # slots below 2**31 and w above _modp_width(mn, p): the rows as they are
-    reduced, pivots = _modp_echelon(rows, mn, p, w)
-    return pivots, _modp_kernel(reduced, pivots, mn, p)
+    return _modp_echelon(rows, mn, p, w)
 
 
-def _modp_kernel_chain(rows, mn, cap, p):
-    """The E = 0 kernel chain over GF(p), L the integer matrix with sparse
-    rows `rows`: ((j, stable, pivots), basis), basis that of ker L^j mod p
-    (_modp_kernel), where j is the first with rank L^(j+1) = rank L^j
-    (stable) or else cap + 1.  The basis is [] when L has full rank.
+def _modp_kernel_chain(L, reduced, pivots, w, cap, p):
+    """The E = 0 kernel chain over GF(p), from the elimination (reduced,
+    pivots) of L, singular mod p and packed at width w (_poly_hom_basis):
+    ((j, stable), (reduced, pivots)), an elimination with kernel ker L^j mod
+    p, j the first with rank L^(j+1) = rank L^j (stable) or else cap + 1.
 
     With R the reduced rows of an elimination whose kernel is ker L^j
     (first that of L itself), ker L^(j+1) = ker(R L), and row k of R L is
     sum_i R[k][i] times packed row i of L: mn multiply-adds of packed
     integers, every slot below mn * p**2 as _modp_echelon needs.
     """
-    w = _modp_width(mn, p)
-    L = [sum(v % p << (w * c) for c, v in row) for row in rows]
-    reduced, pivots = _modp_echelon(L, mn, p, w)
-    j, stable = 1, True
-    while len(pivots) < mn:
-        nxt = _modp_echelon([sum(map(mul, r, L)) for r in reduced], mn, p, w)
+    for j in range(1, cap + 2):
+        nxt = _modp_echelon([sum(map(mul, r, L)) for r in reduced], len(L), p, w)
         stable = len(nxt[1]) == len(pivots)
         if stable or j == cap + 1:
-            break
-        (reduced, pivots), j = nxt, j + 1
-    return (j, stable, tuple(pivots)), _modp_kernel(reduced, pivots, mn, p)
+            return (j, stable), (reduced, pivots)
+        reduced, pivots = nxt
 
 
 def _hom_run(idx, vals, E, sigma, t0, bound):
@@ -346,8 +340,12 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
     path:
 
     * Top layer.  The x^(d+E) coefficient of T A - B T is L_E(T_d), while
-      T' has degree d - 1, so L_E(T_d) = 0: a full-rank L_E (by one exact
-      elimination for E >= 1, mod p for E = 0) proves K = {0} at any cap.
+      T' has degree d - 1, so L_E(T_d) = 0.  Each prime's pass starts with
+      one _modp_echelon of L_E: full rank mod p, so over Q (a rank never
+      rises mod p), proves K = {0} at any cap; for E = 0 the kernel chain
+      goes on from it.  (A p dividing a nonzero det L_E with an empty
+      window returns [] unproven, which is sound; a nonempty one fails the
+      lift or the check.)
     * Kernel mod p.  For E >= 1, _modp_window; for E = 0, where T_d =
       L^d T_0 / d! and K = ker L^(cap+1), _modp_kernel_chain.
     * Lift.  Each kernel vector, one per free column fc, is lifted by
@@ -375,25 +373,16 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
       p to miss only a stop at j = cap + 1, the flag would stay unset,
       which is sound.)
 
-    A failed lift or check moves on to the next prime (_primes).  For
-    E >= 1 a prime dividing sigma is skipped, and a prime must exceed
-    cap + E + 1, the largest d + 1 the chain divides by, else ValueError.
+    A failed lift or check moves on to the next prime (_primes).  Past the
+    top layer, for E >= 1, a prime dividing sigma is skipped, and a prime
+    must exceed cap + E + 1, the largest d + 1 divided by, else ValueError.
     An unlucky prime divides one of finitely many nonzero integers, so
     this ends.
     """
     n, m = A.rows, B.rows
     mn = m * n
-    if mn == 0:
-        return [], True
     layers, sigma = _sylvester_layers(A, B)
     E = len(layers) - 1
-    if E:
-        top = [[0] * mn for _ in range(mn)]
-        for r, row in enumerate(layers[E]):
-            for c, v in row:
-                top[r][c] = v
-        if len(_int_gauss_jordan(top, mn)[1]) == mn:
-            return [], True
     # the term (e, c) of row r reads coefficient d - e at d: entry
     # (E - e) * mn + c of the coefficients from d - E on
     idx = [[(E - e) * mn + c for e in range(E + 1) for c, _ in layers[e][r]]
@@ -401,20 +390,23 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
     vals = [[v for e in range(E + 1) for _, v in layers[e][r]] for r in range(mn)]
     lifts = {}  # pivots (j, stop) -> (product of their primes, residues)
     for p in _primes():
+        w = _modp_width(mn, p)
+        top = [sum(v % p << (w * c) for c, v in row) for row in layers[E]]
+        reduced, pivots = _modp_echelon(top, mn, p, w)
+        if len(pivots) == mn:
+            return [], True
         if E:
             if p <= cap + E + 1:
                 raise ValueError(f"degree cap {cap} is too large: the chain mod p "
                                  f"needs a prime above {cap + E + 1}")
             if sigma % p == 0:
                 continue
-            pivots, kernel = _modp_window(idx, vals, sigma, E, cap, p)
+            reduced, pivots = _modp_window(idx, vals, sigma, E, cap, p)
             key, bound, stable = tuple(pivots), cap, False
         else:
-            key, kernel = _modp_kernel_chain(layers[0], mn, cap, p)
-            steps, stable, pivots = key
-            bound = steps - 1
-        if not kernel:
-            return [], not E
+            (steps, stable), (reduced, pivots) = _modp_kernel_chain(top, reduced, pivots, w, cap, p)
+            key, bound = (steps, stable, tuple(pivots)), steps - 1
+        kernel = _modp_kernel(reduced, pivots, mn, p)
         M, residues = lifts.get(key, (1, None))
         residues = kernel if residues is None else _crt(residues, M, kernel, p)
         lifts[key] = M * p, residues
@@ -453,11 +445,11 @@ def hom_space(P: DiffModule, Q: DiffModule, deg_cap: Optional[int] = None) -> Ho
     policy or the chain proves it.
 
     Raises ValueError for a negative cap, and, when the top layer L_E is
-    singular (E >= 1 the largest degree in P's and Q's matrices), for a cap
-    that no prime serves: the chain mod p divides by every d + 1 <=
-    cap + E + 1, so each prime it takes, from 2**30 - 35 down, must exceed
-    cap + E + 1.  Every cap with cap + E + 1 >= 2**30 - 35 raises.  (The
-    CLI's caps stop at MAX_DEG_CAP.)"""
+    singular mod 2**30 - 35 (E >= 1 the largest degree in P's and Q's
+    matrices), for a cap that no prime serves: the chain mod p divides by
+    every d + 1 <= cap + E + 1, so each prime it takes, from 2**30 - 35
+    down, must exceed cap + E + 1.  Every such cap with cap + E + 1 >=
+    2**30 - 35 raises.  (The CLI's caps stop at MAX_DEG_CAP.)"""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     cap, proven = resolve_deg_cap(P, Q, deg_cap)

@@ -227,6 +227,15 @@ def test_missing_file_is_input_error(capsys, files):
     assert code == 2
 
 
+def test_path_through_a_file_is_input_error(capsys, files):
+    # NotADirectoryError, like every OSError from a path, is exit 2, not a traceback
+    through = files["line_x"] / "m.json"
+    code = cli.main(["trivial", str(through)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: [Errno 20] Not a directory: {str(through)!r}\n"
+
+
 def test_ring_mismatch_is_input_error(capsys, files):
     code, _ = run(capsys, "hom", files["line_x"], files["const"])
     assert code == 2
@@ -493,10 +502,42 @@ def test_reports_identical_modulo_timing(capsys, files):
 
 
 def test_output_file_matches_stdout(capsys, files):
+    # the report replaces a longer file, also one that is the command's own
+    # input; a failed command leaves an old file as it was and makes no new one
     out_file = files["tmp"] / "report.json"
     _, printed = run(capsys, "hom", files["line_x"], files["line_x"],
                      "-o", out_file)
     assert out_file.read_text() == printed
+    out_file.write_text("x" * 100000)
+    _, printed = run(capsys, "hom", files["line_x"], files["line_x"], "-o", out_file)
+    assert out_file.read_text() == printed
+    same = files["tmp"] / "same.json"
+    same.write_bytes(Path(files["nilp"]).read_bytes())
+    code, own = run(capsys, "trivial", same, "-o", same)
+    assert code == 0 and same.read_text() == own
+    missing, fresh = files["tmp"] / "missing.json", files["tmp"] / "fresh.json"
+    assert run(capsys, "hom", missing, files["line_x"], "-o", out_file)[0] == 2
+    assert run(capsys, "hom", missing, files["line_x"], "-o", fresh)[0] == 2
+    assert out_file.read_text() == printed and not fresh.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("hom", "line_x", "line_x"), ("trivial", "nilp"), ("iso", "twist_a", "twist_b"),
+    ("rcf", "const"), ("suite", "--size", "1"),
+], ids=["hom", "trivial", "iso", "rcf", "suite"])
+def test_unwritable_output_fails_before_the_command_runs(capsys, files, argv):
+    # a directory, a file in a missing directory or a path through a file:
+    # exit 2 and one error line, with no report (or suite table) on stdout
+    tmp = files["tmp"]
+    argv = [str(files.get(a, a)) for a in argv]
+    for out, error in ((tmp, "[Errno 21] Is a directory"),
+                       (tmp / "nodir" / "r.json", "[Errno 2] No such file or directory"),
+                       (files["nilp"] / "r.json", "[Errno 20] Not a directory")):
+        code = cli.main([*argv, "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {error}: {str(out)!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +577,18 @@ def test_monoid_new_refuses_overwrite(capsys, files):
     led = files["tmp"] / "led2.json"
     assert run(capsys, "monoid", "new", "--ledger", led)[0] == 0
     assert run(capsys, "monoid", "new", "--ledger", led)[0] == 2
+
+
+def test_unknown_class_name_is_one_plain_error_line(capsys, files):
+    led = files["tmp"] / "led4.json"
+    run(capsys, "monoid", "new", "--ledger", led)
+    run(capsys, "monoid", "add-module", files["line_x"], "p", "--ledger", led)
+    for argv in [("equal", "p", "nope"), ("add-classes", "p", "nope", "x")]:
+        code = cli.main(["monoid", *argv, "--ledger", str(led)])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == "", argv
+        assert captured.err == "error: no class named 'nope'\n", argv
 
 
 def test_monoid_unknown_exit_three(capsys, files):

@@ -480,9 +480,11 @@ def test_kernel_chain_proves_completeness_from_the_fitting_index():
 
 def test_top_layer_matches_oracle_singular_and_invertible():
     # E >= 1: the top layer L_E = A_E^T (x) I - I (x) B_E is invertible
-    # exactly when A_E and B_E share no eigenvalue
+    # exactly when A_E and B_E share no eigenvalue; both kinds are met with
+    # m != n and with A_E = 0 (a source of lower degree)
     rng = StableRng(707)
-    seen = set()
+    pairs = [(poly_module(nilpotent_jordan(3)), line(X * X + P(1))),
+             (line(P(1)), poly_module([[X, 1], [0, 0]]))]
     for _ in range(24):
         n, m = rng.randint(1, 2), rng.randint(1, 2)
         E = rng.randint(1, 2)
@@ -490,20 +492,40 @@ def test_top_layer_matches_oracle_singular_and_invertible():
         def rand_rows(k):
             return [[Poly([rng.randint(-2, 2) for _ in range(rng.randint(1, E + 1))])
                      for _ in range(k)] for _ in range(k)]
-        src, tgt = poly_module(rand_rows(n)), poly_module(rand_rows(m))
+        pairs.append((poly_module(rand_rows(n)), poly_module(rand_rows(m))))
+    seen = set()
+    for src, tgt in pairs:
         top = max(src.matrix.max_degree(), tgt.matrix.max_degree())
         if top == 0:
             continue
         L = sylvester_matrix(src.matrix.coefficient_matrix(top),
                              tgt.matrix.coefficient_matrix(top))
         invertible = not rat_nullspace(L)
-        seen.add(invertible)
+        seen.add((invertible, src.rank != tgt.rank, src.matrix.max_degree() < top))
         for cap in range(5):
             assert_same_space(src, tgt, cap)
         hs = hom_space(src, tgt)
         if invertible:
             assert hs.dimension == 0 and hs.proven_complete
-    assert seen == {True, False}
+    assert {(i, r) for i, r, _ in seen} >= {(True, True), (False, True), (False, False)}
+    assert {(i, z) for i, _, z in seen} >= {(True, True), (False, True)}
+
+
+def test_rank_12_pair_with_an_invertible_top_layer_is_proven_zero(monkeypatch):
+    # a seeded random E = 1 pair of rank 12, coefficients in -3..3: its
+    # 144 x 144 top layer is decided by one elimination at the first prime
+    rng = StableRng(12)
+
+    def rand_module():
+        return poly_module([[P(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(12)]
+                            for _ in range(12)])
+    src, tgt = rand_module(), rand_module()
+    with monkeypatch.context() as mp:
+        drawn = spy_primes(mp)
+        modules._hom_basis_cached.cache_clear()
+        hs = hom_space(src, tgt)
+    assert hs.dimension == 0 and hs.proven_complete
+    assert drawn == [MODP]
 
 
 def singular_top_pairs():
@@ -673,18 +695,20 @@ def test_modp_window_declines_when_p_divides_a_denominator(monkeypatch):
 
 
 def test_lines_singular_only_mod_p_are_proven_zero_both_ways(monkeypatch):
-    # L = T |-> p T (or -p T) vanishes mod p = MODP: the first prime's
-    # kernel lifts to 1, which fails the check; the next proves {0}
-    src, tgt = line(P(MODP)), ZERO_LINE
-    for a, b in ((src, tgt), (tgt, src)):
-        with monkeypatch.context() as mp:
-            drawn = spy_primes(mp)
-            assert modules._poly_hom_basis(a.matrix, b.matrix, 3) == ([], True)
-        assert len(drawn) == 2
-        for cap in (0, 3):
-            assert_same_space(a, b, cap)
-        hs = hom_space(a, b)
-        assert hs.dimension == 0 and hs.proven_complete
+    # L = T |-> p T (or -p T) vanishes mod p = MODP, as does the top layer
+    # L_1 of T |-> p x T (E = 1): the first prime's kernel lifts to 1, which
+    # fails the check; the next prime's top layer proves {0}
+    for src in (line(P(MODP)), line(X * MODP)):
+        for a, b in ((src, ZERO_LINE), (ZERO_LINE, src)):
+            for cap in range(4):
+                with monkeypatch.context() as mp:
+                    drawn = spy_primes(mp)
+                    assert modules._poly_hom_basis(a.matrix, b.matrix, cap) == ([], True)
+                assert len(drawn) == 2
+            for cap in (0, 3):
+                assert_same_space(a, b, cap)
+            hs = hom_space(a, b)
+            assert hs.dimension == 0 and hs.proven_complete
 
 
 def test_constant_pair_whose_kernel_needs_two_primes(monkeypatch):
