@@ -2,11 +2,12 @@
 
 A command loads its inputs, calls the library and returns (params, result)
 or (params, result, exit code); its sub-parser names its report and the
-file arguments it reads.  main alone builds reports: before the command
-runs it hashes those files (a ledger command rewrites its ledger) and
-checks that -o can be written; it times the command, prints the
-canonical-JSON report and writes it to -o (`suite` prints a pass/fail
-table instead, and `core -o` names the core module).
+file arguments it reads and writes.  main alone builds reports: before
+the command runs it hashes the files it reads (a ledger command rewrites
+its ledger) and checks that those it writes (-o, --cert) can be written;
+it times the command, prints the canonical-JSON report and writes it to
+-o (`suite` prints a pass/fail table instead, and `core -o` names the
+core module).
 Identical invocations give byte-identical reports outside "timing".
 
 Exit codes: 0 definitive verdict, 2 input error (including a negative
@@ -282,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact classification toolkit for differential modules: "
                     "hom spaces, triviality, cores, isomorphism certificates, "
                     "and the projective class monoid.")
-    # every sub-parser sets fn, its report's name and the file arguments
-    # main hashes; only the suite turns echo off (it prints a table), and
-    # only an -o that names the report has dest "output"
-    parser.set_defaults(inputs=(), echo=True, output=None)
+    # every sub-parser sets fn, its report's name, the file arguments main
+    # hashes and those it writes; only the suite turns echo off (it prints a
+    # table), and only an -o that names the report has dest "output"
+    parser.set_defaults(inputs=(), outputs=(), echo=True, output=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hom", help="basis of the differential hom space")
@@ -293,14 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     _add_cap(p)
     p.add_argument("-o", "--output", metavar="FILE", help="also write the report here")
-    p.set_defaults(fn=cmd_hom, report="hom", inputs=("source", "target"))
+    p.set_defaults(fn=cmd_hom, report="hom", inputs=("source", "target"), outputs=("output",))
 
     p = sub.add_parser("trivial", help="decide triviality, with certificate")
     p.add_argument("module")
     _add_cap(p)
     p.add_argument("--cert", metavar="FILE", help="write the certificate here")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(fn=cmd_trivial, report="trivial", inputs=("module",))
+    p.set_defaults(fn=cmd_trivial, report="trivial", inputs=("module",),
+                   outputs=("output", "cert"))
 
     p = sub.add_parser("core", help="split off the maximal trivial summand")
     p.add_argument("module")
@@ -310,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", dest="core_output", metavar="FILE",
                    help="write the core module here")
     p.add_argument("--cert", metavar="FILE", help="write the certificate here")
-    p.set_defaults(fn=cmd_core, report="core", inputs=("module",))
+    p.set_defaults(fn=cmd_core, report="core", inputs=("module",),
+                   outputs=("core_output", "cert"))
 
     p = sub.add_parser("iso", help="search for a differential isomorphism")
     p.add_argument("a")
@@ -320,19 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cert", metavar="FILE")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(fn=cmd_iso, report="iso", inputs=("a", "b"))
+    p.set_defaults(fn=cmd_iso, report="iso", inputs=("a", "b"), outputs=("output", "cert"))
 
     p = sub.add_parser("rcf", help="rational canonical form over the "
                                    "zero-derivation ring")
     p.add_argument("module")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(fn=cmd_rcf, report="rcf", inputs=("module",))
+    p.set_defaults(fn=cmd_rcf, report="rcf", inputs=("module",), outputs=("output",))
 
     p = sub.add_parser("suite", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=1)
     p.add_argument("-o", "--output", metavar="FILE", help="also write a JSON report")
-    p.set_defaults(fn=cmd_suite, report="suite", echo=False)
+    p.set_defaults(fn=cmd_suite, report="suite", outputs=("output",), echo=False)
 
     p = sub.add_parser("monoid", help="projective class ledger operations")
     msub = p.add_subparsers(dest="subcommand", required=True)
@@ -386,11 +389,12 @@ def main(argv=None) -> int:
         # hashed before the command runs, which rewrites a ledger it reads
         inputs = {name: {"path": getattr(args, name), "sha256": _sha256(getattr(args, name))}
                   for name in args.inputs}
-        if args.output:  # an unwritable path fails before the command runs
-            made = not os.path.lexists(args.output)
-            open(args.output, "a").close()  # truncates nothing
+        # an unwritable path fails before the command runs
+        for path in filter(None, (getattr(args, name) for name in args.outputs)):
+            made = not os.path.lexists(path)
+            open(path, "a").close()  # truncates nothing
             if made:
-                os.remove(args.output)
+                os.remove(path)
         params, result, *code = args.fn(args)
         text = canonical_dumps({
             "command": args.report,

@@ -80,7 +80,7 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
     pairing = w @ v
     if pairing != PolyMat.identity(s):
         raise PairingNotUnit(f"w v = {pairing}, expected the identity")
-    D, _, _, V, Vinv = _smith_eliminate(w, track=("V", "Vinv"))
+    D, _, V, Vinv = _smith_eliminate(w)
     for i in range(s):
         if D[i][i] != Poly.one():
             raise NotUnimodular(f"invariant factor {D[i][i]} is not a nonzero constant")

@@ -137,8 +137,9 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Poly"):
-        if not isinstance(other, Poly):
+    def __divmod__(self, other):
+        other = _coerce_poly(other)
+        if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -465,45 +466,51 @@ class PolyMat(_Matrix):
     # -- determinant / inverse ----------------------------------------------
 
     def determinant(self) -> Poly:
-        """Exact determinant, read off the Smith elimination U*M*V = D
-        (_smith_eliminate).  U and V are products of elementary operations,
-        so det U * det V is a nonzero constant and det M = c * p for
-        p = prod diag D.  c = det M(k) / p(k) at the first integer k in
-        0..deg p that is not a root of p, det M(k) by integer elimination
-        (RatMat.determinant).  The 0x0 determinant is 1."""
+        """Exact determinant, by the fraction-free Gauss-Jordan elimination
+        of the rows over Q[x] (_int_gauss_jordan).  The 0x0 determinant
+        is 1."""
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        D = _smith_eliminate(self, track=())[0]
-        p = _P_ONE
-        for i in range(self.rows):
-            p = p * D[i][i]
-        if p.is_zero():
+        _, pivots, d, sign = _int_gauss_jordan(self.to_rows(), self.cols)
+        if len(pivots) < self.rows:
             return _P_ZERO
-        k = next(k for k in range(len(p.coeffs)) if p(k))
-        return p * (self.eval_at(k).determinant() / p(k))
+        return _coerce_poly(d) * sign
 
     def inverse_unimodular(self) -> "PolyMat":
         """Inverse of a matrix whose determinant is a nonzero constant.
         Raises NotUnimodular otherwise (inverse would leave Q[x]).
 
-        Smith elimination gives U*M*V = D with U, V products of elementary
-        operations, so det M is a nonzero constant times the product of the
-        monic diagonal of D: M is unimodular exactly when D = I, and then
-        M^{-1} = V*U.  The inverse is checked exactly, M*M^{-1} = I by one
-        integer evaluation (_product_is_identity); for a square matrix a
-        one-sided inverse is two-sided."""
+        With M = sum M_i x^i of degree e, the coefficients of S = M^{-1}
+        solve M S = I: S_0 = M_0^{-1} and S_j = -S_0 sum_{i=1..e} M_i S_{j-i}.
+        A singular M_0 means det M(0) = 0.  Otherwise the recurrence stops
+        after e zero coefficients in a row (all later ones are zero) or past
+        the degree bound (n-1) e of the adjugate, which holds for the inverse
+        of a unimodular M.  So M is unimodular exactly when the S built
+        passes one exact M S = I (_product_is_identity); for a square matrix
+        a one-sided inverse is two-sided."""
         if self.rows != self.cols:
             raise ShapeMismatch("inverse of a non-square matrix")
-        n = self.rows
-        D, U, _, V, _ = _smith_eliminate(self, track=("U", "V"))
-        diagonal = [D[i][i] for i in range(n)]
-        if any(d != _P_ONE for d in diagonal):
-            raise NotUnimodular(
-                f"Smith form diagonal {[str(d) for d in diagonal]} is not the identity, "
-                f"so the determinant is not a nonzero constant")
-        inv = PolyMat.from_rows(V) @ PolyMat.from_rows(U)
+        n, e = self.rows, self.max_degree()
+        try:
+            s0 = self.coefficient_matrix(0).inverse()
+        except ZeroDivisionError:
+            raise NotUnimodular("M(0) is singular, so the determinant is not a "
+                                "nonzero constant") from None
+        # S_j is -S_0 [M_1 ... M_e] times S_{j-1}, ..., S_{j-e} stacked, the
+        # coefficients before S_0 zero
+        ms = [self.coefficient_matrix(i) for i in range(1, e + 1)]
+        step = -s0 @ RatMat(n, n * e, [v for r in range(n) for m in ms for v in m.row(r)])
+        pad = [_R0] * (n * n * e)
+        coeffs, zeros = [s0], 0
+        while zeros < e and len(coeffs) <= (n - 1) * e:
+            stacked = [v for c in coeffs[:-e - 1:-1] for v in c.entries] + pad
+            s = step @ RatMat(n * e, n, stacked[:n * n * e])
+            coeffs.append(s)
+            zeros = zeros + 1 if s.is_zero() else 0
+        inv = PolyMat(n, n, [Poly(c.entries[k] for c in coeffs) for k in range(n * n)])
         if not _product_is_identity(self, inv):
-            raise ArithmeticError("unimodular inverse verification failed")
+            raise NotUnimodular("M(0) is invertible but M has no inverse over Q[x], "
+                                "so the determinant is not a nonzero constant")
         return inv
 
 
@@ -578,7 +585,8 @@ def _int_row(row):
 
 
 def _int_gauss_jordan(rows, ncols):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a matrix over Z,
+    or over Q[x] when the entries are Polys.
 
     Pivots are taken in the first ``ncols`` columns, the leftmost nonzero
     entry first; further columns (a right-hand side, an identity block)
@@ -586,7 +594,7 @@ def _int_gauss_jordan(rows, ncols):
     (p * row - f * pivot_row) / prev, where f is the row's entry in the
     pivot column and prev the previous pivot.  Every intermediate entry is
     a minor of the input (Bareiss, Math. Comp. 22, 1968), so the division
-    is exact and the entries stay integers.
+    is exact and the entries stay in the ring.
 
     Returns (m, pivots, d, sign).  m holds all rows; row k < len(pivots)
     has the entry d at column pivots[k] and zero at the other pivot
@@ -890,58 +898,43 @@ def _int_matmul(A, B):
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def _smith_eliminate(M: PolyMat, track=("U", "Uinv", "V", "Vinv")):
+def _smith_eliminate(M: PolyMat):
     """Smith elimination of M over Q[x], as row lists: returns
-    (D, U, Uinv, V, Vinv) with U*M*V = D, D diagonal with monic entries,
-    each dividing the next, and U, V products of elementary operations.
+    (D, U, V, Vinv) with U*M*V = D, D diagonal with monic entries, each
+    dividing the next, and U, V products of elementary operations.
 
-    Only the transforms named in ``track`` are accumulated; the others come
-    back as None and cost nothing.  The pivot sequence, and so every tracked
-    transform, is the same whatever is tracked.  Nothing is verified here:
-    each caller proves what it uses by exact integer identities (_vanishes).
+    Nothing is verified here: each caller proves what it uses by exact
+    integer identities (_vanishes).
     """
     r, c = M.rows, M.cols
     a = M.to_rows()
-    U = PolyMat.identity(r).to_rows() if "U" in track else None
-    Ui = PolyMat.identity(r).to_rows() if "Uinv" in track else None
-    V = PolyMat.identity(c).to_rows() if "V" in track else None
-    Vi = PolyMat.identity(c).to_rows() if "Vinv" in track else None
+    U = PolyMat.identity(r).to_rows()
+    V = PolyMat.identity(c).to_rows()
+    Vi = PolyMat.identity(c).to_rows()
 
     def row_op(i, j, q):
-        # row_i -= q * row_j on a and U; on the inverse, col_j += q * col_i
+        # row_i -= q * row_j on a and U
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if U is not None:
-            U[i] = [x - q * y for x, y in zip(U[i], U[j])]
-        if Ui is not None:
-            for rr in range(r):
-                Ui[rr][j] = Ui[rr][j] + q * Ui[rr][i]
+        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
 
     def col_op(i, j, q):
-        # col_i -= q * col_j on a and V; on the inverse, row_j += q * row_i
+        # col_i -= q * col_j on a and V; on its inverse, row_j += q * row_i
         for rr in range(r):
             a[rr][i] = a[rr][i] - q * a[rr][j]
-        if V is not None:
-            for rr in range(c):
-                V[rr][i] = V[rr][i] - q * V[rr][j]
-        if Vi is not None:
-            Vi[j] = [x + q * y for x, y in zip(Vi[j], Vi[i])]
+        for rr in range(c):
+            V[rr][i] = V[rr][i] - q * V[rr][j]
+        Vi[j] = [x + q * y for x, y in zip(Vi[j], Vi[i])]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-        if Ui is not None:
-            for rr in range(r):
-                Ui[rr][i], Ui[rr][j] = Ui[rr][j], Ui[rr][i]
+        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for rr in range(r):
             a[rr][i], a[rr][j] = a[rr][j], a[rr][i]
-        if V is not None:
-            for rr in range(c):
-                V[rr][i], V[rr][j] = V[rr][j], V[rr][i]
-        if Vi is not None:
-            Vi[i], Vi[j] = Vi[j], Vi[i]
+        for rr in range(c):
+            V[rr][i], V[rr][j] = V[rr][j], V[rr][i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def min_deg_entry(t):
         best = None
@@ -996,44 +989,35 @@ def _smith_eliminate(M: PolyMat, track=("U", "Uinv", "V", "Vinv")):
                 break
             # pull the offending row into the pivot row and restart the pass
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            if U is not None:
-                U[t] = [x + y for x, y in zip(U[t], U[offender])]
-            if Ui is not None:
-                for rr in range(r):
-                    Ui[rr][offender] = Ui[rr][offender] - Ui[rr][t]
+            U[t] = [x + y for x, y in zip(U[t], U[offender])]
         t += 1
 
-    # monic normalization: scale rows of a (and U) by 1/lc of the diagonal
+    # monic normalization: scale rows of a and U by 1/lc of the diagonal
     for i in range(min(r, c)):
         piv = a[i][i]
         if not piv.is_zero() and piv.lc() != 1:
             f = 1 / piv.lc()
             a[i] = [x * f for x in a[i]]
-            if U is not None:
-                U[i] = [x * f for x in U[i]]
-            if Ui is not None:
-                for rr in range(r):
-                    Ui[rr][i] = Ui[rr][i] * piv.lc()
+            U[i] = [x * f for x in U[i]]
 
-    return a, U, Ui, V, Vi
+    return a, U, V, Vi
 
 
 def smith_normal_form_with_inverses(M: PolyMat):
     """Smith normal form over Q[x]: returns (U, D, V, Uinv, Vinv) with
     U*M*V = D, D diagonal with monic entries, each dividing the next, and
-    U, V products of elementary operations whose inverses are accumulated
-    alongside (so unimodularity is verified by a product, not a determinant).
+    U, V unimodular: Vinv is accumulated alongside V, and Uinv is
+    U.inverse_unimodular(), which proves U unimodular by its own exact check.
 
-    The factorization U M V = D and both inverse identities U Uinv = I and
-    V Vinv = I are re-verified exactly before returning, each cleared of
-    denominators and checked by one integer evaluation at x = 2**K, with
-    2**K above a bound on the identity's coefficients (_vanishes).
+    The factorization U M V = D and V Vinv = I are re-verified exactly
+    before returning, each cleared of denominators and checked by one
+    integer evaluation at x = 2**K, with 2**K above a bound on the
+    identity's coefficients (_vanishes).
     """
     r, c = M.rows, M.cols
-    a, U, Ui, V, Vi = _smith_eliminate(M)
+    a, U, V, Vi = _smith_eliminate(M)
 
     Um = PolyMat.from_rows(U) if r else PolyMat(0, 0, [])
-    Uim = PolyMat.from_rows(Ui) if r else PolyMat(0, 0, [])
     Vm = PolyMat.from_rows(V) if c else PolyMat(0, 0, [])
     Vim = PolyMat.from_rows(Vi) if c else PolyMat(0, 0, [])
     Dm = PolyMat.from_rows(a) if r else PolyMat(0, c, [])
@@ -1043,8 +1027,12 @@ def smith_normal_form_with_inverses(M: PolyMat):
     (gu, lu), (gm, lm), (gv, lv), (gd, ld) = map(_int_mat, (Um, M, Vm, Dm))
     if not _vanishes([(ld, [gu, gm, gv]), (-lu * lm * lv, [gd])]):
         raise ArithmeticError("smith normal form verification failed")
-    if not (_product_is_identity(Um, Uim) and _product_is_identity(Vm, Vim)):
+    if not _product_is_identity(Vm, Vim):
         raise ArithmeticError("transform inverse verification failed")
+    try:
+        Uim = Um.inverse_unimodular()
+    except NotUnimodular as exc:
+        raise ArithmeticError("transform inverse verification failed") from exc
     return Um, Dm, Vm, Uim, Vim
 
 

@@ -531,7 +531,7 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     hom(P, Q) is zero.  Iso certificates come from sampling random integer
     combinations T of hom(P, Q) and keeping the first with det T(0) != 0:
     such a T is unimodular (see the comment in the loop), its inverse
-    S = T^{-1} from the Smith form is a hom Q -> P of any degree, and the
+    S = T^{-1} (inverse_unimodular) is a hom Q -> P of any degree, and the
     pair is re-verified exactly once by make_iso_certificate.
     Deterministic for a fixed seed.  ValueError unless trials is an int >= 0."""
     if P.ring != Q.ring:
@@ -616,9 +616,7 @@ def scramble(P: DiffModule, seed: int, ops: Optional[int] = None):
         empty = PolyMat(0, 0, [])
         return P, make_iso_certificate(P, P, empty, empty)
     rng = StableRng(seed)
-    # each operation acts on U's rows and, inverted, on U^{-1}'s columns
     U = PolyMat.identity(n).to_rows()
-    Uinv = PolyMat.identity(n).to_rows()
     count = ops if ops is not None else n + 2
     scales = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
               Fraction(3), Fraction(1, 2), Fraction(-1, 2))
@@ -635,23 +633,18 @@ def scramble(P: DiffModule, seed: int, ops: Optional[int] = None):
             deg = rng.randint(0, 1)
             p = Poly([rng.nonzero_int(2)] + ([rng.randint(-2, 2)] if deg else []))
             U[i] = [a + p * b for a, b in zip(U[i], U[j])]
-            for row in Uinv:
-                row[j] = row[j] - p * row[i]
         elif kind < 8:
             i = rng.randint(0, n - 1)
             c = scales[rng.randint(0, len(scales) - 1)]
             U[i] = [a * c for a in U[i]]
-            for row in Uinv:
-                row[i] = row[i] * (1 / c)
         else:
             i = rng.randint(0, n - 1)
             j = rng.randint(0, n - 1)
             while j == i:
                 j = rng.randint(0, n - 1)
             U[i], U[j] = U[j], U[i]
-            for row in Uinv:
-                row[i], row[j] = row[j], row[i]
-    U, Uinv = PolyMat.from_rows(U), PolyMat.from_rows(Uinv)
+    U = PolyMat.from_rows(U)
+    Uinv = U.inverse_unimodular()
     B = (U @ P.matrix - U.derivative()) @ Uinv
     Q = DiffModule(P.ring, n, B)
     cert = make_iso_certificate(P, Q, U, Uinv)

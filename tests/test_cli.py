@@ -521,19 +521,32 @@ def test_output_file_matches_stdout(capsys, files):
     assert out_file.read_text() == printed and not fresh.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("hom", "line_x", "line_x"), ("trivial", "nilp"), ("iso", "twist_a", "twist_b"),
-    ("rcf", "const"), ("suite", "--size", "1"),
-], ids=["hom", "trivial", "iso", "rcf", "suite"])
-def test_unwritable_output_fails_before_the_command_runs(capsys, files, argv):
+@pytest.mark.parametrize("argv, flag, library", [
+    (("hom", "line_x", "line_x"), "-o", "diffmod.cli.hom_space"),
+    (("trivial", "nilp"), "-o", "diffmod.cli.is_trivial"),
+    (("iso", "twist_a", "twist_b"), "-o", "diffmod.cli.iso_search"),
+    (("rcf", "const"), "-o", "diffmod.zeroder.rcf"),
+    (("suite", "--size", "1"), "-o", "diffmod.suite.run_suite"),
+    (("trivial", "nilp"), "--cert", "diffmod.cli.is_trivial"),
+    (("iso", "twist_a", "twist_b"), "--cert", "diffmod.cli.iso_search"),
+    (("core", "nilp"), "--cert", "diffmod.cores.core"),
+    (("core", "nilp"), "-o", "diffmod.cores.core"),
+], ids=["hom", "trivial", "iso", "rcf", "suite", "trivial-cert", "iso-cert", "core-cert",
+        "core-o"])
+def test_unwritable_output_fails_before_the_command_runs(capsys, monkeypatch, files,
+                                                         argv, flag, library):
     # a directory, a file in a missing directory or a path through a file:
-    # exit 2 and one error line, with no report (or suite table) on stdout
+    # exit 2 and one error line, with no report (or suite table) on stdout,
+    # and the library is never called
+    def never(*args, **kwargs):
+        raise AssertionError(f"{library} ran before its output was checked")
+    monkeypatch.setattr(library, never)
     tmp = files["tmp"]
     argv = [str(files.get(a, a)) for a in argv]
     for out, error in ((tmp, "[Errno 21] Is a directory"),
                        (tmp / "nodir" / "r.json", "[Errno 2] No such file or directory"),
                        (files["nilp"] / "r.json", "[Errno 20] Not a directory")):
-        code = cli.main([*argv, "-o", str(out)])
+        code = cli.main([*argv, flag, str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

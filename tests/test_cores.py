@@ -13,7 +13,7 @@ from diffmod.cores import (CertificateInvalid, NotAConstant, NotAHom, PairingNot
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch, kernel_basis,
                               unimodular_completion)
-from diffmod.modules import (DiffModule, constants, direct_sum, hom_space,
+from diffmod.modules import (DiffModule, constants, direct_sum, hom_space, is_trivial,
                              iso_search, make_iso_certificate, scramble,
                              trivial_module, verify_hom)
 from diffmod.suite import random_planned_module, random_similar_pair
@@ -522,10 +522,41 @@ def test_split_reads_the_invariant_factors_off_the_elimination(monkeypatch):
     M, w, v = two_row_split()
     real = cores._smith_eliminate
 
-    def bent(m, track):
-        D, *transforms = real(m, track)
+    def bent(m):
+        D, *transforms = real(m)
         D[1][1] = X
         return (D, *transforms)
     monkeypatch.setattr(cores, "_smith_eliminate", bent)
     with pytest.raises(NotUnimodular, match="invariant factor x"):
         split_trivial_summand(M, w, v)
+
+
+def test_only_the_split_runs_a_smith_elimination(monkeypatch):
+    from diffmod import exactalg
+    rng = StableRng(2201)
+    M = random_planned_module(rng, 2, 1).module
+    N, cert = scramble(M, seed=7)
+    T = cert.forward
+
+    def answers():
+        return (T.inverse_unimodular(), T.determinant(), scramble(M, seed=7),
+                is_trivial(scramble(trivial_module(DiffRing.POLY_DX, 3), seed=3)[0]),
+                iso_search(M, N, seed=1))
+    expected = answers()
+    assert expected[1].is_constant() and expected[1]
+    assert expected[3].trivial and expected[4].kind == "iso"
+
+    def no_smith(m):
+        raise AssertionError("a Smith elimination ran")
+    with monkeypatch.context() as mp:
+        mp.setattr(exactalg, "_smith_eliminate", no_smith)
+        mp.setattr(cores, "_smith_eliminate", no_smith)
+        assert answers() == expected
+    # core runs one elimination per split
+    for module in (M, two_trivial_lines_and_x(), random_planned_module(rng, 1, 2).module):
+        with monkeypatch.context() as mp:
+            calls = Counter()
+            count_calls(mp, calls, "_smith_eliminate", cores)
+            count_calls(mp, calls, "split_trivial_summand", cores)
+            core(module)
+        assert calls["_smith_eliminate"] == calls["split_trivial_summand"] >= 1

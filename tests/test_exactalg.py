@@ -253,45 +253,67 @@ def elementary_product(rng, n, ops):
 def test_inverse_unimodular_on_elementary_products():
     rng = StableRng(31)
     assert PolyMat(0, 0, []).inverse_unimodular() == PolyMat(0, 0, [])
-    for _ in range(25):
-        n = rng.randint(1, 4)
+    for _ in range(40):
+        n = rng.randint(1, 6)
         M, Minv = elementary_product(rng, n, rng.randint(0, 3 * n))
         assert M.inverse_unimodular() == Minv
         # a non-unit factor anywhere leaves the determinant nonconstant
         bad = M @ PolyMat.diagonal([X + P(rng.randint(-2, 2))] + [P(1)] * (n - 1))
         with pytest.raises(NotUnimodular):
             bad.inverse_unimodular()
-    for singular in (PolyMat.zeros(2, 2), PolyMat(2, 2, [X, X, P(1), P(1)])):
-        with pytest.raises(NotUnimodular):
+    # constant: the inverse is M(0)^{-1}
+    C = PolyMat(2, 2, [P(2), P(Fraction(1, 3)), P(7), P(4)])
+    assert C.inverse_unimodular() == C.to_ratmat().inverse().to_polymat()
+    # M(0) = I, but det = 1 - x^2: the recurrence runs out of degree
+    with pytest.raises(NotUnimodular, match="no inverse over Q"):
+        PolyMat(2, 2, [P(1), X, X, P(1)]).inverse_unimodular()
+    for singular in (PolyMat.zeros(2, 2), PolyMat(2, 2, [X, X, P(1), P(1)]),
+                     PolyMat(2, 2, [X, P(1), P(0), P(1) + X])):
+        with pytest.raises(NotUnimodular, match="M\\(0\\) is singular"):
             singular.inverse_unimodular()
     with pytest.raises(ShapeMismatch):
         PolyMat(1, 2, [P(1), X]).inverse_unimodular()
 
 
+@pytest.mark.parametrize("which", [1, 3])
+def test_inverse_unimodular_rejects_a_corrupted_inverse(monkeypatch, which):
+    # row-major entry `which` of S_0 = M(0)^{-1} raised by 1: the error runs
+    # through the recurrence into a failed M S = I, never a wrong inverse
+    real = RatMat.inverse
+
+    def bent(m):
+        S = real(m)
+        return S + RatMat(2, 2, [int(k == which) for k in range(4)])
+    monkeypatch.setattr(RatMat, "inverse", bent)
+    with pytest.raises(NotUnimodular, match="no inverse over Q"):
+        PolyMat(2, 2, [P(2), -X, 2 * X, P(1) - X * X]).inverse_unimodular()
+
+
 def corrupt_smith(monkeypatch, which):
-    """Make _smith_eliminate return its (D, U, Uinv, V, Vinv) with x added
-    to the top-left entry of the one at index ``which``."""
+    """Make _smith_eliminate return its (D, U, V, Vinv) with x added to the
+    top-left entry of the one at index ``which``."""
     real = exactalg._smith_eliminate
 
-    def corrupted(M, track=("U", "Uinv", "V", "Vinv")):
-        out = real(M, track)
+    def corrupted(M):
+        out = real(M)
         out[which][0][0] = out[which][0][0] + X
         return out
     monkeypatch.setattr(exactalg, "_smith_eliminate", corrupted)
-
-
-@pytest.mark.parametrize("which", [1, 3])
-def test_inverse_unimodular_rejects_a_corrupted_inverse(monkeypatch, which):
-    corrupt_smith(monkeypatch, which)
-    with pytest.raises(ArithmeticError, match="unimodular inverse verification failed"):
-        PolyMat(2, 2, [P(1), -X, X, P(1) - X * X]).inverse_unimodular()
 
 
 @pytest.mark.parametrize("which, reason", [
     (0, "smith normal form"), (1, "smith normal form"), (2, "transform inverse"),
     (3, "smith normal form"), (4, "transform inverse")])
 def test_smith_form_rejects_a_corrupted_factor(monkeypatch, which, reason):
-    corrupt_smith(monkeypatch, which)
+    # which indexes (D, U, Uinv, V, Vinv): Uinv is U.inverse_unimodular(),
+    # made to fail; every other factor is corrupted as _smith_eliminate
+    # returns it
+    if which == 2:
+        def not_unimodular(M):
+            raise NotUnimodular("bent")
+        monkeypatch.setattr(PolyMat, "inverse_unimodular", not_unimodular)
+    else:
+        corrupt_smith(monkeypatch, (0, 1, None, 2, 3)[which])
     with pytest.raises(ArithmeticError, match=reason + " verification failed"):
         smith_normal_form(PolyMat(2, 2, [X, P(1), P(0), X]))
 
@@ -317,8 +339,9 @@ def leibniz_det(M):
 
 def determinant_inputs():
     """Seeded n = 0..4 matrices with fractional coefficients, with a zero
-    row, with a row combining two others (singular), and diagonals whose
-    determinant vanishes at 0, 1, ..., so the constant is read past them."""
+    row, with a row combining two others (singular), products through
+    fewer than n - 1 columns (rank deficient by two or more), and
+    diagonals whose determinant vanishes at 0, 1, ...."""
     rng = StableRng(59)
 
     def rand_poly():
@@ -335,6 +358,11 @@ def determinant_inputs():
             f, g = rand_poly(), rand_poly()
             rows[-1] = [f * a + g * b for a, b in zip(rows[0], rows[1])]
         yield PolyMat.from_rows(rows)
+        if n >= 3:
+            r = rng.randint(0, n - 2)
+            yield (PolyMat.from_rows([[rand_poly() for _ in range(r)] for _ in range(n)])
+                   @ PolyMat.from_rows([[rand_poly() for _ in range(n)] for _ in range(r)])
+                   if r else PolyMat.zeros(n, n))
     for n in range(1, 5):
         yield PolyMat.diagonal([(X - P(i)) * Fraction(i + 2, 3) for i in range(n)])
         yield PolyMat.diagonal([X - P(i) for i in range(n)]) @ PolyMat.from_rows(
