@@ -1,6 +1,8 @@
 """Exact arithmetic layer: polynomial/matrix laws and the normal forms."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -631,3 +633,96 @@ def test_lift_vector_recovers_rationals_within_the_bounds():
     mod_p, mod_q = [-40000 * pow(3, -1, p) % p, 1], [-40000 * pow(3, -1, q) % q, 1]
     assert _lift_vector(mod_p, p) != [40000, -3]
     assert _lift_vector(_crt([mod_p], p, [mod_q], q)[0], p * q) == [40000, -3]
+
+
+# ---------------------------------------------------------------------------
+# PolyMat's stored form: every operation pinned, one form per matrix
+# ---------------------------------------------------------------------------
+
+def seeded_polymats():
+    """Seeded PolyMats with rational coefficients and entry degrees 0-4,
+    after the zero and empty shapes."""
+    rng = StableRng(23)
+
+    def entry(deg):
+        if rng.randint(0, 3) == 0:
+            return Poly.zero()
+        return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(rng.randint(1, deg + 1))])
+    mats = [PolyMat(0, 0, []), PolyMat(0, 3, []), PolyMat(2, 0, []), PolyMat.zeros(2, 3),
+            PolyMat.identity(3)]
+    for deg in range(5):
+        for r, c in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+            mats.append(PolyMat(r, c, [entry(deg) for _ in range(r * c)]))
+    return mats
+
+
+def polymat_digest():
+    """sha256 of repr and JSON of every PolyMat operation on the seeded
+    matrices, in order."""
+    from diffmod.diffring import DiffRing
+    from diffmod.modules import DiffModule, scramble
+    from diffmod.serialize import polymat_to_json
+
+    h = hashlib.sha256()
+
+    def put(value):
+        if isinstance(value, PolyMat):
+            h.update(repr(value).encode())
+            h.update(json.dumps(polymat_to_json(value)).encode())
+        else:
+            h.update(repr(value).encode())
+    mats = seeded_polymats()
+    rng = StableRng(29)
+    for M, N in zip(mats, mats[1:] + mats[:1]):
+        r, c = M.rows, M.cols
+        put(M)
+        put(M.derivative())
+        put(M.scale(Fraction(-3, 2)))
+        put(M.scale(0))
+        put(M + M)
+        put(M - M)
+        put(M - M.scale(Fraction(1, 3)))
+        put(M.submatrix(r // 2, r, c // 2, c))
+        put(PolyMat.block_diag(M, N))
+        put(PolyMat.hstack(M, M))
+        put(PolyMat.vstack(M, M))
+        put(M @ M.transpose())
+        put(M.transpose() @ M)
+        put(M.is_zero())
+        if N.rows == c:
+            put(M @ N)
+        if r == c:
+            put(M.determinant())
+            U, _ = elementary_product(rng, r, 2 * r)
+            put(U @ M)
+            put(U.inverse_unimodular())
+            if r:
+                Q, cert = scramble(DiffModule(DiffRing.POLY_DX, r, M), seed=r + len(M.entries))
+                put(Q.matrix)
+                put(cert.forward)
+                put(cert.backward)
+    return h.hexdigest()
+
+
+def test_polymat_operations_match_the_golden_digest():
+    # recorded with Fraction-coefficient entries; the stored form may change,
+    # these outputs may not
+    assert polymat_digest() == \
+        "de80ac9177137d9904f91664fc381923e72e7632a12d65eeb10cecbfcb204e24"
+
+
+def test_one_matrix_from_polys_and_from_an_integer_result():
+    import copy
+    import pickle
+    for M in seeded_polymats():
+        again = PolyMat(M.rows, M.cols, [Poly(e.coeffs) for e in M.entries])
+        made = [again, M @ PolyMat.identity(M.cols), PolyMat.identity(M.rows) @ M,
+                M + PolyMat.zeros(M.rows, M.cols), M.scale(1), (M - M) + M]
+        made += [copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M))]
+        made += [copy.copy(made[1]), pickle.loads(pickle.dumps(made[1]))]
+        for other in made:
+            assert other == M and M == other
+            assert hash(other) == hash(M)
+            assert other.entries == M.entries and repr(other) == repr(M)
+        assert len(set(made + [M])) == 1
