@@ -12,6 +12,7 @@ the certificates compose.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple, Optional
 
 from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, _int_gauss_jordan, _int_row,
@@ -150,8 +151,8 @@ def _decompose(P: DiffModule, deg_cap: Optional[int], pivot_seed: Optional[int] 
             break
         K = _pivots(pairing, J, cols)
         block = RatMat.from_rows([[pairing.entry(j, k) for k in K] for j in J])
-        w = block.inverse().to_polymat() @ PolyMat.from_rows([ws[j].row(0) for j in J])
-        v = PolyMat.from_rows([[vs[k].entry(i, 0) for k in K] for i in range(cur.rank)])
+        w = block.inverse().to_polymat() @ reduce(PolyMat.vstack, [ws[j] for j in J])
+        v = reduce(PolyMat.hstack, [vs[k] for k in K])
         cur, M, Minv = split_trivial_summand(cur, w, v)
         # embed the new change of basis alongside the summands already split
         backward = backward @ PolyMat.block_diag(M, PolyMat.identity(s))

@@ -9,6 +9,7 @@ between the objects defined here.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from operator import add, mul, sub
@@ -253,55 +254,73 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class _Matrix:
-    """Immutable row-major matrix over the ring a subclass fixes: each entry
-    passes through its _coerce, and _ZERO and _ONE fill the constructors.
+    """Immutable row-major matrix over the ring a subclass fixes.  The shared
+    operations read a matrix as a sequence of cells (_cells) and build one
+    from cells (_build); _ZERO and _ONE are the cells of 0 and 1.
     Zero-row or zero-column shapes are legal and arise for rank-0 modules.
     Matrices of different classes never compare equal or add."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols")
 
     def __init__(self, rows: int, cols: int, entries):
         es = tuple(map(self._coerce, entries))
+        self._shape(rows, cols, len(es))
+        self.entries = es
+
+    def _shape(self, rows: int, cols: int, count: int):
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative shape {rows}x{cols}")
-        if len(es) != rows * cols:
-            raise ShapeMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(es)}")
+        if count != rows * cols:
+            raise ShapeMismatch(f"{rows}x{cols} matrix needs {rows * cols} entries, got {count}")
         self.rows = rows
         self.cols = cols
-        self.entries = es
+
+    def _cells(self):
+        return self.entries
+
+    _key = _cells
+
+    @classmethod
+    def _build(cls, rows, cols, cells):
+        return cls(rows, cols, cells)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows):
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ShapeMismatch("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise ShapeMismatch("ragged rows")
+        return cls(len(rows), c, [e for row in rows for e in row])
 
     @classmethod
     def zeros(cls, r: int, c: int):
-        return cls(r, c, [cls._ZERO] * (r * c))
+        return cls._build(r, c, [cls._ZERO] * (r * c))
 
     @classmethod
     def identity(cls, n: int):
         one, zero = cls._ONE, cls._ZERO
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        return cls._build(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
     @classmethod
     def block_diag(cls, a, b):
-        r, c = a.rows + b.rows, a.cols + b.cols
-        out = [cls._ZERO] * (r * c)
+        return cls.vstack(cls.hstack(a, cls.zeros(a.rows, b.cols)),
+                          cls.hstack(cls.zeros(b.rows, a.cols), b))
+
+    @classmethod
+    def hstack(cls, a, b):
+        if a.rows != b.rows:
+            raise ShapeMismatch("hstack needs equal row counts")
+        ca, cb, out = a._cells(), b._cells(), []
         for i in range(a.rows):
-            out[i * c:i * c + a.cols] = a.row(i)
-        for i in range(b.rows):
-            start = (a.rows + i) * c + a.cols
-            out[start:start + b.cols] = b.row(i)
-        return cls(r, c, out)
+            out += [*ca[i * a.cols:(i + 1) * a.cols], *cb[i * b.cols:(i + 1) * b.cols]]
+        return cls._build(a.rows, a.cols + b.cols, out)
+
+    @classmethod
+    def vstack(cls, a, b):
+        if a.cols != b.cols:
+            raise ShapeMismatch("vstack needs equal column counts")
+        return cls._build(a.rows + b.rows, a.cols, [*a._cells(), *b._cells()])
 
     # -- access -------------------------------------------------------------
 
@@ -315,8 +334,14 @@ class _Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int):
-        ents = [self.entry(i, j) for i in range(r0, r1) for j in range(c0, c1)]
-        return type(self)(r1 - r0, c1 - c0, ents)
+        cells, c = self._cells(), self.cols
+        return self._build(r1 - r0, c1 - c0, [cells[i * c + j] for i in range(r0, r1)
+                                              for j in range(c0, c1)])
+
+    def transpose(self):
+        cells, c = self._cells(), self.cols
+        return self._build(c, self.rows, [cells[i * c + j] for j in range(c)
+                                          for i in range(self.rows)])
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -328,47 +353,53 @@ class _Matrix:
             raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._same_shape(other)
-        return type(self)(self.rows, self.cols, list(map(add, self.entries, other.entries)))
+        return self._plus(other, 1) if type(other) is type(self) else NotImplemented
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
+        return self._plus(other, -1) if type(other) is type(self) else NotImplemented
+
+    def _plus(self, other, sign: int):
         self._same_shape(other)
-        return type(self)(self.rows, self.cols, list(map(sub, self.entries, other.entries)))
+        return type(self)(self.rows, self.cols,
+                          [a + sign * b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return type(self)(self.rows, self.cols, [-a for a in self.entries])
+        return self.scale(-1)
 
     def scale(self, c):
         c = self._coerce(c)
         return type(self)(self.rows, self.cols, [a * c for a in self.entries])
-
-    def transpose(self):
-        return type(self)(self.cols, self.rows,
-                          [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self._key()) == (other.rows, other.cols, other._key())
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._key()))
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.rows}x{self.cols}, {[str(e) for e in self.entries]})"
+        return (f"{type(self).__name__}({self.rows}x{self.cols}, "
+                f"{[str(e) for i in range(self.rows) for e in self.row(i)]})")
 
 
 class PolyMat(_Matrix):
-    """Immutable row-major matrix with Poly entries."""
+    """Immutable row-major matrix over Q[x].  Its form (_form, _from_ints)
+    is one denominator den > 0 over integer coefficient tuples, one per
+    entry, with no trailing zeros and gcd(den, every coefficient) = 1, so
+    it is unique: equality, hashing and the arithmetic use it.  A matrix
+    holds either the form or Poly entries (as built, or once entries is
+    read), and each is made from the other on demand."""
 
-    __slots__ = ()
-    _ZERO, _ONE = _P_ZERO, _P_ONE
+    __slots__ = ("_den", "_ints", "_polys")
+    _ZERO, _ONE = ((), 1), ((1,), 1)  # cells: (coefficients, denominator)
+
+    def __init__(self, rows: int, cols: int, entries):
+        self._polys = tuple(map(self._coerce, entries))
+        self._shape(rows, cols, len(self._polys))
+        self._den = self._ints = None
 
     @staticmethod
     def _coerce(e) -> Poly:
@@ -378,7 +409,39 @@ class PolyMat(_Matrix):
             return Poly.constant(e)
         raise TypeError(f"bad matrix entry {e!r}")
 
-    # -- constructors -------------------------------------------------------
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, den: int, ints) -> "PolyMat":
+        """The matrix of entries cs / den, cs in ints integer sequences."""
+        out = []
+        for cs in ints:
+            while cs and not cs[-1]:
+                cs = cs[:-1]
+            out.append(tuple(cs))
+        g = math.gcd(den, *itertools.chain.from_iterable(out))
+        M = object.__new__(cls)
+        M._shape(rows, cols, len(out))
+        M._den, M._polys = den // g, None
+        M._ints = tuple(out) if g == 1 else tuple(tuple(v // g for v in cs) for cs in out)
+        return M
+
+    def _form(self):
+        """(den, coefficient tuples), cleared from held Polys if need be."""
+        if self._ints is None:
+            self._den, self._ints = _int_cleared(self._polys)
+            self._polys = None
+        return self._den, self._ints
+
+    _key = _form
+
+    def _cells(self):
+        den, ints = self._form()
+        return [(cs, den) for cs in ints]
+
+    @classmethod
+    def _build(cls, rows, cols, cells):
+        den = math.lcm(*{d for _, d in cells})
+        return cls._from_ints(rows, cols, den, [cs if d == den else [v * (den // d) for v in cs]
+                                                for cs, d in cells])
 
     @staticmethod
     def diagonal(entries) -> "PolyMat":
@@ -388,24 +451,45 @@ class PolyMat(_Matrix):
 
     # -- access -------------------------------------------------------------
 
+    def _built(self, s: slice):
+        """The entries in slice s as Polys: held, or built from the form."""
+        if self._polys is not None:
+            return self._polys[s]
+        return tuple(Poly([Fraction(v, self._den) for v in cs]) if cs else _P_ZERO
+                     for cs in self._ints[s])
+
+    @property
+    def entries(self):
+        if self._polys is None:
+            self._polys, self._ints = self._built(slice(None)), None
+        return self._polys
+
+    def entry(self, i: int, j: int) -> Poly:
+        k = i * self.cols + j
+        return self._built(slice(k, k + 1))[0]
+
+    def row(self, i: int):
+        return self._built(slice(i * self.cols, (i + 1) * self.cols))
+
+    def is_zero(self) -> bool:
+        return not any(self._form()[1])
+
     def max_degree(self) -> int:
         """Largest entry degree; 0 for a zero or empty matrix."""
-        d = 0
-        for e in self.entries:
-            if e.coeffs:
-                d = max(d, len(e.coeffs) - 1)
-        return d
+        return max([1, *map(len, self._form()[1])]) - 1
 
     def is_constant(self) -> bool:
-        return all(e.is_constant() for e in self.entries)
+        return self.max_degree() == 0
 
     def coefficient_matrix(self, d: int) -> "RatMat":
         """The RatMat of x^d coefficients."""
-        return RatMat(self.rows, self.cols, [e.coeff(d) for e in self.entries])
+        den, ints = self._form()
+        return RatMat(self.rows, self.cols, [Fraction(cs[d], den) if d < len(cs) else _R0
+                                             for cs in ints])
 
     def eval_at(self, point) -> "RatMat":
         point = _as_rat(point)
-        return RatMat(self.rows, self.cols, [e(point) for e in self.entries])
+        return RatMat(self.rows, self.cols, [e(point) for e in self._built(slice(None))])
 
     def to_ratmat(self) -> "RatMat":
         if not self.is_constant():
@@ -414,17 +498,32 @@ class PolyMat(_Matrix):
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _plus(self, other, sign: int):
+        self._same_shape(other)
+        (da, a), (db, b) = self._form(), other._form()
+        den = math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return PolyMat._from_ints(self.rows, self.cols, den, [
+            [fa * u + fb * v for u, v in itertools.zip_longest(x, y, fillvalue=0)]
+            for x, y in zip(a, b)])
+
+    def scale(self, c):
+        """Every entry times c, a Poly or a rational: the product with c I."""
+        k, dk = _int_row(self._coerce(c).coeffs)
+        n = self.cols
+        return self @ PolyMat._from_ints(n, n, dk, [k if i == j else ()
+                                                    for i in range(n) for j in range(n)])
+
     def __matmul__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
-        # integer products of the denominator-cleared factors; each entry
-        # accumulates in one coefficient list and becomes one Poly
-        (a_ints,), da = _int_cleared([self.entries])
-        (b_ints,), db = _int_cleared([other.entries])
-        den = da * db
+        # integer products of the numerators, over the product of the
+        # denominators; each entry accumulates in one coefficient list
+        da, a_ints = self._form()
+        db, b_ints = other._form()
         out = []
         for i in range(n):
             ri = a_ints[i * k:(i + 1) * k]
@@ -442,39 +541,29 @@ class PolyMat(_Matrix):
                                 if ap:
                                     for q, bq in enumerate(b):
                                         acc[p + q] += ap * bq
-                out.append(Poly([Fraction(v, den) for v in acc]) if acc else _P_ZERO)
-        return PolyMat(n, m, out)
+                out.append(acc)
+        return PolyMat._from_ints(n, m, da * db, out)
 
     def derivative(self) -> "PolyMat":
-        return PolyMat(self.rows, self.cols, [e.derivative() for e in self.entries])
-
-    # -- block operations ----------------------------------------------------
-
-    @staticmethod
-    def hstack(a: "PolyMat", b: "PolyMat") -> "PolyMat":
-        if a.rows != b.rows:
-            raise ShapeMismatch("hstack needs equal row counts")
-        rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-        return PolyMat(a.rows, a.cols + b.cols, [e for row in rows for e in row])
-
-    @staticmethod
-    def vstack(a: "PolyMat", b: "PolyMat") -> "PolyMat":
-        if a.cols != b.cols:
-            raise ShapeMismatch("vstack needs equal column counts")
-        return PolyMat(a.rows + b.rows, a.cols, list(a.entries) + list(b.entries))
+        den, ints = self._form()
+        return PolyMat._from_ints(self.rows, self.cols, den,
+                                  [list(map(mul, range(1, len(cs)), cs[1:])) for cs in ints])
 
     # -- determinant / inverse ----------------------------------------------
 
     def determinant(self) -> Poly:
         """Exact determinant, by the fraction-free Gauss-Jordan elimination
-        of the rows over Q[x] (_int_gauss_jordan).  The 0x0 determinant
-        is 1."""
+        (_int_gauss_jordan) of the numerator rows over Z[x], over den**n.
+        The 0x0 determinant is 1."""
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        _, pivots, d, sign = _int_gauss_jordan(self.to_rows(), self.cols)
-        if len(pivots) < self.rows:
+        n = self.rows
+        den, ints = self._form()
+        rows = [list(map(Poly, ints[i * n:(i + 1) * n])) for i in range(n)]
+        _, pivots, d, sign = _int_gauss_jordan(rows, n)
+        if len(pivots) < n:
             return _P_ZERO
-        return _coerce_poly(d) * sign
+        return _coerce_poly(d) * Fraction(sign, den ** n)
 
     def inverse_unimodular(self) -> "PolyMat":
         """Inverse of a matrix whose determinant is a nonzero constant.
@@ -517,7 +606,7 @@ class PolyMat(_Matrix):
 class RatMat(_Matrix):
     """Immutable row-major matrix with Fraction entries."""
 
-    __slots__ = ()
+    __slots__ = ("entries",)
     _ZERO, _ONE = _R0, _R1
     _coerce = staticmethod(_as_rat)
 
@@ -570,7 +659,8 @@ class RatMat(_Matrix):
         return RatMat(n, n, [Fraction(v, d) for row in m for v in row[n:]])
 
     def to_polymat(self) -> PolyMat:
-        return PolyMat(self.rows, self.cols, [Poly.constant(e) for e in self.entries])
+        return PolyMat._build(self.rows, self.cols,
+                              [((e.numerator,), e.denominator) for e in self.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +755,10 @@ def _modp_echelon(rows, ncols, p, w):
     """Gauss-Jordan elimination over GF(p) of packed rows, slot j at bit
     w*j for a width w >= _modp_width(ncols, p) and every slot below
     ncols * p**2: returns (reduced, pivots).
-    reduced lists the pivot rows of the reduced row echelon form, entries
-    in [0, p): row k is 1 at column pivots[k] and 0 at the other pivot
-    columns and left of its pivot.
+    reduced lists the pivot rows of the reduced row echelon form, packed
+    at width w, their slots below 2**w but not reduced mod p: row k is 1
+    mod p at column pivots[k] and 0 mod p at the other pivot columns and
+    left of its pivot.  Callers unpack the slots they read.
 
     A row update is one multiply-add of packed integers.  Rows are reduced
     only when they become pivot rows; a row takes at most ncols updates of
@@ -691,16 +782,16 @@ def _modp_echelon(rows, ncols, p, w):
             if f and i != r:
                 m[i] = row + (p - f) * pivot
         pivots.append(c)
-    return [[(x >> (w * j) & slot) % p for j in range(ncols)] for x in m[:len(pivots)]], pivots
+    return m[:len(pivots)], pivots
 
 
-def _modp_kernel(reduced, pivots, ncols, p):
-    """Basis of the right kernel of a finished _modp_echelon elimination:
-    one vector per free column fc, in ascending order, with x[fc] = 1,
-    x[pivots[k]] = -reduced[k][fc] and every other entry zero, entries in
-    [0, p).  fc is x's last nonzero entry, since reduced[k][fc] = 0 for
-    pivots[k] > fc."""
-    pivot_set = set(pivots)
+def _modp_kernel(reduced, pivots, ncols, p, w):
+    """Basis of the right kernel of a finished _modp_echelon elimination at
+    width w: one vector per free column fc, in ascending order, with
+    x[fc] = 1, x[pivots[k]] = -(slot fc of reduced[k]) and every other
+    entry zero, entries in [0, p).  fc is x's last nonzero entry, since
+    that slot is 0 mod p for pivots[k] > fc."""
+    pivot_set, slot = set(pivots), (1 << w) - 1
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
@@ -708,7 +799,7 @@ def _modp_kernel(reduced, pivots, ncols, p):
         x = [0] * ncols
         x[fc] = 1
         for k, pc in enumerate(pivots):
-            x[pc] = -reduced[k][fc] % p
+            x[pc] = -(reduced[k] >> (w * fc) & slot) % p
         basis.append(x)
     return basis
 
@@ -802,22 +893,12 @@ def rat_nullspace(M: RatMat):
 # Smith normal form over Q[x]
 # ---------------------------------------------------------------------------
 
-def _int_cleared(rows):
-    """Scale a grid of Poly entries by the lcm of all coefficient
-    denominators: returns (grid of int coefficient lists, scale)."""
-    den = math.lcm(*{cf.denominator for row in rows for p in row for cf in p.coeffs})
-    if den == 1:
-        return [[[cf.numerator for cf in p.coeffs] for p in row] for row in rows], 1
-    grid = [[[cf.numerator * (den // cf.denominator) for cf in p.coeffs]
-             for p in row] for row in rows]
-    return grid, den
-
-
-def _int_mat(M: PolyMat):
-    """M cleared of denominators: ((rows, cols, row-major int coefficient
-    lists), scale), the form _vanishes takes."""
-    (ints,), den = _int_cleared([M.entries])
-    return (M.rows, M.cols, ints), den
+def _int_cleared(polys):
+    """Poly entries cleared of denominators by the lcm of all of them:
+    (lcm, tuple of integer coefficient tuples), PolyMat's form."""
+    flat, den = _int_row([cf for p in polys for cf in p.coeffs])
+    it = iter(flat)
+    return den, tuple(tuple(itertools.islice(it, len(p.coeffs))) for p in polys)
 
 
 def _int_eval(ints, K: int):
@@ -833,9 +914,9 @@ def _int_eval(ints, K: int):
 
 def _vanishes(*residuals) -> bool:
     """Whether every R = sum of c * F_1 @ F_2 @ ... over its terms
-    (c, [F_1, F_2, ...]) is the zero matrix, for integers c and integer
-    polynomial matrices F in the form of _int_mat, decided exactly by one
-    evaluation at x = 2**K.
+    (c, [F_1, F_2, ...]) is the zero matrix, for integers c and PolyMats F,
+    each read as its integer numerator den * F (PolyMat._form), decided
+    exactly by one evaluation at x = 2**K.
 
     Every coefficient of R is at most the sum over its terms of |c| times
     the product of the factors' entry-wise l1 norms (the sum of
@@ -853,7 +934,7 @@ def _vanishes(*residuals) -> bool:
         for c, factors in terms:
             for f in factors:
                 if id(f) not in norms:
-                    norms[id(f)] = sum(sum(map(abs, cs)) for cs in f[2])
+                    norms[id(f)] = sum(sum(map(abs, cs)) for cs in f._form()[1])
                 c *= norms[id(f)]
             total += abs(c)
         bound = max(bound, total)
@@ -864,14 +945,14 @@ def _vanishes(*residuals) -> bool:
         for c, factors in terms:
             for f in factors:
                 if id(f) not in values:
-                    values[id(f)] = _int_eval(f[2], K)
-            rows, k, _ = factors[0]
+                    values[id(f)] = _int_eval(f._form()[1], K)
+            rows, k = factors[0].rows, factors[0].cols
             acc = values[id(factors[0])]
             for f in factors[1:]:
-                if f[0] != k:
-                    raise ShapeMismatch(f"{rows}x{k} @ {f[0]}x{f[1]}")
-                k, b = f[1], values[id(f)]
-                acc = [sum(map(mul, acc[i * f[0]:(i + 1) * f[0]], b[j::k]))
+                if f.rows != k:
+                    raise ShapeMismatch(f"{rows}x{k} @ {f.rows}x{f.cols}")
+                k, b = f.cols, values[id(f)]
+                acc = [sum(map(mul, acc[i * f.rows:(i + 1) * f.rows], b[j::k]))
                        for i in range(rows) for j in range(k)]
             if total is None:
                 total, shape = [c * v for v in acc], (rows, k)
@@ -886,11 +967,8 @@ def _vanishes(*residuals) -> bool:
 
 def _product_is_identity(X: PolyMat, Y: PolyMat) -> bool:
     """Whether X @ Y is the identity, by one evaluation (_vanishes)."""
-    n = X.rows
-    x, dx = _int_mat(X)
-    y, dy = _int_mat(Y)
-    eye = n, n, [[1] if i == j else [] for i in range(n) for j in range(n)]
-    return _vanishes([(1, [x, y]), (-dx * dy, [eye])])
+    dxy = X._form()[0] * Y._form()[0]
+    return _vanishes([(1, [X, Y]), (-dxy, [PolyMat.identity(X.rows)])])
 
 
 def _int_matmul(A, B):
@@ -1023,9 +1101,9 @@ def smith_normal_form_with_inverses(M: PolyMat):
     Dm = PolyMat.from_rows(a) if r else PolyMat(0, c, [])
 
     # the factorization as the integer identity d (uU)(mM)(vV) = u m v (dD),
-    # u, m, v, d the denominators cleared
-    (gu, lu), (gm, lm), (gv, lv), (gd, ld) = map(_int_mat, (Um, M, Vm, Dm))
-    if not _vanishes([(ld, [gu, gm, gv]), (-lu * lm * lv, [gd])]):
+    # u, m, v, d the denominators
+    lu, lm, lv, ld = (X._form()[0] for X in (Um, M, Vm, Dm))
+    if not _vanishes([(ld, [Um, M, Vm]), (-lu * lm * lv, [Dm])]):
         raise ArithmeticError("smith normal form verification failed")
     if not _product_is_identity(Vm, Vim):
         raise ArithmeticError("transform inverse verification failed")

@@ -18,9 +18,8 @@ from typing import NamedTuple, Optional
 
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch, _crt,
-                       _int_cleared, _int_mat, _lift_vector, _modp_echelon,
-                       _modp_kernel, _modp_width, _primes, _product_is_identity,
-                       _vanishes)
+                       _lift_vector, _modp_echelon, _modp_kernel, _modp_width,
+                       _primes, _product_is_identity, _vanishes)
 from .rng import StableRng
 
 DEFAULT_DEG_CAP = 32
@@ -42,8 +41,9 @@ class DiffModule:
             raise ShapeMismatch(
                 f"rank {rank} module needs a {rank}x{rank} matrix, "
                 f"got {matrix.rows}x{matrix.cols}")
-        for e in matrix.entries:
-            ring.validate_element(e)
+        if ring is DiffRing.CONST_ZERO and not matrix.is_constant():
+            for e in matrix.entries:  # a nonconstant entry is invalid
+                ring.validate_element(e)
         for name, value in zip(self.__slots__, (ring, rank, matrix)):
             object.__setattr__(self, name, value)
 
@@ -88,13 +88,14 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
     """Exact check of T' = T A - B T, A and B the matrices of source and
     target, by one integer substitution x = 2**K.
 
-    With s the common denominator of A and B and t that of T, the residual
-        R = s (tT)' - (tT)(sA) + (sB)(tT) = s t (T' - T A + B T)
+    With a, b and t the denominators of A, B and T (PolyMat._form), the
+    residual
+        R = a b (tT)' - b (tT)(aA) + a (bB)(tT) = a b t (T' - T A + B T)
     is an integer polynomial matrix (over const_zero the derivative term is
     absent), and T is a hom iff R = 0.  Each coefficient of R is at most
-    s |(tT)'|_1 + |tT|_1 |sA|_1 + |sB|_1 |tT|_1, |.|_1 the sum of |coefficient|
-    over all entries, since the l1 norm of a product of polynomials is at
-    most the product of their l1 norms.  K is the least with 2**K above that
+    a b |(tT)'|_1 + b |tT|_1 |aA|_1 + a |bB|_1 |tT|_1, |.|_1 the sum of
+    |coefficient| over all entries, since the l1 norm of a product of
+    polynomials is at most the product of their l1 norms.  K is the least with 2**K above that
     bound.  Let c_j be the lowest nonzero coefficient of a nonzero entry of
     R.  Then R(2**K) = c_j 2**(jK) mod 2**((j+1)K), and 0 < |c_j| < 2**K, so
     R(2**K) is nonzero.  Hence R(2**K) = 0 iff R = 0, and the check is exact
@@ -106,12 +107,13 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
         raise ShapeMismatch(
             f"hom {source.rank}->{target.rank} needs a {target.rank}x{source.rank} "
             f"matrix, got {T.rows}x{T.cols}")
-    n, m = source.rank, target.rank
-    (a, b), s = _int_cleared([source.matrix.entries, target.matrix.entries])
-    t, _ = _int_mat(T)
-    terms = [(-1, [t, (n, n, a)]), (1, [(m, m, b), t])]
+    A, B = source.matrix, target.matrix
+    a, b = A._form()[0], B._form()[0]
+    terms = [(-b, [T, A]), (a, [B, T])]
     if source.ring is DiffRing.POLY_DX:
-        terms.append((s, [(m, n, [[i * v for i, v in enumerate(cs)][1:] for cs in t[2]])]))
+        # (tT)' over its own denominator, which divides t
+        dT = T.derivative()
+        terms.append((a * b * (T._form()[0] // dT._form()[0]), [dT]))
     return _vanishes(terms)
 
 
@@ -205,7 +207,9 @@ def _sylvester_layers(A: PolyMat, B: PolyMat):
     most m + n - 1 nonzeros.
     """
     n, m = A.rows, B.rows
-    (a, b), sigma = _int_cleared([A.entries, B.entries])
+    (da, a), (db, b) = A._form(), B._form()
+    sigma = math.lcm(da, db)
+    a, b = ([[v * (sigma // d) for v in cs] for cs in ints] for d, ints in ((da, a), (db, b)))
     E = max([1, *map(len, a + b)]) - 1
     layers = []
     for e in range(E + 1):
@@ -229,8 +233,8 @@ def _sylvester_layers(A: PolyMat, B: PolyMat):
 
 
 def _modp_window(idx, vals, sigma, E, cap, p):
-    """The hom chain over GF(p) to the window at the cap: (reduced, pivots),
-    the _modp_echelon of the window map T_0 |-> (T_{cap+1}, ...,
+    """The hom chain over GF(p) to the window at the cap: ((reduced,
+    pivots), w), the _modp_echelon at width w of the window map T_0 |-> (T_{cap+1}, ...,
     T_{cap+E+1}) mod p.  p = 2**30 - c is a prime that divides
     neither sigma nor any d + 1 <= cap + E + 1; idx and vals are the
     recurrence's terms (_poly_hom_basis).
@@ -274,7 +278,7 @@ def _modp_window(idx, vals, sigma, E, cap, p):
         whole = fold(fold(sum(map(lshift, sums, shifts))) * pow(sigma * (d + 1), -1, p))
         rows = rows[mn:] + [whole >> s & row for s in shifts]
     # slots below 2**31 and w above _modp_width(mn, p): the rows as they are
-    return _modp_echelon(rows, mn, p, w)
+    return _modp_echelon(rows, mn, p, w), w
 
 
 def _modp_kernel_chain(L, reduced, pivots, w, cap, p):
@@ -285,11 +289,14 @@ def _modp_kernel_chain(L, reduced, pivots, w, cap, p):
 
     With R the reduced rows of an elimination whose kernel is ker L^j
     (first that of L itself), ker L^(j+1) = ker(R L), and row k of R L is
-    sum_i R[k][i] times packed row i of L: mn multiply-adds of packed
-    integers, every slot below mn * p**2 as _modp_echelon needs.
+    sum_i R[k][i] times packed row i of L, R[k][i] unpacked and reduced
+    mod p: mn multiply-adds of packed integers, every slot below mn * p**2
+    as _modp_echelon needs.
     """
+    slot = (1 << w) - 1
     for j in range(1, cap + 2):
-        nxt = _modp_echelon([sum(map(mul, r, L)) for r in reduced], len(L), p, w)
+        nxt = _modp_echelon([sum((r >> (w * i) & slot) % p * x for i, x in enumerate(L))
+                             for r in reduced], len(L), p, w)
         stable = len(nxt[1]) == len(pivots)
         if stable or j == cap + 1:
             return (j, stable), (reduced, pivots)
@@ -401,12 +408,12 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
                                  f"needs a prime above {cap + E + 1}")
             if sigma % p == 0:
                 continue
-            reduced, pivots = _modp_window(idx, vals, sigma, E, cap, p)
+            (reduced, pivots), w = _modp_window(idx, vals, sigma, E, cap, p)
             key, bound, stable = tuple(pivots), cap, False
         else:
             (steps, stable), (reduced, pivots) = _modp_kernel_chain(top, reduced, pivots, w, cap, p)
             key, bound = (steps, stable, tuple(pivots)), steps - 1
-        kernel = _modp_kernel(reduced, pivots, mn, p)
+        kernel = _modp_kernel(reduced, pivots, mn, p, w)
         M, residues = lifts.get(key, (1, None))
         residues = kernel if residues is None else _crt(residues, M, kernel, p)
         lifts[key] = M * p, residues
@@ -419,10 +426,9 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
             coeffs = _hom_run(idx, vals, E, sigma, t0, bound)
             if not coeffs:
                 break
-            g = math.gcd(*coeffs)
-            entries = [Poly([v // g for v in coeffs[i + m * j::mn]])
-                       for i in range(m) for j in range(n)]
-            basis.append(PolyMat(m, n, entries))
+            # over their gcd g the coefficients are primitive: den 1
+            basis.append(PolyMat._from_ints(m, n, math.gcd(*coeffs), [
+                coeffs[i + m * j::mn] for i in range(m) for j in range(n)]))
         else:
             return basis, stable
 

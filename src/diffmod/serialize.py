@@ -3,26 +3,31 @@
 Rationals are "p/q" strings (denominator omitted when 1), polynomials are
 ascending coefficient arrays, matrices are row-major nested arrays.  The
 writer is canonical, so serialize(parse(s)) == s for files this tool wrote
-and parse(serialize(x)) == x always (bit-exact round trips).
+and parse(serialize(x)) == x always (bit-exact round trips), within the
+parser's limits below.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .diffring import DiffRing
 from .exactalg import Poly, PolyMat, RatMat
 from .modules import DiffModule, IsoCertificate, make_iso_certificate
 
-_RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
 # a module file's rank, and the degree of a polynomial in any file, may not
 # exceed these: far above any real use, and checked before the entries are
 # parsed
 MAX_RANK = 64
 MAX_DEGREE = 1024
+# the digits of a rational's numerator and of its denominator in a file, each
+# (the writer prints any size; int's own str limit plays no part either way)
+MAX_DIGITS = 10_000
 # upper limits on a degree cap and a trial count, from a flag, the
 # environment or a ledger file, far above any real use: a larger value is an
 # input error, not a run that never finishes
@@ -35,13 +40,18 @@ class ParseError(Exception):
 
 
 def rat_to_str(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    # through Decimal, which converts ints of any size exactly
+    p, q = (str(Decimal(v)) for v in (r.numerator, r.denominator))
+    return p if q == "1" else f"{p}/{q}"
 
 
 def rat_from_str(s) -> Fraction:
     if not isinstance(s, str) or not _RAT_RE.match(s):
         raise ParseError(f"bad rational {s!r} (expected 'p' or 'p/q')")
-    return Fraction(s)
+    digits = max(map(len, s.lstrip("-").split("/")))
+    if digits > MAX_DIGITS:
+        raise ParseError(f"bad rational of {digits} digits (the limit is {MAX_DIGITS})")
+    return Fraction(*(int(Decimal(v)) for v in s.split("/")))
 
 
 def poly_to_json(p: Poly):
@@ -57,7 +67,7 @@ def poly_from_json(obj) -> Poly:
 
 
 def polymat_to_json(M: PolyMat):
-    return [[poly_to_json(M.entry(i, j)) for j in range(M.cols)] for i in range(M.rows)]
+    return [list(map(poly_to_json, M.row(i))) for i in range(M.rows)]
 
 
 def polymat_from_json(obj, rows=None, cols=None) -> PolyMat:

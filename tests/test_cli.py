@@ -16,9 +16,9 @@ import diffmod.monoid as monoid_mod
 import diffmod.suite as suite_mod
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import Poly, PolyMat
-from diffmod.modules import DiffModule, scramble, trivial_module
-from diffmod.serialize import (MAX_DEGREE, MAX_RANK, certificate_from_json, load_json, load_module,
-                               module_from_json, module_to_json, save_json)
+from diffmod.modules import DiffModule, hom_space, scramble, trivial_module
+from diffmod.serialize import (MAX_DEGREE, MAX_DIGITS, MAX_RANK, certificate_from_json, load_json, load_module,
+                               module_from_json, module_to_json, polymat_from_json, save_json)
 from diffmod.suite import SuiteItem
 
 
@@ -336,6 +336,32 @@ def test_rank_over_its_limit_is_rejected_before_the_matrix(capsys, files, comman
     zero = [[[] for _ in range(MAX_RANK)] for _ in range(MAX_RANK)]
     assert module_from_json({"ring": "const_zero", "rank": MAX_RANK,
                              "matrix": zero}).rank == MAX_RANK
+
+
+def test_hom_answer_with_coefficients_past_the_str_limit_is_printed(capsys, files):
+    # N = 3000 sevens: a basis coefficient of hom(P, P) has about 6000
+    # digits, more than int's default str limit of 4300
+    n = int("7" * 3000)
+    path = files["tmp"] / "big.json"
+    M = write_module(path, DiffRing.POLY_DX, 2, [P(0), P(n), P(0), P(0)])
+    code, rep = run_json(capsys, "hom", path, path)
+    assert code == 0
+    basis = rep["result"]["basis"]
+    assert max(len(c) for T in basis for row in T for e in row for c in e) > 4300
+    assert [polymat_from_json(T) for T in basis] == list(hom_space(M, M).basis)
+
+
+def test_rational_over_the_digit_limit_is_an_input_error(capsys, files):
+    path = files["tmp"] / "long.json"
+    for long in ("7" * (MAX_DIGITS + 1), "-1/" + "7" * (MAX_DIGITS + 1)):
+        save_json(path, {"ring": "poly_dx", "rank": 1, "matrix": [[[long]]]})
+        code = cli.main(["trivial", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: bad rational of {MAX_DIGITS + 1} digits "
+                                f"(the limit is {MAX_DIGITS})\n")
+    save_json(path, {"ring": "poly_dx", "rank": 1, "matrix": [[["7" * MAX_DIGITS]]]})
+    assert run(capsys, "trivial", path)[0] == 0
 
 
 def _tall(coefficient):

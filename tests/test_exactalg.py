@@ -509,7 +509,7 @@ def modp_nullspace(rows, ncols, p):
     """The kernel mod p of integer rows, by _modp_echelon and _modp_kernel."""
     w = _modp_width(ncols, p)
     packed = [sum(v % p << (w * j) for j, v in enumerate(r)) for r in rows]
-    return _modp_kernel(*_modp_echelon(packed, ncols, p, w), ncols, p)
+    return _modp_kernel(*_modp_echelon(packed, ncols, p, w), ncols, p, w)
 
 
 def test_modp_kernels_match_integer_kernels():

@@ -1,5 +1,6 @@
 """Serialization grammar: bit-exact round trips and strict rejection."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import Poly, PolyMat
 from diffmod.modules import identity_certificate, scramble, trivial_module
-from diffmod.serialize import (ParseError, canonical_dumps,
+from diffmod.serialize import (MAX_DIGITS, ParseError, canonical_dumps,
                                certificate_from_json, certificate_to_json,
                                load_module, module_from_json, module_to_json,
                                poly_from_json, poly_to_json, polymat_from_json,
@@ -36,6 +37,34 @@ def test_rational_string_forms():
 def test_rational_string_rejects_garbage(bad):
     with pytest.raises(ParseError):
         rat_from_str(bad)
+
+
+def test_rationals_of_any_size_are_written_and_read_within_the_limit():
+    # int's str limit (4300 digits by default, settable down to 640) plays
+    # no part: the writer prints any size, the parser has its own limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(640)
+    try:
+        big = Fraction(1 - 10 ** MAX_DIGITS, 2 ** 33000)  # 9934 digits below
+        s = rat_to_str(big)
+        assert s.startswith(f"-{'9' * MAX_DIGITS}/") and len(s) == MAX_DIGITS + 9936
+        assert rat_from_str(s) == big
+        huge = rat_to_str(Fraction(10 ** (MAX_DIGITS + 5)))
+        assert huge == "1" + "0" * (MAX_DIGITS + 5)
+        with pytest.raises(ParseError, match=f"bad rational of {MAX_DIGITS + 6} digits "
+                                             f"\\(the limit is {MAX_DIGITS}\\)"):
+            rat_from_str(huge)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", ["\u0661", "\u0663/\u0664", "1/\u0662", "\uff11\uff12", "-\u0967"])
+def test_rational_digits_are_ascii(digits):
+    # str.isdigit and the regex \d accept these; int() reads them as numbers
+    with pytest.raises(ParseError, match="bad rational"):
+        rat_from_str(digits)
 
 
 @given(st.lists(rationals, max_size=6))
