@@ -304,8 +304,15 @@ class _Matrix:
 
     @classmethod
     def block_diag(cls, a, b):
-        return cls.vstack(cls.hstack(a, cls.zeros(a.rows, b.cols)),
-                          cls.hstack(cls.zeros(b.rows, a.cols), b))
+        r, c = a.rows + b.rows, a.cols + b.cols
+        out = [cls._ZERO] * (r * c)
+        ca, cb = a._cells(), b._cells()
+        for i in range(a.rows):
+            out[i * c:i * c + a.cols] = ca[i * a.cols:(i + 1) * a.cols]
+        for i in range(b.rows):
+            start = (a.rows + i) * c + a.cols
+            out[start:start + b.cols] = cb[i * b.cols:(i + 1) * b.cols]
+        return cls._build(r, c, out)
 
     @classmethod
     def hstack(cls, a, b):
@@ -417,7 +424,7 @@ class PolyMat(_Matrix):
             while cs and not cs[-1]:
                 cs = cs[:-1]
             out.append(tuple(cs))
-        g = math.gcd(den, *itertools.chain.from_iterable(out))
+        g = math.gcd(den, *itertools.chain.from_iterable(out)) if den > 1 else 1
         M = object.__new__(cls)
         M._shape(rows, cols, len(out))
         M._den, M._polys = den // g, None
