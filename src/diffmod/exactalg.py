@@ -564,13 +564,11 @@ class PolyMat(_Matrix):
         The 0x0 determinant is 1."""
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        n = self.rows
-        den, ints = self._form()
-        rows = [list(map(Poly, ints[i * n:(i + 1) * n])) for i in range(n)]
-        _, pivots, d, sign = _int_gauss_jordan(rows, n)
-        if len(pivots) < n:
+        den = self._form()[0]
+        _, pivots, d, sign = _int_gauss_jordan(self.scale(den).to_rows(), self.cols)
+        if len(pivots) < self.rows:
             return _P_ZERO
-        return _coerce_poly(d) * Fraction(sign, den ** n)
+        return _coerce_poly(d) * Fraction(sign, den ** self.rows)
 
     def inverse_unimodular(self) -> "PolyMat":
         """Inverse of a matrix whose determinant is a nonzero constant.
@@ -666,8 +664,7 @@ class RatMat(_Matrix):
         return RatMat(n, n, [Fraction(v, d) for row in m for v in row[n:]])
 
     def to_polymat(self) -> PolyMat:
-        return PolyMat._build(self.rows, self.cols,
-                              [((e.numerator,), e.denominator) for e in self.entries])
+        return PolyMat(self.rows, self.cols, self.entries)
 
 
 # ---------------------------------------------------------------------------
