@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 
 _R0 = Fraction(0)
 _R1 = Fraction(1)

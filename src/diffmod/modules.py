@@ -95,11 +95,11 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
     absent), and T is a hom iff R = 0.  Each coefficient of R is at most
     a b |(tT)'|_1 + b |tT|_1 |aA|_1 + a |bB|_1 |tT|_1, |.|_1 the sum of
     |coefficient| over all entries, since the l1 norm of a product of
-    polynomials is at most the product of their l1 norms.  K is the least with 2**K above that
-    bound.  Let c_j be the lowest nonzero coefficient of a nonzero entry of
-    R.  Then R(2**K) = c_j 2**(jK) mod 2**((j+1)K), and 0 < |c_j| < 2**K, so
-    R(2**K) is nonzero.  Hence R(2**K) = 0 iff R = 0, and the check is exact
-    (exactalg._vanishes).
+    polynomials is at most the product of their l1 norms.  K is the least
+    with 2**K above that bound.  Let c_j be the lowest nonzero coefficient
+    of a nonzero entry of R.  Then R(2**K) = c_j 2**(jK) mod 2**((j+1)K),
+    and 0 < |c_j| < 2**K, so R(2**K) is nonzero.  Hence R(2**K) = 0 iff
+    R = 0, and the check is exact (exactalg._vanishes).
     """
     if source.ring != target.ring:
         raise RingMismatch(f"{source.ring.tag} vs {target.ring.tag}")
@@ -234,10 +234,10 @@ def _sylvester_layers(A: PolyMat, B: PolyMat):
 
 def _modp_window(idx, vals, sigma, E, cap, p):
     """The hom chain over GF(p) to the window at the cap: ((reduced,
-    pivots), w), the _modp_echelon at width w of the window map T_0 |-> (T_{cap+1}, ...,
-    T_{cap+E+1}) mod p.  p = 2**30 - c is a prime that divides
-    neither sigma nor any d + 1 <= cap + E + 1; idx and vals are the
-    recurrence's terms (_poly_hom_basis).
+    pivots), w), the _modp_echelon at width w of the window map
+    T_0 |-> (T_{cap+1}, ..., T_{cap+E+1}) mod p.  p = 2**30 - c is a
+    prime that divides neither sigma nor any d + 1 <= cap + E + 1; idx and
+    vals are the recurrence's terms (_poly_hom_basis).
 
     T_d = G[d] T_0, and G[d+1] = (sigma (d+1))^-1 sum_e L_e G[d-e] mod p
     (L_e integer here) is the reduction of the recurrence over Q, so the
