@@ -46,7 +46,7 @@ def test_rationals_of_any_size_are_written_and_read_within_the_limit():
     if limit:
         sys.set_int_max_str_digits(640)
     try:
-        big = Fraction(1 - 10 ** MAX_DIGITS, 2 ** 33000)  # 9934 digits below
+        big = Fraction(1 - 10 ** MAX_DIGITS, 2 ** 33000)  # a 9934-digit denominator
         s = rat_to_str(big)
         assert s.startswith(f"-{'9' * MAX_DIGITS}/") and len(s) == MAX_DIGITS + 9936
         assert rat_from_str(s) == big
