@@ -816,6 +816,88 @@ def test_cache_miss_runs_no_substitution_check(monkeypatch):
     assert hs.dimension == 2 and calls == []
 
 
+def permuted(M: DiffModule, perm) -> DiffModule:
+    """M in the basis order perm: entry (i, j) is M's entry (perm[i], perm[j])."""
+    rows = M.matrix.to_rows()
+    return DiffModule(M.ring, M.rank, PolyMat.from_rows(
+        [[rows[i][j] for j in perm] for i in perm]))
+
+
+def whole_chain_space(src: DiffModule, tgt: DiffModule, deg_cap):
+    """hom_space as one chain over the whole Sylvester operator."""
+    cap, proven = resolve_deg_cap(src, tgt, deg_cap)
+    basis, chain_proven = modules._poly_hom_basis(
+        src.matrix, tgt.matrix, 0 if src.ring is DiffRing.CONST_ZERO else cap)
+    return modules.HomSpace(src, tgt, tuple(basis), cap, proven or chain_proven)
+
+
+def direct_sum_pairs():
+    """Seeded pairs of direct sums, their blocks' indices interleaved by a
+    permutation: blocks of rank 1 to 3 and E = 0, 1, 2 (fixed ones with
+    nonzero homs between them, and random ones), each sum against itself,
+    against a sum sharing its blocks, and both ways against one block and
+    against a trivial module; trivial_module sums; const_zero sums."""
+    rng = StableRng(2525)
+    fixed = [ONE, line(X), NILPOTENT, AIRY, JORDAN_X, poly_module(jordan_rows([(2, 2)]))]
+
+    def block():
+        if rng.randint(0, 1):
+            return fixed[rng.randint(0, len(fixed) - 1)]
+        n, E = rng.randint(1, 3), rng.randint(0, 2)
+        return poly_module([[Poly([rng.randint(-2, 2) for _ in range(E + 1)])
+                             for _ in range(n)] for _ in range(n)])
+
+    def shuffled(blocks):
+        S = blocks[0]
+        for b in blocks[1:]:
+            S = direct_sum(S, b)
+        perm = list(range(S.rank))
+        for i in range(len(perm) - 1, 0, -1):
+            j = rng.randint(0, i)
+            perm[i], perm[j] = perm[j], perm[i]
+        return permuted(S, perm)
+
+    pairs = []
+    for _ in range(8):
+        blocks = [block() for _ in range(rng.randint(2, 3))]
+        S, other = shuffled(blocks), shuffled(blocks[::-1] + [block()])
+        triv = trivial_module(DiffRing.POLY_DX, rng.randint(1, 3))
+        pairs += [(S, S), (S, other), (other, S), (S, blocks[0]), (blocks[-1], S),
+                  (triv, S), (S, triv)]
+    pairs += [(trivial_module(DiffRing.POLY_DX, 3), trivial_module(DiffRing.POLY_DX, 2))]
+    for blocks in ([J2, I2], [J2, const_module([[3]]), J2], [I2, const_module([[0, 0], [5, 0]])]):
+        S = shuffled(blocks)
+        pairs += [(S, S), (S, blocks[0]), (blocks[0], S), (S, shuffled(blocks[::-1]))]
+    return pairs
+
+
+def test_direct_sum_hom_matches_the_whole_chain():
+    # Hom is additive in each argument, so a direct sum's hom space is the
+    # same basis and flag as the chain over the whole Sylvester operator
+    modules._hom_basis_cached.cache_clear()
+    try:
+        for src, tgt in direct_sum_pairs():
+            for cap in (0, 1, 3, None):
+                assert hom_space(src, tgt, cap) == whole_chain_space(src, tgt, cap), (src, tgt, cap)
+    finally:
+        modules._hom_basis_cached.cache_clear()
+
+
+def test_direct_sum_hom_at_the_prime_threshold():
+    # cap + E + 1 >= MODP needs the whole chain's error; an invertible top
+    # layer, or E = 0, is answered at any cap
+    singular = permuted(direct_sum(AIRY, line(X)), [2, 0, 1])
+    with pytest.raises(ValueError, match=re.escape(f"degree cap {MODP - 2} is too large")):
+        hom_space(singular, singular, MODP - 2)
+    src = direct_sum(line(X), line(X + X))
+    tgt = direct_sum(line(3 * X), line(-X))
+    flat = direct_sum(NILPOTENT, ONE)
+    for cap in (MODP - 3, MODP - 2, 2 ** 30):
+        assert hom_space(src, tgt, cap) == whole_chain_space(src, tgt, cap)
+        assert hom_space(src, tgt, cap).proven_complete
+        assert hom_space(flat, flat, cap) == whole_chain_space(flat, flat, cap)
+
+
 def test_invertible_top_layer_gives_proven_zero_hom():
     hs = hom_space(line(X), line(X + X), 3)
     assert hs.dimension == 0 and hs.proven_complete and hs.deg_cap == 3
@@ -1192,6 +1274,44 @@ def test_const_zero_iso_certified_without_trials():
     assert verify_hom(r.certificate.forward, src, tgt)
     assert verify_hom(r.certificate.backward, tgt, src)
     assert r.certificate.forward @ r.certificate.backward == PolyMat.identity(4)
+
+
+def iso_digest_jobs():
+    """(P, Q, trials, deg_cap) over poly_dx: equal matrices (rank 0, rank-1
+    scrambles, which only rescale), seeded scrambled ISO pairs of rank 2 and
+    3 with E = 0, 1, 2, proven zero hom spaces, a proven constants mismatch
+    beside a nonzero hom(P, Q), the x^40-gauged AIRY past the default cap,
+    nonzero hom spaces with no invertible element (with and without
+    cap-relative evidence), a rank mismatch, and trials = 0 throughout;
+    and a scrambled AIRY, whose one-dimensional hom space the first trial
+    of seed 297 misses with the coefficient 0."""
+    rng = StableRng(2424)
+    z = trivial_module(DiffRing.POLY_DX, 0)
+    pairs = [(z, z), (ONE, ONE), (NILPOTENT, NILPOTENT), (AIRY, AIRY),
+             (JORDAN3_X, JORDAN3_X), (line(X), line(X * X)), (ONE, NILPOTENT),
+             (poly_module([[0, 0], [0, 1]]), poly_module([[1, 0], [0, 1]])),
+             (AIRY, gauged(AIRY, 40)[0]),
+             (direct_sum(line(X), line(X)), direct_sum(line(X), line(X * X))),
+             (direct_sum(line(X), ONE), direct_sum(line(X), line(X * X)))]
+    for n in (1, 2, 3):
+        for E in (0, 1, 2):
+            base = poly_module([[Poly([rng.randint(-2, 2) for _ in range(E + 1)])
+                                 for _ in range(n)] for _ in range(n)])
+            pairs += [(base, scramble(base, rng.randint(0, 999))[0]) for _ in range(2)]
+    for src, tgt in pairs:
+        for trials, cap in ((32, None), (3, 4), (0, None)):
+            yield src, tgt, trials, 7, cap
+    yield AIRY, scramble(AIRY, 3)[0], 32, 297, 4
+
+
+def test_iso_search_matches_the_golden_digest():
+    # every verdict, certificate, witness, trial count and cap, pinned
+    # before iso_search tried its first certificate ahead of the refutation
+    h = hashlib.sha256()
+    for src, tgt, trials, seed, cap in iso_digest_jobs():
+        h.update(repr(iso_search(src, tgt, trials=trials, seed=seed, deg_cap=cap)).encode())
+    assert h.hexdigest() == \
+        "5f52113782f125b653e58219223d25d2c4c98da0d6a8e653f2fec182c2c23ab2"
 
 
 # ---------------------------------------------------------------------------
