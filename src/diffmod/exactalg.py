@@ -920,7 +920,8 @@ def _vanishes(*residuals) -> bool:
     """Whether every R = sum of c * F_1 @ F_2 @ ... over its terms
     (c, [F_1, F_2, ...]) is the zero matrix, for integers c and PolyMats F,
     each read as its integer numerator den * F (PolyMat._form), decided
-    exactly by one evaluation at x = 2**K.
+    exactly by one evaluation at x = 2**K.  A term (c, []) after the first,
+    in a square residual, is c times the identity: coefficients at most |c|.
 
     Every coefficient of R is at most the sum over its terms of |c| times
     the product of the factors' entry-wise l1 norms (the sum of
@@ -947,6 +948,9 @@ def _vanishes(*residuals) -> bool:
     for terms in residuals:
         total, shape = None, None
         for c, factors in terms:
+            if not factors:  # c I on the diagonal of a square total
+                total[::shape[1] + 1] = [v + c for v in total[::shape[1] + 1]]
+                continue
             for f in factors:
                 if id(f) not in values:
                     values[id(f)] = _int_eval(f._form()[1], K)
@@ -971,8 +975,7 @@ def _vanishes(*residuals) -> bool:
 
 def _product_is_identity(X: PolyMat, Y: PolyMat) -> bool:
     """Whether X @ Y is the identity, by one evaluation (_vanishes)."""
-    dxy = X._form()[0] * Y._form()[0]
-    return _vanishes([(1, [X, Y]), (-dxy, [PolyMat.identity(X.rows)])])
+    return X.rows == Y.cols and _vanishes([(1, [X, Y]), (-X._form()[0] * Y._form()[0], [])])
 
 
 def _int_matmul(A, B):
