@@ -17,7 +17,7 @@ from operator import lshift, mul
 from typing import NamedTuple, Optional
 
 from .diffring import DiffRing, RingMismatch
-from .exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch, _crt,
+from .exactalg import (MODP, NotUnimodular, Poly, PolyMat, ShapeMismatch, _crt,
                        _lift_vector, _modp_echelon, _modp_kernel, _modp_width,
                        _primes, _product_is_identity, _vanishes)
 from .rng import StableRng
@@ -433,20 +433,58 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
             return basis, stable
 
 
+def _summands(M: DiffModule):
+    """(indices, summand) per diagonal block of M, by least index: the
+    components of the graph with an edge i - j per nonzero M[i][j]."""
+    n, (den, ints) = M.rank, M.matrix._form()
+    label = list(range(n))  # the least index of each index's component
+    for k, cs in enumerate(ints):
+        a, b = label[k // n], label[k % n]
+        if cs and a != b:
+            label = [min(a, b) if c in (a, b) else c for c in label]
+    if not any(label):
+        return [(range(n), M)]
+    return [(b, DiffModule(M.ring, len(b), PolyMat._from_ints(
+        len(b), len(b), den, [ints[i * n + j] for i in b for j in b])))
+        for b in ([i for i in range(n) if label[i] == c] for c in sorted(set(label)))]
+
+
 @functools.lru_cache(maxsize=512)
 def _hom_basis_cached(P: DiffModule, Q: DiffModule, cap: int):
     """The chain's (basis, proven) pair.  Nothing is re-checked here:
     _hom_run's exact integer recurrence has already proven each element a
-    hom (E + 1 zero coefficients in a row at a degree <= cap)."""
-    basis, proven = _poly_hom_basis(P.matrix, Q.matrix, cap)
-    return tuple(basis), proven
+    hom (E + 1 zero coefficients in a row at a degree <= cap).  Past one
+    pair of summands the pairs' spaces (hom_space), placed and sorted by
+    free column (the last nonzero entry of vec T(0)), are the whole
+    chain's canonical basis.  Its top layer L_E is block diagonal: for
+    E >= 1 it proves {0} iff every pair has degree E and is proven {0};
+    for E = 0 it stops iff every pair does.  The whole chain runs at
+    cap + E + 1 >= MODP (its ValueError)."""
+    ps, qs = _summands(P), _summands(Q)
+    E = max(P.matrix.max_degree(), Q.matrix.max_degree())
+    if len(ps) * len(qs) < 2 or cap + E + 1 >= MODP:
+        basis, proven = _poly_hom_basis(P.matrix, Q.matrix, cap)
+        return tuple(basis), proven
+    m, n, parts, proven = Q.rank, P.rank, [], True
+    for pi, Pi in ps:
+        for qj, Qj in qs:
+            h = hom_space(Pi, Qj, cap)
+            proven &= h.proven_complete and E in (Pi.matrix.max_degree(), Qj.matrix.max_degree())
+            at = [i * n + j for i in qj for j in pi]  # at[k]: a block element's entry k
+            for den, ints in (T._form() for T in h.basis):
+                get = dict(zip(at, ints)).get
+                parts.append(PolyMat._from_ints(m, n, den, [get(k, ()) for k in range(m * n)]))
+    parts.sort(key=lambda T: max(k % n * m + k // n for k, cs in enumerate(T._form()[1])
+                                 if cs and cs[0]))
+    return tuple(parts), proven
 
 
 def hom_space(P: DiffModule, Q: DiffModule, deg_cap: Optional[int] = None) -> HomSpace:
     """Q-basis of differential homomorphisms P -> Q with entry degree
     bounded by the cap: solved mod p, lifted, put in canonical form and
     proven exactly by the chain's integer recurrence (_poly_hom_basis), on
-    the cache miss only.  Over const_zero homs are the constant
+    the cache miss only, and for a direct sum block by block (Hom is
+    additive; _hom_basis_cached).  Over const_zero homs are the constant
     T with T A = B T: the chain at cap 0.  Complete outright when the cap
     policy or the chain proves it.
 
@@ -525,20 +563,40 @@ class IsoResult(NamedTuple):
     deg_cap: int
 
 
+def _iso_trial(P: DiffModule, Q: DiffModule, basis, rng: StableRng):
+    """One trial of iso_search: for a random integer combination T of the
+    hom basis P -> Q, None when det T(0) = 0, else the certificate of T and
+    S = T^{-1} (inverse_unimodular), a hom Q -> P of any degree."""
+    coeffs = [rng.randint(-COEFF_HEIGHT, COEFF_HEIGHT) for _ in basis]
+    T = sum((Bl.scale(c) for c, Bl in zip(coeffs, basis) if c), PolyMat.zeros(Q.rank, P.rank))
+    # T combines verified homs P -> Q, so by Liouville's formula det(T)' =
+    # (tr A - tr B) det T.  A nonzero det T would have a derivative of lower
+    # degree unless tr A = tr B, and then det(T)' = 0: det T is 0 or a nonzero
+    # constant, so T is invertible over Q[x] iff det T(0) != 0.
+    if not T.coefficient_matrix(0).determinant():
+        return None
+    try:
+        S = T.inverse_unimodular()
+    except NotUnimodular as exc:
+        raise ArithmeticError("hom with det T(0) != 0 is not unimodular") from exc
+    return make_iso_certificate(P, Q, T, S)
+
+
 def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
                seed: int = 0, deg_cap: Optional[int] = None) -> IsoResult:
     """Isomorphism decision, complete over const_zero (similarity, decided
     by zeroder.similar) and three-valued over poly_dx.
 
-    Over poly_dx, NotIso rests on a proof: unequal ranks, a zero hom space
-    that is proven_complete, or unequal constants dimensions with the
-    smaller side's space proven complete.  Without the proof the same
-    evidence at the cap is named in the witness of an UNKNOWN, at once when
-    hom(P, Q) is zero.  Iso certificates come from sampling random integer
-    combinations T of hom(P, Q) and keeping the first with det T(0) != 0:
-    such a T is unimodular (see the comment in the loop), its inverse
-    S = T^{-1} (inverse_unimodular) is a hom Q -> P of any degree, and the
-    pair is re-verified exactly once by make_iso_certificate.
+    Over poly_dx, equal matrices get the identity.  NotIso rests on a
+    proof: unequal ranks, a zero hom space that is proven_complete, or
+    unequal constants dimensions with the smaller side's space proven
+    complete.  Without the proof the same evidence at the cap is named in
+    the witness of an UNKNOWN, at once when hom(P, Q) is zero.  Iso
+    certificates are random integer combinations T of hom(P, Q) with
+    det T(0) != 0 and their inverses (_iso_trial).  An isomorphism leaves
+    no gap to prove, so the first trial runs before the refutation, the
+    rest after it.  trials_used counts the trials of an ISO or UNKNOWN
+    answer, and is 0 for every NOT_ISO, which rests on its proof.
     Deterministic for a fixed seed.  ValueError unless trials is an int >= 0."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
@@ -547,9 +605,9 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     cap, _ = resolve_deg_cap(P, Q, deg_cap)
     if P.rank != Q.rank:
         return IsoResult("not_iso", None, f"rank {P.rank} != {Q.rank}", 0, cap)
-    if P.rank == 0:
-        empty = PolyMat(0, 0, [])
-        return IsoResult("iso", make_iso_certificate(P, Q, empty, empty), None, 0, cap)
+    if P.rank == 0 or (P.ring is DiffRing.POLY_DX and P.matrix == Q.matrix):
+        eye = PolyMat.identity(P.rank)
+        return IsoResult("iso", make_iso_certificate(P, Q, eye, eye), None, 0, cap)
     if P.ring is DiffRing.CONST_ZERO:
         from .zeroder import similar  # only const_zero pairs need zeroder
         s = similar(P.matrix.to_ratmat(), Q.matrix.to_ratmat())
@@ -559,7 +617,10 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
                                     s.certificate.inverse.to_polymat())
         return IsoResult("iso", cert, None, 0, cap)
 
-    h_pq = hom_space(P, Q, cap)
+    h_pq, rng = hom_space(P, Q, cap), StableRng(seed)
+    cert = _iso_trial(P, Q, h_pq.basis, rng) if h_pq.basis and trials else None
+    if cert:
+        return IsoResult("iso", cert, None, 1, cap)
     # (mismatch, proven) at the cap: a proven one refutes, the rest is evidence
     gaps = [(f"hom space {d} has dimension 0", h.proven_complete)
             for h, d in ((h_pq, "P->Q"), (hom_space(Q, P, cap), "Q->P")) if not h.basis]
@@ -574,33 +635,10 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     evidence = f"{gaps[0][0]} (degree cap {cap}, not proven complete)" if gaps else None
     if not h_pq.basis:
         return IsoResult("unknown", None, evidence, 0, cap)
-
-    if P.matrix == Q.matrix:
-        return IsoResult("iso", make_iso_certificate(
-            P, Q, PolyMat.identity(P.rank), PolyMat.identity(P.rank)), None, 0, cap)
-
-    rng = StableRng(seed)
-    for trial in range(trials):
-        coeffs = [rng.randint(-COEFF_HEIGHT, COEFF_HEIGHT) for _ in h_pq.basis]
-        if not any(coeffs):
-            continue
-        T = PolyMat.zeros(Q.rank, P.rank)
-        for c, Bl in zip(coeffs, h_pq.basis):
-            if c:
-                T = T + Bl.scale(c)
-        # T is a combination of verified homs P -> Q, so by Liouville's
-        # formula det(T)' = (tr A - tr B) det T.  A nonzero det T would have
-        # a derivative of lower degree than (tr A - tr B) det T unless
-        # tr A = tr B, and then det(T)' = 0: det T is 0 or a nonzero
-        # constant, so T is invertible over Q[x] iff det T(0) != 0.
-        if not T.coefficient_matrix(0).determinant():
-            continue
-        try:
-            S = T.inverse_unimodular()
-        except NotUnimodular as exc:
-            raise ArithmeticError("hom with det T(0) != 0 is not unimodular") from exc
-        cert = make_iso_certificate(P, Q, T, S)
-        return IsoResult("iso", cert, None, trial + 1, cap)
+    for trial in range(2, trials + 1):
+        cert = _iso_trial(P, Q, h_pq.basis, rng)
+        if cert:
+            return IsoResult("iso", cert, None, trial, cap)
     failed = f"no invertible combination found in {trials} trials"
     return IsoResult("unknown", None, f"{evidence}; {failed}" if evidence else failed,
                      trials, cap)
@@ -619,8 +657,7 @@ def scramble(P: DiffModule, seed: int, ops: Optional[int] = None):
         raise ValueError("scramble is defined over the polynomial ring")
     n = P.rank
     if n == 0:
-        empty = PolyMat(0, 0, [])
-        return P, make_iso_certificate(P, P, empty, empty)
+        return P, identity_certificate(P)
     rng = StableRng(seed)
     U = PolyMat.identity(n).to_rows()
     count = ops if ops is not None else n + 2

@@ -1084,8 +1084,9 @@ def test_zero_hom_witness_uses_the_zero_direction(monkeypatch):
     src, tgt = line(X), line(X + P(1))
 
     def fake_hom_space(a, b, cap):
-        if a is src:  # P->Q: nonzero and only cap-relative
-            return modules.HomSpace(a, b, (PolyMat(1, 1, [P(1)]),), cap, False)
+        if a is src:  # P->Q: nonzero and only cap-relative; T(0) = 0, so
+            # no trial gets as far as a certificate
+            return modules.HomSpace(a, b, (PolyMat(1, 1, [X]),), cap, False)
         return modules.HomSpace(a, b, (), cap, True)
     monkeypatch.setattr(modules, "hom_space", fake_hom_space)
     r = iso_search(src, tgt, deg_cap=6)
@@ -1274,6 +1275,81 @@ def test_const_zero_iso_certified_without_trials():
     assert verify_hom(r.certificate.forward, src, tgt)
     assert verify_hom(r.certificate.backward, tgt, src)
     assert r.certificate.forward @ r.certificate.backward == PolyMat.identity(4)
+
+
+def counted_hom_space(mp):
+    """Record the arguments of every hom_space call, from modules or cores."""
+    from diffmod import cores
+    calls, real = [], modules.hom_space
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for mod in (modules, cores):
+        mp.setattr(mod, "hom_space", counted)
+    return calls
+
+
+def test_iso_search_on_equal_matrices_computes_no_hom_space(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hom_space called")
+    monkeypatch.setattr(modules, "hom_space", refuse)
+    twin = scramble(line(X), seed=3)[0]  # a rescaled line: the same matrix
+    assert twin is not line(X) and twin.matrix == line(X).matrix
+    for src, tgt in [(trivial_module(DiffRing.POLY_DX, 0),) * 2, (line(X), twin),
+                     (NILPOTENT, NILPOTENT), (AIRY, AIRY), (JORDAN3_X, JORDAN3_X)]:
+        for trials in (0, 32):
+            r = iso_search(src, tgt, trials=trials)
+            assert r.kind == "iso" and r.trials_used == 0
+            assert r.certificate.forward == r.certificate.backward == PolyMat.identity(src.rank)
+
+
+def test_iso_found_by_the_first_trial_computes_one_hom_space(monkeypatch):
+    # a first trial that succeeds needs neither hom(Q, P) nor the constants;
+    # one that fails (seed 297 draws the coefficient 0) computes all three
+    base = mod2(X, P(1), P(0), X * X)
+    twisted, _ = scramble(base, seed=5)
+    airy = scramble(AIRY, 3)[0]
+    with monkeypatch.context() as mp:
+        calls = counted_hom_space(mp)
+        r = iso_search(base, twisted, seed=9)
+    assert r.kind == "iso" and r.trials_used == 1 and calls == [(base, twisted, 32)]
+    calls = counted_hom_space(monkeypatch)
+    r = iso_search(AIRY, airy, seed=297, deg_cap=4)
+    assert r.kind == "iso" and r.trials_used == 2
+    assert calls == [(AIRY, airy, 4), (airy, AIRY, 4), (ONE, AIRY, 4), (ONE, airy, 4)]
+
+
+def test_every_hom_space_call_is_one_cache_lookup(monkeypatch):
+    # block lookups of a direct sum go through hom_space, so each call is
+    # one hit or one miss: the bench's traced self-check
+    from diffmod.cores import cancel_free, core
+    from diffmod.suite import random_planned_module
+    rng = StableRng(2626)
+    planned = random_planned_module(rng, 2, 2)
+    twisted, cert = scramble(planned.module, seed=8)
+    pad = trivial_module(DiffRing.POLY_DX, 1)
+    padded = make_iso_certificate(
+        direct_sum(planned.module, pad), direct_sum(twisted, pad),
+        PolyMat.block_diag(cert.forward, PolyMat.identity(1)),
+        PolyMat.block_diag(cert.backward, PolyMat.identity(1)))
+    S = permuted(direct_sum(direct_sum(AIRY, JORDAN_X), AIRY), [4, 0, 2, 1, 5, 3])
+    calls = counted_hom_space(monkeypatch)
+    modules._hom_basis_cached.cache_clear()
+    try:
+        # modules.hom_space: the name this file imported is not counted
+        for run in (lambda: core(planned.module), lambda: core(S),
+                    lambda: cancel_free(planned.module, twisted, 1, padded),
+                    lambda: iso_search(planned.module, twisted),
+                    lambda: iso_search(S, permuted(S, [5, 4, 3, 2, 1, 0])),
+                    lambda: modules.hom_space(S, S),
+                    lambda: modules.hom_space(S, JORDAN_X, 5)):
+            before = len(calls)
+            run()
+            info = modules._hom_basis_cached.cache_info()
+            assert len(calls) > before and len(calls) == info.hits + info.misses
+    finally:
+        modules._hom_basis_cached.cache_clear()
 
 
 def iso_digest_jobs():
