@@ -454,12 +454,11 @@ def _hom_basis_cached(P: DiffModule, Q: DiffModule, cap: int):
     """The chain's (basis, proven) pair.  Nothing is re-checked here:
     _hom_run's exact integer recurrence has already proven each element a
     hom (E + 1 zero coefficients in a row at a degree <= cap).  Past one
-    pair of summands the pairs' spaces (hom_space), placed and sorted by
-    free column (the last nonzero entry of vec T(0)), are the whole
-    chain's canonical basis.  Its top layer L_E is block diagonal: for
-    E >= 1 it proves {0} iff every pair has degree E and is proven {0};
-    for E = 0 it stops iff every pair does.  The whole chain runs at
-    cap + E + 1 >= MODP (its ValueError)."""
+    pair of summands it joins the pairs' spaces (hom_space), sorted by free
+    column (the last nonzero entry of vec T(0)): the canonical basis.  The
+    block diagonal top layer L_E proves {0} for E >= 1 iff every pair has
+    degree E and is proven {0}; for E = 0 it stops iff every pair does.
+    The whole chain runs at cap + E + 1 >= MODP (its ValueError)."""
     ps, qs = _summands(P), _summands(Q)
     E = max(P.matrix.max_degree(), Q.matrix.max_degree())
     if len(ps) * len(qs) < 2 or cap + E + 1 >= MODP:
@@ -657,7 +656,8 @@ def scramble(P: DiffModule, seed: int, ops: Optional[int] = None):
         raise ValueError("scramble is defined over the polynomial ring")
     n = P.rank
     if n == 0:
-        return P, identity_certificate(P)
+        empty = PolyMat(0, 0, [])
+        return P, make_iso_certificate(P, P, empty, empty)
     rng = StableRng(seed)
     U = PolyMat.identity(n).to_rows()
     count = ops if ops is not None else n + 2
