@@ -438,10 +438,10 @@ def _summands(M: DiffModule):
     components of the graph with an edge i - j per nonzero M[i][j]."""
     n, (den, ints) = M.rank, M.matrix._form()
     label = list(range(n))  # the least index of each index's component
-    for k, cs in enumerate(ints):
-        a, b = label[k // n], label[k % n]
-        if cs and a != b:
-            label = [min(a, b) if c in (a, b) else c for c in label]
+    for i in range(n):
+        group = {label[i]} | {label[j] for j in range(n) if ints[i * n + j]}
+        if len(group) > 1:
+            label = [min(group) if c in group else c for c in label]
     if not any(label):
         return [(range(n), M)]
     return [(b, DiffModule(M.ring, len(b), PolyMat._from_ints(
