@@ -437,6 +437,8 @@ def _summands(M: DiffModule):
     """(indices, summand) per diagonal block of M, by least index: the
     components of the graph with an edge i - j per nonzero M[i][j]."""
     n, (den, ints) = M.rank, M.matrix._form()
+    if all(ints):  # no zero entry: one block
+        return [(range(n), M)]
     label = list(range(n))  # the least index of each index's component
     for i in range(n):
         group = {label[i]} | {label[j] for j in range(n) if ints[i * n + j]}
@@ -481,11 +483,10 @@ def _hom_basis_cached(P: DiffModule, Q: DiffModule, cap: int):
 def hom_space(P: DiffModule, Q: DiffModule, deg_cap: Optional[int] = None) -> HomSpace:
     """Q-basis of differential homomorphisms P -> Q with entry degree
     bounded by the cap: solved mod p, lifted, put in canonical form and
-    proven exactly by the chain's integer recurrence (_poly_hom_basis), on
-    the cache miss only, and for a direct sum block by block (Hom is
-    additive; _hom_basis_cached).  Over const_zero homs are the constant
-    T with T A = B T: the chain at cap 0.  Complete outright when the cap
-    policy or the chain proves it.
+    proven exactly by the chain's integer recurrence (_poly_hom_basis) on a
+    cache miss, block by block for a direct sum (_hom_basis_cached).  Over
+    const_zero homs are the constant T with T A = B T: the chain at cap 0.
+    Complete outright when the cap policy or the chain proves it.
 
     Raises ValueError for a negative cap, and, when the top layer L_E is
     singular mod 2**30 - 35 (E >= 1 the largest degree in P's and Q's
@@ -563,9 +564,8 @@ class IsoResult(NamedTuple):
 
 
 def _iso_trial(P: DiffModule, Q: DiffModule, basis, rng: StableRng):
-    """One trial of iso_search: for a random integer combination T of the
-    hom basis P -> Q, None when det T(0) = 0, else the certificate of T and
-    S = T^{-1} (inverse_unimodular), a hom Q -> P of any degree."""
+    """One trial of iso_search: a random integer combination T of the hom
+    basis P -> Q and its inverse, a hom of any degree, certified; or None."""
     coeffs = [rng.randint(-COEFF_HEIGHT, COEFF_HEIGHT) for _ in basis]
     T = sum((Bl.scale(c) for c, Bl in zip(coeffs, basis) if c), PolyMat.zeros(Q.rank, P.rank))
     # T combines verified homs P -> Q, so by Liouville's formula det(T)' =
@@ -595,8 +595,8 @@ def iso_search(P: DiffModule, Q: DiffModule, trials: int = DEFAULT_TRIALS,
     det T(0) != 0 and their inverses (_iso_trial).  An isomorphism leaves
     no gap to prove, so the first trial runs before the refutation, the
     rest after it.  trials_used counts the trials of an ISO or UNKNOWN
-    answer, and is 0 for every NOT_ISO, which rests on its proof.
-    Deterministic for a fixed seed.  ValueError unless trials is an int >= 0."""
+    answer, 0 for a NOT_ISO (a proof).  Deterministic for a fixed seed.
+    ValueError unless trials is an int >= 0."""
     if P.ring != Q.ring:
         raise RingMismatch(f"{P.ring.tag} vs {Q.ring.tag}")
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
