@@ -437,7 +437,7 @@ def _summands(M: DiffModule):
     """(indices, summand) per diagonal block of M, by least index: the
     components of the graph with an edge i - j per nonzero M[i][j]."""
     n, (den, ints) = M.rank, M.matrix._form()
-    if all(ints):  # no zero entry: one block
+    if all(ints[j] or ints[j * n] for j in range(1, n)):  # 0 meets every index
         return [(range(n), M)]
     label = list(range(n))  # the least index of each index's component
     for i in range(n):
