@@ -133,6 +133,45 @@ def test_split_two_rows_checks_its_inputs():
         split_trivial_summand(M, w, PolyMat.hstack(vs[1], vs[0]))
 
 
+def split_input_cases():
+    """(module, w, v, the exception split_trivial_summand raises)."""
+    M, w, v = two_row_split()
+    x_first = PolyMat.diagonal([X, P(1)])
+    e1 = PolyMat(2, 1, [P(1), P(0)])
+    return [
+        (DIAG01, PolyMat(1, 2, [P(1), X]), e1, NotAHom),
+        (DIAG01, PolyMat(1, 2, [P(1), P(0)]), PolyMat(2, 1, [P(1), X]), NotAConstant),
+        (line(X), PolyMat(1, 1, [P(1)]), PolyMat(1, 1, [P(1)]), NotAHom),
+        (line(X), PolyMat(1, 1, [P(0)]), PolyMat(1, 1, [P(0)]), PairingNotUnit),
+        (DIAG01, PolyMat(1, 2, [X, P(0)]), e1, NotAHom),
+        (DIAG01, PolyMat(1, 2, [P(1), P(0)]), PolyMat(2, 1, [P(0), P(0)]), PairingNotUnit),
+        (DIAG01, PolyMat(1, 2, [P(2), P(0)]), e1, PairingNotUnit),
+        (DIAG01, PolyMat(1, 3, [P(1), P(0), P(0)]), e1, NotAHom),
+        (DIAG01, PolyMat(1, 2, [P(1), P(0)]), PolyMat(3, 1, [P(1), P(0), P(0)]),
+         NotAConstant),
+        (DIAG01, PolyMat(1, 2, [X, P(0)]), PolyMat(3, 1, [P(1), P(0), P(0)]), NotAHom),
+        (DIAG01, PolyMat(1, 2, [P(1), P(0)]), PolyMat(2, 2, [P(1)] * 4), NotAConstant),
+        (DIAG01, PolyMat(2, 2, [P(1), P(0), P(0), P(0)]), PolyMat.identity(2), NotAConstant),
+        (trivial_module(DiffRing.POLY_DX, 2), PolyMat.identity(2), PolyMat.diagonal([P(1), X]),
+         NotAConstant),
+        (trivial_module(DiffRing.POLY_DX, 2), PolyMat.diagonal([P(1), X]), PolyMat.identity(2),
+         NotAHom),
+        (trivial_module(DiffRing.POLY_DX, 2), PolyMat.identity(2), PolyMat.diagonal([P(1), P(2)]),
+         PairingNotUnit),
+        (M, x_first @ w, v, NotAHom),
+        (M, w, v @ x_first, NotAConstant),
+        (M, w, v.submatrix(0, 3, 0, 1), NotAConstant),
+        (M, w.submatrix(0, 1, 0, 3), v, NotAConstant),
+        (M, x_first @ w, v @ x_first, NotAHom),
+    ]
+
+
+def test_split_raises_the_first_failing_input_check():
+    for module, w, v, error in split_input_cases():
+        with pytest.raises(error):
+            split_trivial_summand(module, w, v)
+
+
 # ---------------------------------------------------------------------------
 # core
 # ---------------------------------------------------------------------------
@@ -259,6 +298,30 @@ def test_core_matches_the_golden_digest():
     assert core_digests(core_digest_jobs()) == (
         "c675a89ebf8e83911c63a4164937caa7fbb155d8095b4081ee6ed31b9a85c903",
         "4a20b8c553bde76972629fcc28030873be47cbacf99d5635b22c86e1b734b3bd")
+
+
+def trivial_core_jobs():
+    """Scrambled (R^n, 0) for n = 1..5 and seeded planned modules with core
+    rank 0 and multiplicity 2..4: every split takes the whole module."""
+    for n in range(1, 6):
+        for seed in (0, 5, 11):
+            yield scramble(trivial_module(DiffRing.POLY_DX, n), seed=seed)[0]
+    rng = StableRng(0x7C0E)
+    for mult in (2, 3, 4, 2, 3, 4, 2, 3):
+        yield random_planned_module(rng, 0, mult).module
+
+
+def test_core_of_trivial_modules_matches_the_golden_digest():
+    exact = hashlib.sha256()
+    for M in trivial_core_jobs():
+        for pivot_seed in (None, 3):
+            d = core(M, pivot_seed=pivot_seed)
+            assert d.core.rank == 0
+            c = d.certificate
+            exact.update(repr((d.multiplicity, _mat_repr(d.core.matrix),
+                               _mat_repr(c.forward), _mat_repr(c.backward))).encode())
+    assert exact.hexdigest() == \
+        "bab8db70aee15453255991ce5b28d0c45ab9f38e2acab080cad59e96943644f8"
 
 
 def test_core_additive_over_direct_sum():
