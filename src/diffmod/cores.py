@@ -71,32 +71,46 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
     P' = (R^{n-s}, A').  One Smith elimination w V = U^{-1} [I | 0] (raising
     NotUnimodular unless D = [I | 0]) gives the kernel basis K = V[:, s:] of w
     and its completion C = V^{-1}[s:, :], so M^{-1} = [C - (C v) w; w] is
-    built, not computed.  The elimination is not re-checked: one exact
-    M^{-1} M = I and the block-diagonal check make M an isomorphism."""
+    built, not computed.  Only the shapes and w v = I are checked first: one
+    exact M^{-1} M = I and the block-diagonal check make M an isomorphism,
+    and since w M = [0 | I] is constant, the zero last s columns of B say
+    v' + A v = 0 and its zero last s rows say w' = w A.  For s = n there is
+    no kernel: w = v^{-1}, v' + A v = 0 gives w' = -w v' w = w A, and
+    ((R^0, 0), v, w) is the split, with no elimination.  On any failure the
+    input checks run in order, and the first that fails is raised."""
     n, s = P.rank, w.rows
-    if w.cols != n or not verify_hom(w, P, trivial_module(P.ring, s)):
-        raise NotAHom("w is not a differential homomorphism onto a trivial module")
-    if v.rows != n or v.cols != s or not P.derive(v).is_zero():
-        raise NotAConstant("v is not a matrix of constants of P")
-    pairing = w @ v
-    if pairing != PolyMat.identity(s):
-        raise PairingNotUnit(f"w v = {pairing}, expected the identity")
-    D, _, V, Vinv = _smith_eliminate(w)
-    for i in range(s):
-        if D[i][i] != Poly.one():
-            raise NotUnimodular(f"invariant factor {D[i][i]} is not a nonzero constant")
-    ker = PolyMat(n, n - s, [e for row in V for e in row[s:]])
-    comp = PolyMat(n - s, n, [e for row in Vinv[s:] for e in row])
-    M = PolyMat.hstack(ker, v)
-    Minv = PolyMat.vstack(comp - (comp @ v) @ w, w)
-    if not _product_is_identity(Minv, M):
-        raise ArithmeticError("change of basis is not invertible")
-    # structure matrix in the new basis; must come out block diagonal
-    B = Minv @ (P.ring.derive_mat(M) + P.matrix @ M)
-    r = n - s
-    if not B.submatrix(0, n, r, n).is_zero() or not B.submatrix(r, n, 0, n).is_zero():
-        raise ArithmeticError("change of basis failed to split the trivial summand")
-    return DiffModule(P.ring, r, B.submatrix(0, r, 0, r)), M, Minv
+    try:
+        if w.cols != n or v.rows != n or v.cols != s or w @ v != PolyMat.identity(s):
+            raise ArithmeticError("w and v do not split P")
+        if s == n:
+            if not P.derive(v).is_zero():
+                raise ArithmeticError("v is not a matrix of constants of P")
+            return DiffModule(P.ring, 0, PolyMat.zeros(0, 0)), v, w
+        D, _, V, Vinv = _smith_eliminate(w)
+        for i in range(s):
+            if D[i][i] != Poly.one():
+                raise NotUnimodular(f"invariant factor {D[i][i]} is not a nonzero constant")
+        ker = PolyMat(n, n - s, [e for row in V for e in row[s:]])
+        comp = PolyMat(n - s, n, [e for row in Vinv[s:] for e in row])
+        M = PolyMat.hstack(ker, v)
+        Minv = PolyMat.vstack(comp - (comp @ v) @ w, w)
+        if not _product_is_identity(Minv, M):
+            raise ArithmeticError("change of basis is not invertible")
+        # structure matrix in the new basis; must come out block diagonal
+        B = Minv @ (P.ring.derive_mat(M) + P.matrix @ M)
+        r = n - s
+        if not B.submatrix(0, n, r, n).is_zero() or not B.submatrix(r, n, 0, n).is_zero():
+            raise ArithmeticError("change of basis failed to split the trivial summand")
+        return DiffModule(P.ring, r, B.submatrix(0, r, 0, r)), M, Minv
+    except (ArithmeticError, NotUnimodular):
+        if w.cols != n or not verify_hom(w, P, trivial_module(P.ring, s)):
+            raise NotAHom("w is not a differential homomorphism onto a trivial module")
+        if v.rows != n or v.cols != s or not P.derive(v).is_zero():
+            raise NotAConstant("v is not a matrix of constants of P")
+        pairing = w @ v
+        if pairing != PolyMat.identity(s):
+            raise PairingNotUnit(f"w v = {pairing}, expected the identity")
+        raise
 
 
 def _pivots(M: RatMat, rows, cols):

@@ -615,11 +615,41 @@ def test_only_the_split_runs_a_smith_elimination(monkeypatch):
         mp.setattr(exactalg, "_smith_eliminate", no_smith)
         mp.setattr(cores, "_smith_eliminate", no_smith)
         assert answers() == expected
-    # core runs one elimination per split
-    for module in (M, two_trivial_lines_and_x(), random_planned_module(rng, 1, 2).module):
+    # core runs one elimination per split that leaves a nonzero rest, and
+    # none for a split that takes the whole module
+    modules_ = (M, two_trivial_lines_and_x(), random_planned_module(rng, 1, 2).module,
+                scramble(trivial_module(DiffRing.POLY_DX, 4), seed=5)[0],
+                random_planned_module(rng, 0, 3).module)
+    for module, whole in zip(modules_, (False, False, False, True, True)):
+        rests = []
+        real = cores.split_trivial_summand
+
+        def split(*args):
+            out = real(*args)
+            rests.append(out[0].rank)
+            return out
         with monkeypatch.context() as mp:
             calls = Counter()
             count_calls(mp, calls, "_smith_eliminate", cores)
-            count_calls(mp, calls, "split_trivial_summand", cores)
+            mp.setattr(cores, "split_trivial_summand", split)
             core(module)
-        assert calls["_smith_eliminate"] == calls["split_trivial_summand"] >= 1
+        assert len(rests) >= 1 and (rests == [0]) == whole
+        assert calls["_smith_eliminate"] == sum(r > 0 for r in rests)
+
+
+def test_core_of_a_trivial_module_checks_no_hom_and_runs_no_elimination(monkeypatch):
+    # the whole-module split checks v' + A v = 0 and nothing more, and a
+    # split with a nonzero rest proves its inputs by its own output check
+    T = scramble(trivial_module(DiffRing.POLY_DX, 3), seed=3)[0]
+    expected = core(T)
+    M, w, v = two_row_split()
+    split = split_trivial_summand(M, w, v)
+
+    def refuse(*args):
+        raise AssertionError("an input re-check or elimination ran")
+    monkeypatch.setattr(cores, "verify_hom", refuse)
+    assert split_trivial_summand(M, w, v) == split
+    monkeypatch.setattr(cores, "_smith_eliminate", refuse)
+    d = core(T)
+    assert (d.multiplicity, d.core, d.certificate) == \
+        (expected.multiplicity, expected.core, expected.certificate)
