@@ -31,12 +31,18 @@ class CertificateInvalid(Exception):
     """A claimed isomorphism certificate failed exact re-verification."""
 
 
+def _check_rank(rank) -> None:
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
+
+
 class DiffModule:
     """(R^rank, matrix): the free module R^rank with derivation
     v |-> v' + matrix @ v; immutable, equal and hashed by value (a cache key)."""
     __slots__ = ("ring", "rank", "matrix")
 
     def __init__(self, ring: DiffRing, rank: int, matrix: PolyMat):
+        _check_rank(rank)
         if matrix.rows != rank or matrix.cols != rank:
             raise ShapeMismatch(
                 f"rank {rank} module needs a {rank}x{rank} matrix, "
@@ -74,7 +80,9 @@ class DiffModule:
 
 
 def trivial_module(ring: DiffRing, n: int) -> DiffModule:
-    """(R^n, 0): the trivial differential structure."""
+    """(R^n, 0): the trivial differential structure.  ValueError unless n is
+    an int (not a bool); a negative n raises ShapeMismatch."""
+    _check_rank(n)
     return DiffModule(ring, n, PolyMat.zeros(n, n))
 
 

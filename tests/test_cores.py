@@ -1,6 +1,7 @@
 """Trivial-summand extraction: pairing, splitting, cores, free cancellation."""
 
 import hashlib
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -508,6 +509,20 @@ def test_cancel_free_rejects_a_negative_pad():
     cert = make_iso_certificate(z, z, PolyMat.zeros(0, 0), PolyMat.zeros(0, 0))
     with pytest.raises(ShapeMismatch, match="negative shape"):
         cancel_free(z, z, -1, cert)
+
+
+def test_a_rank_that_is_not_an_int_raises_value_error():
+    for ring in DiffRing:
+        for rank in (True, False, 2.0, Fraction(1), "1"):
+            with pytest.raises(ValueError, match=re.escape(f"got {rank!r}")):
+                trivial_module(ring, rank)
+        for rank, n in ((True, 1), (False, 0), (2.0, 2)):
+            with pytest.raises(ValueError, match="rank must be an integer"):
+                DiffModule(ring, rank, PolyMat.zeros(n, n))
+    z = trivial_module(DiffRing.POLY_DX, 0)
+    cert = make_iso_certificate(z, z, PolyMat.zeros(0, 0), PolyMat.zeros(0, 0))
+    with pytest.raises(ValueError, match="got 1.0"):
+        cancel_free(z, z, 1.0, cert)
 
 
 # ---------------------------------------------------------------------------
