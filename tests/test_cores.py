@@ -635,14 +635,14 @@ def test_only_the_split_runs_a_smith_elimination(monkeypatch):
     modules_ = (M, two_trivial_lines_and_x(), random_planned_module(rng, 1, 2).module,
                 scramble(trivial_module(DiffRing.POLY_DX, 4), seed=5)[0],
                 random_planned_module(rng, 0, 3).module)
-    for module, whole in zip(modules_, (False, False, False, True, True)):
-        rests = []
-        real = cores.split_trivial_summand
+    real, rests = cores.split_trivial_summand, []
 
-        def split(*args):
-            out = real(*args)
-            rests.append(out[0].rank)
-            return out
+    def split(*args):
+        out = real(*args)
+        rests.append(out[0].rank)
+        return out
+    for module, whole in zip(modules_, (False, False, False, True, True)):
+        rests.clear()
         with monkeypatch.context() as mp:
             calls = Counter()
             count_calls(mp, calls, "_smith_eliminate", cores)
