@@ -968,6 +968,53 @@ def test_certificate_rejects_a_one_sided_inverse(ring):
                              forward, backward)
 
 
+def mat(rows, cols, *entries):
+    return PolyMat(rows, cols, [e if isinstance(e, Poly) else P(e) for e in entries])
+
+
+R1, R2 = trivial_module(DiffRing.POLY_DX, 1), trivial_module(DiffRing.POLY_DX, 2)
+NOT_INVERSE = (CertificateInvalid, "backward . forward is not the identity")
+ONE_SIDED = (CertificateInvalid, "forward . backward is not the identity")
+NOT_A_HOM = (CertificateInvalid, "backward map is not a differential homomorphism")
+
+# (source, target, forward, backward) -> None when accepted, else the
+# exception class and its message
+CERTIFICATE_TABLE = {
+    "valid line": ((line(X), line(X), mat(1, 1, 2), mat(1, 1, Fraction(1, 2))), None),
+    "forward not a hom": ((line(X), line(X * X), mat(1, 1, 1), mat(1, 1, 1)),
+                          (CertificateInvalid,
+                           "forward map is not a differential homomorphism")),
+    "backward not a hom (square)": ((R1, R1, mat(1, 1, 1), mat(1, 1, X)), NOT_A_HOM),
+    "wrong composite": ((line(X), line(X), mat(1, 1, 2), mat(1, 1, 1)), NOT_INVERSE),
+    "R -> R2 one-sided, backward a hom": ((R1, R2, mat(2, 1, 1, 0), mat(1, 2, 1, 0)),
+                                          ONE_SIDED),
+    "R -> R2 one-sided, backward not a hom": ((R1, R2, mat(2, 1, 1, 0), mat(1, 2, 1, X)),
+                                              NOT_A_HOM),
+    "R2 -> R, forward a hom": ((R2, R1, mat(1, 2, 1, 0), mat(2, 1, 1, 0)), NOT_INVERSE),
+    "backward with wrong rows": ((line(X), line(X), mat(1, 1, 1), mat(2, 1, 1, 0)),
+                                 (ShapeMismatch, "hom 1->1 needs a 1x1 matrix, got 2x1")),
+    "backward with wrong columns": ((line(X), line(X), mat(1, 1, 1), mat(1, 2, 1, 0)),
+                                    (ShapeMismatch, "hom 1->1 needs a 1x1 matrix, got 1x2")),
+    "forward of the wrong shape": ((R1, R2, mat(1, 2, 1, 0), mat(1, 2, 1, 0)),
+                                   (ShapeMismatch, "hom 1->2 needs a 2x1 matrix, got 1x2")),
+    "mixed rings": ((R1, trivial_module(DiffRing.CONST_ZERO, 1), mat(1, 1, 1), mat(1, 1, 1)),
+                    (RingMismatch, "poly_dx vs const_zero")),
+    "rank 0 -> 1": ((trivial_module(DiffRing.POLY_DX, 0), R1, PolyMat(1, 0, []),
+                     PolyMat(0, 1, [])), ONE_SIDED),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_TABLE))
+def test_certificate_table_pins_each_exception_and_message(name):
+    args, expected = CERTIFICATE_TABLE[name]
+    if expected is None:
+        assert make_iso_certificate(*args) == modules.IsoCertificate(*args)
+        return
+    with pytest.raises(expected[0]) as info:
+        make_iso_certificate(*args)
+    assert info.type is expected[0] and str(info.value) == expected[1]
+
+
 # ---------------------------------------------------------------------------
 # verify_hom against a plain Fraction substitution
 # ---------------------------------------------------------------------------
