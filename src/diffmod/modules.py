@@ -130,9 +130,9 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
 # ---------------------------------------------------------------------------
 
 class IsoCertificate(NamedTuple):
-    """forward: source -> target and backward: target -> source, with both
-    composites the identity.  Certificates are re-verified exactly at
-    construction time; trust nothing that was not checked."""
+    """forward: source -> target and backward: target -> source, inverse
+    differential isomorphisms; make_iso_certificate proves it exactly before
+    it builds one, and nothing here is trusted unchecked."""
     source: DiffModule
     target: DiffModule
     forward: PolyMat
@@ -141,19 +141,21 @@ class IsoCertificate(NamedTuple):
 
 def make_iso_certificate(source: DiffModule, target: DiffModule,
                          forward: PolyMat, backward: PolyMat) -> IsoCertificate:
-    """The certificate, after checking exactly that both maps are homs
-    (verify_hom) and that both composites, backward . forward and
-    forward . backward, are the identity, each by one integer substitution
-    x = 2**K (exactalg._product_is_identity).  Raises CertificateInvalid
-    when a check fails."""
+    """The certificate, once verify_hom(F) and G F = I (one substitution,
+    exactalg._product_is_identity) hold for F = forward, G = backward.  These
+    two prove it: at equal ranks G F = I makes det F a unit, so F G = I, and
+    G' = -G F' G = G B - A G makes G a hom.  At unequal ranks F G or G F has
+    rank below its size, so source rank < target rank fails at once.  A bad G
+    shape raises ShapeMismatch; every other failure, CertificateInvalid."""
     if not verify_hom(forward, source, target):
         raise CertificateInvalid("forward map is not a differential homomorphism")
-    if not verify_hom(backward, target, source):
-        raise CertificateInvalid("backward map is not a differential homomorphism")
+    if backward.rows != source.rank or backward.cols != target.rank:
+        raise ShapeMismatch(f"hom {target.rank}->{source.rank} needs a {source.rank}x"
+                            f"{target.rank} matrix, got {backward.rows}x{backward.cols}")
+    if source.rank < target.rank:
+        raise CertificateInvalid("forward . backward is not the identity")
     if not _product_is_identity(backward, forward):
         raise CertificateInvalid("backward . forward is not the identity")
-    if not _product_is_identity(forward, backward):
-        raise CertificateInvalid("forward . backward is not the identity")
     return IsoCertificate(source, target, forward, backward)
 
 

@@ -573,6 +573,90 @@ def test_cancel_free_checks_two_certificates(monkeypatch):
         assert calls["make_iso_certificate"] == 2
 
 
+def seeded_certificates():
+    """Certificates from scramble, core, iso_search and cancel_free over
+    both rings, as (source, target, forward, backward)."""
+    rng = StableRng(2606)
+    certs = []
+    for core_rank, mult in ((0, 1), (0, 3), (1, 1), (2, 1), (1, 2)):
+        module = random_planned_module(rng, core_rank, mult).module
+        twisted, cert = scramble(module, seed=rng.randint(0, 999))
+        certs += [cert, core(module).certificate, iso_search(module, twisted, seed=1).certificate]
+    p_mod, q_mod, cert = _padded_pair(31, 1, 1, 1)
+    certs += [cert, cancel_free(p_mod, q_mod, 1, cert)]
+    for n in (1, 2, 3):
+        A, B, S = random_similar_pair(rng, n)
+        src, tgt = (DiffModule(DiffRing.CONST_ZERO, n, M.to_polymat()) for M in (A, B))
+        pad = trivial_module(DiffRing.CONST_ZERO, 1)
+        padded = make_iso_certificate(
+            direct_sum(src, pad), direct_sum(tgt, pad),
+            PolyMat.block_diag(S.to_polymat(), PolyMat.identity(1)),
+            PolyMat.block_diag(S.inverse().to_polymat(), PolyMat.identity(1)))
+        certs += [iso_search(src, tgt, seed=n).certificate, core(padded.source).certificate,
+                  padded, cancel_free(src, tgt, 1, padded)]
+    assert all(certs)
+    return [tuple(c) for c in certs]
+
+
+def four_checks(source, target, forward, backward):
+    """The certificate check in full: both maps homs, both composites I."""
+    from diffmod.exactalg import _product_is_identity
+    return (verify_hom(forward, source, target) and verify_hom(backward, target, source)
+            and _product_is_identity(backward, forward)
+            and _product_is_identity(forward, backward))
+
+
+def one_sided(source, target, forward, backward):
+    """The pair padded by one trivial line on the target side, and its
+    mirror: G F = I, or F G = I, but never both."""
+    pad = trivial_module(source.ring, 1)
+    wide = direct_sum(target, pad)
+    down = PolyMat.vstack(forward, PolyMat.zeros(1, source.rank))
+    across = PolyMat.hstack(backward, PolyMat.zeros(source.rank, 1))
+    return [(source, wide, down, across), (wide, source, across, down)]
+
+
+def perturbed(source, target, forward, backward):
+    """Every entry of either map changed by +-1 or +-x."""
+    for which in (0, 1):
+        T = (forward, backward)[which]
+        for k in range(len(T.entries)):
+            for delta in (P(1), P(-1), X, -X):
+                entries = list(T.entries)
+                entries[k] = entries[k] + delta
+                bent = PolyMat(T.rows, T.cols, entries)
+                yield (source, target) + ((bent, backward) if which == 0 else (forward, bent))
+
+
+def test_certificate_check_agrees_with_the_four_checks():
+    accepted = rejected = 0
+    certs = seeded_certificates()
+    for cert in certs:
+        cases = [cert] + one_sided(*cert) + list(perturbed(*cert))
+        cases += [bent for pair in one_sided(*cert) for bent in perturbed(*pair)]
+        for case in cases:
+            expected = four_checks(*case)
+            try:
+                got = make_iso_certificate(*case) == case
+            except CertificateInvalid:
+                got = False
+            assert got == expected, case
+            accepted += expected
+            rejected += not expected
+    assert accepted == len(certs) and rejected > 1000
+
+
+def test_a_valid_certificate_costs_one_hom_check_and_one_product(monkeypatch):
+    from diffmod import exactalg, modules
+    for cert in seeded_certificates():
+        with monkeypatch.context() as mp:
+            calls = Counter()
+            count_calls(mp, calls, "verify_hom", modules, cores)
+            count_calls(mp, calls, "_product_is_identity", exactalg, modules, cores)
+            make_iso_certificate(*cert)
+        assert calls == {"verify_hom": 1, "_product_is_identity": 1}
+
+
 def two_row_split():
     """two_trivial_lines_and_x() with w and v, w v = I, for one split."""
     M = two_trivial_lines_and_x()
