@@ -15,8 +15,8 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple, Optional
 
-from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, _int_gauss_jordan, _int_row,
-                       _product_is_identity, _smith_eliminate)
+from .exactalg import (PolyMat, RatMat, _int_gauss_jordan, _int_row, _product_is_identity,
+                       _smith_eliminate)
 from .modules import (CertificateInvalid, DiffModule, IsoCertificate, constants,
                       direct_sum, hom_space, make_iso_certificate, trivial_module,
                       verify_hom)
@@ -68,16 +68,17 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
     Requires w (s x n) in hom(P, (R^s, 0)), the s columns of v in
     constants(P), and w v = I.  Returns (P', M, M^{-1}) where M = [K | v]
     conjugates the structure matrix of P into diag(A', 0), and
-    P' = (R^{n-s}, A').  One Smith elimination w V = U^{-1} [I | 0] (raising
-    NotUnimodular unless D = [I | 0]) gives the kernel basis K = V[:, s:] of w
-    and its completion C = V^{-1}[s:, :], so M^{-1} = [C - (C v) w; w] is
-    built, not computed.  Only the shapes and w v = I are checked first: one
-    exact M^{-1} M = I and the block-diagonal check make M an isomorphism,
-    and since w M = [0 | I] is constant, the zero last s columns of B say
-    v' + A v = 0 and its zero last s rows say w' = w A.  For s = n there is
-    no kernel: w = v^{-1}, v' + A v = 0 gives w' = -w v' w = w A, and
-    ((R^0, 0), v, w) is the split, with no elimination.  On any failure the
-    input checks run in order, and the first that fails is raised."""
+    P' = (R^{n-s}, A').  One Smith elimination U w V = D gives the kernel
+    basis K = V[:, s:] of w and its completion C = V^{-1}[s:, :], so
+    M^{-1} = [C - (C v) w; w] is built, not computed; D is not read, as
+    w v = I forces D = [I | 0] (Cauchy-Binet).  Only the shapes and w v = I
+    are checked first: whatever D says, one exact M^{-1} M = I and the
+    block-diagonal check make M an isomorphism, and since w M = [0 | I] is
+    constant, the zero last s columns of B say v' + A v = 0 and its zero
+    last s rows say w' = w A.  For s = n there is no kernel: w = v^{-1},
+    v' + A v = 0 gives w' = -w v' w = w A, and ((R^0, 0), v, w) is the
+    split, with no elimination.  On any failure the input checks run in
+    order, and the first that fails is raised."""
     n, s = P.rank, w.rows
     try:
         if w.cols != n or v.rows != n or v.cols != s or w @ v != PolyMat.identity(s):
@@ -86,10 +87,7 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
             if not P.derive(v).is_zero():
                 raise ArithmeticError("v is not a matrix of constants of P")
             return DiffModule(P.ring, 0, PolyMat.zeros(0, 0)), v, w
-        D, _, V, Vinv = _smith_eliminate(w)
-        for i in range(s):
-            if D[i][i] != Poly.one():
-                raise NotUnimodular(f"invariant factor {D[i][i]} is not a nonzero constant")
+        V, Vinv = _smith_eliminate(w)[2:]
         ker = PolyMat(n, n - s, [e for row in V for e in row[s:]])
         comp = PolyMat(n - s, n, [e for row in Vinv[s:] for e in row])
         M = PolyMat.hstack(ker, v)
@@ -102,7 +100,7 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
         if not B.submatrix(0, n, r, n).is_zero() or not B.submatrix(r, n, 0, n).is_zero():
             raise ArithmeticError("change of basis failed to split the trivial summand")
         return DiffModule(P.ring, r, B.submatrix(0, r, 0, r)), M, Minv
-    except (ArithmeticError, NotUnimodular):
+    except ArithmeticError:
         if w.cols != n or not verify_hom(w, P, trivial_module(P.ring, s)):
             raise NotAHom("w is not a differential homomorphism onto a trivial module")
         if v.rows != n or v.cols != s or not P.derive(v).is_zero():

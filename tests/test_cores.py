@@ -12,8 +12,7 @@ from diffmod.cores import (CertificateInvalid, NotAConstant, NotAHom, PairingNot
                            _pairing_data, cancel_free, core, is_trivial_free,
                            split_trivial_summand, trivial_pairing)
 from diffmod.diffring import DiffRing
-from diffmod.exactalg import (NotUnimodular, Poly, PolyMat, ShapeMismatch, kernel_basis,
-                              unimodular_completion)
+from diffmod.exactalg import Poly, PolyMat, ShapeMismatch, kernel_basis, unimodular_completion
 from diffmod.modules import (DiffModule, constants, direct_sum, hom_space, is_trivial,
                              iso_search, make_iso_certificate, scramble,
                              trivial_module, verify_hom)
@@ -680,16 +679,37 @@ def test_split_rejects_an_inverse_that_fails_its_product_check(monkeypatch):
         split_trivial_summand(M, w, v)
 
 
-def test_split_reads_the_invariant_factors_off_the_elimination(monkeypatch):
-    M, w, v = two_row_split()
+def bent_elimination(monkeypatch, bend):
+    """cores._smith_eliminate with bend applied to its (D, U, V, V^-1) rows."""
     real = cores._smith_eliminate
 
     def bent(m):
-        D, *transforms = real(m)
-        D[1][1] = X
-        return (D, *transforms)
+        out = real(m)
+        bend(*out)
+        return out
     monkeypatch.setattr(cores, "_smith_eliminate", bent)
-    with pytest.raises(NotUnimodular, match="invariant factor x"):
+
+
+def test_split_does_not_read_the_invariant_factors(monkeypatch):
+    # w v = I forces D = [I | 0]; a D bent anyway, with the same V and V^-1,
+    # gives the same split, proven by the same output checks
+    M, w, v = two_row_split()
+    expected = split_trivial_summand(M, w, v)
+
+    def bend_d(D, U, V, Vinv):
+        D[1][1] = X
+        D[0][0] = P(0)
+    bent_elimination(monkeypatch, bend_d)
+    assert split_trivial_summand(M, w, v) == expected
+
+
+def test_split_refuses_a_bent_kernel_basis_by_its_output_check(monkeypatch):
+    M, w, v = two_row_split()
+
+    def bend_v(D, U, V, Vinv):
+        V[0][2] = V[0][2] + X
+    bent_elimination(monkeypatch, bend_v)
+    with pytest.raises(ArithmeticError, match="change of basis is not invertible"):
         split_trivial_summand(M, w, v)
 
 
