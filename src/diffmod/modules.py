@@ -661,14 +661,18 @@ def scramble(P: DiffModule, seed: int, ops: Optional[int] = None):
     """Random change of basis: returns (Q, certificate) with Q isomorphic to
     P via a product U of elementary row operations (certified and verified).
     The conjugated matrix is B = (U A - U') U^{-1}, the unique matrix making
-    U a differential isomorphism P -> Q.  Deterministic for a fixed seed."""
+    U a differential isomorphism P -> Q.  Deterministic for a fixed seed.
+    ValueError unless seed is an int and ops is None or an int >= 0 (neither
+    a bool); ops=None means rank + 2 operations."""
     if P.ring is not DiffRing.POLY_DX:
         raise ValueError("scramble is defined over the polynomial ring")
+    if ops is not None and (isinstance(ops, bool) or not isinstance(ops, int) or ops < 0):
+        raise ValueError(f"ops must be None or an integer >= 0, got {ops!r}")
     n = P.rank
+    rng = StableRng(seed)
     if n == 0:
         empty = PolyMat(0, 0, [])
         return P, make_iso_certificate(P, P, empty, empty)
-    rng = StableRng(seed)
     U = PolyMat.identity(n).to_rows()
     count = ops if ops is not None else n + 2
     scales = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),

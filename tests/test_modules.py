@@ -1462,6 +1462,21 @@ def test_scramble_rejects_const_ring():
                  seed=0)
 
 
+def test_scramble_rejects_an_invalid_ops_or_seed():
+    base = mod2(P(0), X, P(1), P(0))
+    for ops in (-3, -1, True, False, 2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="ops must be None or an integer >= 0"):
+            scramble(base, seed=1, ops=ops)
+    for module in (base, trivial_module(DiffRing.POLY_DX, 0)):
+        for seed in ("x", 1.0, True, None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                scramble(module, seed=seed)
+    # no operations is legal and leaves the basis alone
+    same, cert = scramble(base, seed=1, ops=0)
+    assert same == base and cert.forward == PolyMat.identity(2)
+    assert scramble(base, seed=1, ops=None) == scramble(base, seed=1, ops=4)
+
+
 # ---------------------------------------------------------------------------
 # module construction guards
 # ---------------------------------------------------------------------------
