@@ -12,7 +12,8 @@ from diffmod.cores import (CertificateInvalid, NotAConstant, NotAHom, PairingNot
                            _pairing_data, cancel_free, core, is_trivial_free,
                            split_trivial_summand, trivial_pairing)
 from diffmod.diffring import DiffRing
-from diffmod.exactalg import Poly, PolyMat, ShapeMismatch, kernel_basis, unimodular_completion
+from diffmod.exactalg import (Poly, PolyMat, ShapeMismatch, _product_is_identity, kernel_basis,
+                              unimodular_completion)
 from diffmod.modules import (DiffModule, constants, direct_sum, hom_space, is_trivial,
                              iso_search, make_iso_certificate, scramble,
                              trivial_module, verify_hom)
@@ -599,7 +600,6 @@ def seeded_certificates():
 
 def four_checks(source, target, forward, backward):
     """The certificate check in full: both maps homs, both composites I."""
-    from diffmod.exactalg import _product_is_identity
     return (verify_hom(forward, source, target) and verify_hom(backward, target, source)
             and _product_is_identity(backward, forward)
             and _product_is_identity(forward, backward))
