@@ -606,6 +606,64 @@ def test_kernel_basis_of_two_rows_with_unit_minors():
         kernel_basis(PolyMat(2, 1, [P(1), P(0)]))
 
 
+def smith_digest_inputs():
+    """Empty and zero shapes, rank-deficient and non-monic pivots, seeded
+    matrices up to 4 x 4 (some scaled by rationals), and the split inputs w
+    (s = 1-4) that core records on seeded planned modules."""
+    from diffmod import cores
+    from diffmod.suite import random_planned_module, random_polymat
+
+    mats = [PolyMat(0, 0, []), PolyMat(0, 3, []), PolyMat(3, 0, []), PolyMat.zeros(2, 3),
+            PolyMat(2, 2, [X, X, X, X]), PolyMat(1, 2, [2 * X, 3 * X * X]),
+            PolyMat(2, 2, [2 * X, P(1), P(0), X]), PolyMat(2, 2, [X, P(0), P(0), X * X]),
+            PolyMat(1, 2, [X, X + P(1)]), PolyMat(2, 3, [P(1), X, P(0), P(0), P(1), X])]
+    rng = StableRng(27)
+    for _ in range(60):
+        M = random_polymat(rng, rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3))
+        if rng.randint(0, 2) == 0:
+            M = M.scale(Fraction(rng.nonzero_int(5), rng.randint(1, 4)))
+        mats.append(M)
+    real = cores.split_trivial_summand
+
+    def record(P_, w, v):
+        mats.append(w)
+        return real(P_, w, v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cores, "split_trivial_summand", record)
+        rng = StableRng(2027)
+        for _ in range(2):
+            for core_rank in range(4):
+                for mult in range(1, 5):
+                    cores.core(random_planned_module(rng, core_rank, mult).module)
+    return mats
+
+
+def smith_digest():
+    """sha256 of repr and JSON of U, D, V, U^-1 and V^-1 from
+    smith_normal_form_with_inverses and of kernel_basis (or its
+    NotUnimodular message) on smith_digest_inputs, in order."""
+    from diffmod.serialize import polymat_to_json
+
+    h = hashlib.sha256()
+
+    def put(M):
+        h.update(repr(M).encode())
+        h.update(json.dumps(polymat_to_json(M)).encode())
+    for M in smith_digest_inputs():
+        for F in exactalg.smith_normal_form_with_inverses(M):
+            put(F)
+        try:
+            put(kernel_basis(M))
+        except NotUnimodular as exc:
+            h.update(str(exc).encode())
+    return h.hexdigest()
+
+
+def test_smith_normal_form_matches_the_golden_digest():
+    assert smith_digest() == \
+        "eb6759609406b34dbbd393ab7cd8c5c700f8fc8382638b7383288db85588004c"
+
+
 def test_lift_vector_recovers_rationals_within_the_bounds():
     # y / den with every |y_i| and den at most isqrt(M // 2) comes back as
     # the primitive integer vector y / gcd(y), its first nonzero entry
