@@ -7,7 +7,7 @@ reported."""
 
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
-                       kernel_basis, rat_nullspace, smith_normal_form)
+                       kernel_basis, rat_nullspace)
 from .modules import (COEFF_HEIGHT, DEFAULT_DEG_CAP, DEFAULT_TRIALS,
                       CertificateInvalid, DiffModule, HomSpace,
                       IsoCertificate, IsoResult, TrivialityResult, constants,
@@ -18,7 +18,7 @@ from .modules import (COEFF_HEIGHT, DEFAULT_DEG_CAP, DEFAULT_TRIALS,
 __all__ = [
     "DiffRing", "RingMismatch", "Poly", "PolyMat", "RatMat",
     "NotUnimodular", "ShapeMismatch", "kernel_basis", "rat_nullspace",
-    "smith_normal_form", "DiffModule", "HomSpace", "IsoCertificate", "IsoResult", "TrivialityResult", "constants",
+    "DiffModule", "HomSpace", "IsoCertificate", "IsoResult", "TrivialityResult", "constants",
     "direct_sum", "hom_space", "identity_certificate", "is_trivial",
     "iso_search", "make_iso_certificate", "scramble", "trivial_module",
     "verify_hom", "CertificateInvalid", "DEFAULT_DEG_CAP", "DEFAULT_TRIALS",

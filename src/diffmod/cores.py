@@ -87,7 +87,7 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
             if not P.derive(v).is_zero():
                 raise ArithmeticError("v is not a matrix of constants of P")
             return DiffModule(P.ring, 0, PolyMat.zeros(0, 0)), v, w
-        V, Vinv = _smith_eliminate(w)[2:]
+        _, V, Vinv = _smith_eliminate(w.to_rows(), n)
         ker = PolyMat(n, n - s, [e for row in V for e in row[s:]])
         comp = PolyMat(n - s, n, [e for row in Vinv[s:] for e in row])
         M = PolyMat.hstack(ker, v)

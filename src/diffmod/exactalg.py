@@ -983,24 +983,25 @@ def _int_matmul(A, B):
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
-def _smith_eliminate(M: PolyMat):
-    """Smith elimination of M over Q[x], as row lists: returns
-    (D, U, V, Vinv) with U*M*V = D, D diagonal with monic entries, each
-    dividing the next, and U, V products of elementary operations.
+def _smith_eliminate(rows, ncols):
+    """Smith elimination over Q[x] of M, the first ``ncols`` columns of the
+    Poly rows; further columns are carried along by the row operations, as
+    in _int_gauss_jordan.  Returns (a, V, Vinv) with a = U rows for U the
+    row operations, V, Vinv = V^{-1} the column operations, and U M V = D
+    in the first ``ncols`` columns of a, diagonal with each entry dividing
+    the next (not made monic).
 
     Nothing is verified here: each caller proves what it uses by exact
     integer identities (_vanishes).
     """
-    r, c = M.rows, M.cols
-    a = M.to_rows()
-    U = PolyMat.identity(r).to_rows()
+    r, c = len(rows), ncols
+    a = [list(row) for row in rows]
     V = PolyMat.identity(c).to_rows()
     Vi = PolyMat.identity(c).to_rows()
 
     def row_op(i, j, q):
-        # row_i -= q * row_j on a and U
+        # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
 
     def col_op(i, j, q):
         # col_i -= q * col_j on a and V; on its inverse, row_j += q * row_i
@@ -1012,7 +1013,6 @@ def _smith_eliminate(M: PolyMat):
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for rr in range(r):
@@ -1074,25 +1074,17 @@ def _smith_eliminate(M: PolyMat):
                 break
             # pull the offending row into the pivot row and restart the pass
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            U[t] = [x + y for x, y in zip(U[t], U[offender])]
         t += 1
-
-    # monic normalization: scale rows of a and U by 1/lc of the diagonal
-    for i in range(min(r, c)):
-        piv = a[i][i]
-        if not piv.is_zero() and piv.lc() != 1:
-            f = 1 / piv.lc()
-            a[i] = [x * f for x in a[i]]
-            U[i] = [x * f for x in U[i]]
-
-    return a, U, V, Vi
+    return a, V, Vi
 
 
 def smith_normal_form_with_inverses(M: PolyMat):
     """Smith normal form over Q[x]: returns (U, D, V, Uinv, Vinv) with
     U*M*V = D, D diagonal with monic entries, each dividing the next, and
-    U, V unimodular: Vinv is accumulated alongside V, and Uinv is
-    U.inverse_unimodular(), which proves U unimodular by its own exact check.
+    U, V unimodular: U is carried through one elimination of [M | I] and
+    scaled with D's rows to make D monic, Vinv is accumulated alongside V,
+    and Uinv is U.inverse_unimodular(), which proves U unimodular by its own
+    exact check.
 
     The factorization U M V = D and V Vinv = I are re-verified exactly
     before returning, each cleared of denominators and checked by one
@@ -1100,12 +1092,17 @@ def smith_normal_form_with_inverses(M: PolyMat):
     identity's coefficients (_vanishes).
     """
     r, c = M.rows, M.cols
-    a, U, V, Vi = _smith_eliminate(M)
+    rows, V, Vi = _smith_eliminate([row + eye for row, eye in zip(
+        M.to_rows(), PolyMat.identity(r).to_rows())], c)
+    for i, row in enumerate(rows[:c]):
+        if not row[i].is_zero() and row[i].lc() != 1:
+            f = 1 / row[i].lc()
+            rows[i] = [x * f for x in row]
 
-    Um = PolyMat.from_rows(U) if r else PolyMat(0, 0, [])
+    Um = PolyMat.from_rows([row[c:] for row in rows]) if r else PolyMat(0, 0, [])
     Vm = PolyMat.from_rows(V) if c else PolyMat(0, 0, [])
     Vim = PolyMat.from_rows(Vi) if c else PolyMat(0, 0, [])
-    Dm = PolyMat.from_rows(a) if r else PolyMat(0, c, [])
+    Dm = PolyMat.from_rows([row[:c] for row in rows]) if r else PolyMat(0, c, [])
 
     # the factorization as the integer identity d (uU)(mM)(vV) = u m v (dD),
     # u, m, v, d the denominators
@@ -1121,43 +1118,18 @@ def smith_normal_form_with_inverses(M: PolyMat):
     return Um, Dm, Vm, Uim, Vim
 
 
-def smith_normal_form(M: PolyMat):
-    """Smith normal form over Q[x]: returns (U, D, V) with U*M*V = D,
-    D diagonal with monic entries, each dividing the next, and U, V
-    unimodular (verified exactly)."""
-    U, D, V, _, _ = smith_normal_form_with_inverses(M)
-    return U, D, V
-
-
-def _row_kernel_completion(w: PolyMat):
-    """Kernel basis K (n x (n-s)) and completion C ((n-s) x n) of an s x n
-    matrix w whose s x s minors generate the unit ideal (for s = 1, a
-    unimodular row), from one verified Smith normal form U w V = D with
-    D = [I | 0]: K = V[:, s:] and C = V^{-1}[s:, :].  The verified
-    factorization gives w V = U^{-1} D, hence w K = 0; V^{-1} V = I gives
-    C K = I; so [w; C] V = diag(U^{-1}, I) with U^{-1} unimodular, and
-    [w; C] is invertible over Q[x].  Raises NotUnimodular when an invariant
-    factor of w is not a nonzero constant."""
+def kernel_basis(w: PolyMat) -> PolyMat:
+    """Basis of the kernel of w (s x n, its s x s minors generating the unit
+    ideal; for s = 1 a unimodular row), as the columns of the n x (n-s)
+    matrix V[:, s:] of the Smith form U w V = D = [I | 0].  Raises
+    NotUnimodular otherwise (the kernel then has no free complement of this
+    form).
+    """
     s, n = w.rows, w.cols
     if s > n:
         raise NotUnimodular(f"{s} rows in {n} columns generate a proper ideal")
-    _, D, V, _, Vinv = smith_normal_form_with_inverses(w)
+    _, D, V, _, _ = smith_normal_form_with_inverses(w)
     for i in range(s):
         if D.entry(i, i) != _P_ONE:
             raise NotUnimodular(f"invariant factor {D.entry(i, i)} is not a nonzero constant")
-    return V.submatrix(0, n, s, n), Vinv.submatrix(s, n, 0, n)
-
-
-def kernel_basis(w: PolyMat) -> PolyMat:
-    """Basis of the kernel of w (s x n, its s x s minors generating the unit
-    ideal; for s = 1 a unimodular row), as the columns of an n x (n-s)
-    matrix.  Raises NotUnimodular otherwise (the kernel then has no free
-    complement of this form).
-    """
-    return _row_kernel_completion(w)[0]
-
-
-def unimodular_completion(w: PolyMat) -> PolyMat:
-    """An (n-s) x n matrix C such that [w; C] is invertible over Q[x], with
-    C times kernel_basis(w) equal to the identity."""
-    return _row_kernel_completion(w)[1]
+    return V.submatrix(0, n, s, n)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .cores import cancel_free, core, is_trivial_free, trivial_pairing
 from .diffring import DiffRing
 from .exactalg import (Poly, PolyMat, RatMat, kernel_basis, poly_gcd,
-                       rat_nullspace, smith_normal_form, unimodular_completion)
+                       rat_nullspace, smith_normal_form_with_inverses)
 from .modules import (DiffModule, constants, direct_sum, hom_space, is_trivial,
                       iso_search, make_iso_certificate, scramble,
                       trivial_module, verify_hom)
@@ -147,7 +147,7 @@ def _nullspace_props(rng, cases):
 def _smith_props(rng, cases):
     for _ in range(cases):
         M = random_polymat(rng, rng.randint(1, 3), rng.randint(1, 3), 2, 2)
-        U, D, V = smith_normal_form(M)
+        U, D, V, _, _ = smith_normal_form_with_inverses(M)
         assert U @ M @ V == D, "factorization failed"
         diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
         for p in diag:
@@ -168,9 +168,6 @@ def _kernel_props(rng, cases):
         w = PolyMat(1, n, row)
         K = kernel_basis(w)
         assert (w @ K).is_zero(), "kernel basis not annihilated"
-        C = unimodular_completion(w)
-        det = PolyMat.vstack(w, C).determinant()
-        assert det.is_constant() and not det.is_zero(), "completion not unimodular"
 
 
 def _module_leibniz(rng, cases):
@@ -339,7 +336,7 @@ _ITEMS = [
     ("polynomial ring axioms", _poly_axioms, 8),
     ("rational nullspace", _nullspace_props, 6),
     ("smith normal form", _smith_props, 4),
-    ("kernel basis / completion", _kernel_props, 5),
+    ("kernel basis", _kernel_props, 5),
     ("module derivation Leibniz", _module_leibniz, 6),
     ("hom space soundness/closure", _hom_props, 4),
     ("constants additivity", _constants_additive, 4),

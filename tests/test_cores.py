@@ -13,7 +13,7 @@ from diffmod.cores import (CertificateInvalid, NotAConstant, NotAHom, PairingNot
                            split_trivial_summand, trivial_pairing)
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import (Poly, PolyMat, ShapeMismatch, _product_is_identity, kernel_basis,
-                              unimodular_completion)
+                              smith_normal_form_with_inverses)
 from diffmod.modules import (DiffModule, constants, direct_sum, hom_space, is_trivial,
                              iso_search, make_iso_certificate, scramble,
                              trivial_module, verify_hom)
@@ -90,7 +90,7 @@ def test_split_inverse_by_construction():
                     if pairing.entry(j, k))
         w = ws[j].scale(1 / pairing.entry(j, k))
         rest, W, Winv = split_trivial_summand(M, w, vs[k])
-        C = unimodular_completion(w)
+        C = smith_normal_form_with_inverses(w)[4].submatrix(1, M.rank, 0, M.rank)
         assert W == PolyMat.hstack(kernel_basis(w), vs[k])
         assert Winv == PolyMat.vstack(C - (C @ vs[k]) @ w, w)
         assert Winv @ W == PolyMat.identity(M.rank)
@@ -680,11 +680,11 @@ def test_split_rejects_an_inverse_that_fails_its_product_check(monkeypatch):
 
 
 def bent_elimination(monkeypatch, bend):
-    """cores._smith_eliminate with bend applied to its (D, U, V, V^-1) rows."""
+    """cores._smith_eliminate with bend applied to its (D, V, V^-1) rows."""
     real = cores._smith_eliminate
 
-    def bent(m):
-        out = real(m)
+    def bent(rows, ncols):
+        out = real(rows, ncols)
         bend(*out)
         return out
     monkeypatch.setattr(cores, "_smith_eliminate", bent)
@@ -696,7 +696,7 @@ def test_split_does_not_read_the_invariant_factors(monkeypatch):
     M, w, v = two_row_split()
     expected = split_trivial_summand(M, w, v)
 
-    def bend_d(D, U, V, Vinv):
+    def bend_d(D, V, Vinv):
         D[1][1] = X
         D[0][0] = P(0)
     bent_elimination(monkeypatch, bend_d)
@@ -706,11 +706,25 @@ def test_split_does_not_read_the_invariant_factors(monkeypatch):
 def test_split_refuses_a_bent_kernel_basis_by_its_output_check(monkeypatch):
     M, w, v = two_row_split()
 
-    def bend_v(D, U, V, Vinv):
+    def bend_v(D, V, Vinv):
         V[0][2] = V[0][2] + X
     bent_elimination(monkeypatch, bend_v)
     with pytest.raises(ArithmeticError, match="change of basis is not invertible"):
         split_trivial_summand(M, w, v)
+
+
+def test_split_eliminates_the_rows_of_w_and_carries_nothing(monkeypatch):
+    M, w, v = two_row_split()
+    expected = split_trivial_summand(M, w, v)
+    real, seen = cores._smith_eliminate, []
+
+    def record(rows, ncols):
+        seen.append(([list(row) for row in rows], ncols))
+        return real(rows, ncols)
+    monkeypatch.setattr(cores, "_smith_eliminate", record)
+    assert split_trivial_summand(M, w, v) == expected
+    assert seen == [(w.to_rows(), M.rank)]
+    assert (w.rows, w.cols) == (2, 3)
 
 
 def test_only_the_split_runs_a_smith_elimination(monkeypatch):
@@ -728,7 +742,7 @@ def test_only_the_split_runs_a_smith_elimination(monkeypatch):
     assert expected[1].is_constant() and expected[1]
     assert expected[3].trivial and expected[4].kind == "iso"
 
-    def no_smith(m):
+    def no_smith(rows, ncols):
         raise AssertionError("a Smith elimination ran")
     with monkeypatch.context() as mp:
         mp.setattr(exactalg, "_smith_eliminate", no_smith)

@@ -15,7 +15,7 @@ from diffmod.exactalg import (MODP, NotUnimodular, Poly, PolyMat, RatMat,
                               ShapeMismatch, _crt, _int_row, _lift_vector,
                               _modp_echelon, _modp_kernel, _modp_width,
                               kernel_basis, poly_gcd, rat_nullspace,
-                              smith_normal_form, unimodular_completion)
+                              smith_normal_form_with_inverses)
 from diffmod.rng import StableRng
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
@@ -292,13 +292,15 @@ def test_inverse_unimodular_rejects_a_corrupted_inverse(monkeypatch, which):
 
 
 def corrupt_smith(monkeypatch, which):
-    """Make _smith_eliminate return its (D, U, V, Vinv) with x added to the
-    top-left entry of the one at index ``which``."""
+    """Make _smith_eliminate, run on [M | I] with M 2 x 2, return its
+    (rows, V, Vinv) with x added to the top-left entry of D (which = 0), of
+    the carried U (1), of V (2) or of Vinv (3)."""
     real = exactalg._smith_eliminate
+    out_index, col = ((0, 0), (0, 2), (1, 0), (2, 0))[which]
 
-    def corrupted(M):
-        out = real(M)
-        out[which][0][0] = out[which][0][0] + X
+    def corrupted(rows, ncols):
+        out = real(rows, ncols)
+        out[out_index][0][col] = out[out_index][0][col] + X
         return out
     monkeypatch.setattr(exactalg, "_smith_eliminate", corrupted)
 
@@ -309,7 +311,7 @@ def corrupt_smith(monkeypatch, which):
 def test_smith_form_rejects_a_corrupted_factor(monkeypatch, which, reason):
     # which indexes (D, U, Uinv, V, Vinv): Uinv is U.inverse_unimodular(),
     # made to fail; every other factor is corrupted as _smith_eliminate
-    # returns it
+    # returns it, D and U in its reduced rows
     if which == 2:
         def not_unimodular(M):
             raise NotUnimodular("bent")
@@ -317,7 +319,7 @@ def test_smith_form_rejects_a_corrupted_factor(monkeypatch, which, reason):
     else:
         corrupt_smith(monkeypatch, (0, 1, None, 2, 3)[which])
     with pytest.raises(ArithmeticError, match=reason + " verification failed"):
-        smith_normal_form(PolyMat(2, 2, [X, P(1), P(0), X]))
+        smith_normal_form_with_inverses(PolyMat(2, 2, [X, P(1), P(0), X]))
 
 
 def test_determinant_cubic():
@@ -541,7 +543,7 @@ def test_modp_kernel_can_only_grow():
 
 def test_smith_form_diagonal_example():
     M = PolyMat(2, 2, [X, P(0), P(0), X * X])
-    U, D, V = smith_normal_form(M)
+    U, D, V, _, _ = smith_normal_form_with_inverses(M)
     assert U @ M @ V == D
     # already in divisibility order, so the form is the input itself
     assert D.entry(0, 0) == X
@@ -552,17 +554,22 @@ def test_smith_form_diagonal_example():
 def test_smith_form_coprime_entries_give_unit():
     # gcd(x, x+1) = 1, so the first invariant factor is 1
     M = PolyMat(1, 2, [X, X + P(1)])
-    U, D, V = smith_normal_form(M)
+    U, D, V, _, _ = smith_normal_form_with_inverses(M)
     assert U @ M @ V == D
     assert D.entry(0, 0) == P(1)
 
 
 def test_smith_form_rank_deficient():
     M = PolyMat(2, 2, [X, X, X, X])
-    U, D, V = smith_normal_form(M)
+    U, D, V, _, _ = smith_normal_form_with_inverses(M)
     assert U @ M @ V == D
     assert D.entry(0, 0) == X
     assert D.entry(1, 1).is_zero()
+
+
+def completion(w):
+    """V^{-1}[s:, :] from the Smith form U w V = D of the s x n matrix w."""
+    return smith_normal_form_with_inverses(w)[4].submatrix(w.rows, w.cols, 0, w.cols)
 
 
 def test_kernel_basis_of_unimodular_row():
@@ -570,7 +577,7 @@ def test_kernel_basis_of_unimodular_row():
     K = kernel_basis(w)
     assert K.rows == 2 and K.cols == 1
     assert (w @ K).is_zero()
-    C = unimodular_completion(w)
+    C = completion(w)
     det = PolyMat.vstack(w, C).determinant()
     assert det.is_constant() and not det.is_zero()
 
@@ -580,7 +587,7 @@ def test_kernel_basis_three_entries():
     K = kernel_basis(w)
     assert K.cols == 2
     assert (w @ K).is_zero()
-    stacked = PolyMat.vstack(w, unimodular_completion(w))
+    stacked = PolyMat.vstack(w, completion(w))
     det = stacked.determinant()
     assert det.is_constant() and not det.is_zero()
 
@@ -596,7 +603,7 @@ def test_kernel_basis_of_two_rows_with_unit_minors():
     K = kernel_basis(w)
     assert K.rows == 3 and K.cols == 1
     assert (w @ K).is_zero()
-    C = unimodular_completion(w)
+    C = completion(w)
     assert C @ K == PolyMat.identity(1)
     det = PolyMat.vstack(w, C).determinant()
     assert det.is_constant() and not det.is_zero()
