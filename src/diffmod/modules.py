@@ -107,7 +107,8 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
     with 2**K above that bound.  Let c_j be the lowest nonzero coefficient
     of a nonzero entry of R.  Then R(2**K) = c_j 2**(jK) mod 2**((j+1)K),
     and 0 < |c_j| < 2**K, so R(2**K) is nonzero.  Hence R(2**K) = 0 iff
-    R = 0, and the check is exact (exactalg._vanishes).
+    R = 0, and the check is exact (exactalg._vanishes).  Over const_zero
+    a map has entries in Q, so a nonconstant T is no hom.
     """
     if source.ring != target.ring:
         raise RingMismatch(f"{source.ring.tag} vs {target.ring.tag}")
@@ -115,6 +116,8 @@ def verify_hom(T: PolyMat, source: DiffModule, target: DiffModule) -> bool:
         raise ShapeMismatch(
             f"hom {source.rank}->{target.rank} needs a {target.rank}x{source.rank} "
             f"matrix, got {T.rows}x{T.cols}")
+    if source.ring is DiffRing.CONST_ZERO and not T.is_constant():
+        return False
     A, B = source.matrix, target.matrix
     a, b = A._form()[0], B._form()[0]
     terms = [(-b, [T, A]), (a, [B, T])]

@@ -1019,7 +1019,10 @@ def test_certificate_table_pins_each_exception_and_message(name):
 # ---------------------------------------------------------------------------
 
 def substitution_is_hom(T: PolyMat, src: DiffModule, tgt: DiffModule) -> bool:
-    """T' == T A - B T entry by entry, in plain Poly arithmetic."""
+    """T' == T A - B T entry by entry, in plain Poly arithmetic; over
+    const_zero, T's entries must also be constants of Q."""
+    if src.ring is DiffRing.CONST_ZERO and any(e.degree for e in T.entries):
+        return False
     A, B = src.matrix, tgt.matrix
     for i in range(T.rows):
         for j in range(T.cols):
@@ -1100,6 +1103,30 @@ def test_verify_hom_residual_at_the_bound(h):
     assert not verify_hom(T, src, tgt)
     with pytest.raises(CertificateInvalid):
         make_iso_certificate(src, tgt, T, T)
+
+
+def test_const_zero_certificate_refuses_nonconstant_maps():
+    # F = [[1, x], [0, 1]] and G = [[1, -x], [0, 1]] are inverse and satisfy
+    # T A = B T on (Q^2, 0), but a map over Q has constant entries
+    from diffmod.serialize import (ParseError, certificate_from_json, certificate_to_json,
+                                   polymat_to_json)
+    Q2 = trivial_module(DiffRing.CONST_ZERO, 2)
+    F, G = PolyMat(2, 2, [P(1), X, P(0), P(1)]), PolyMat(2, 2, [P(1), -X, P(0), P(1)])
+    assert not verify_hom(F, Q2, Q2) and not substitution_is_hom(F, Q2, Q2)
+    with pytest.raises(CertificateInvalid, match="forward map"):
+        make_iso_certificate(Q2, Q2, F, G)
+    good = certificate_to_json(identity_certificate(Q2))
+    with pytest.raises(ParseError, match="forward map"):
+        certificate_from_json(dict(good, forward=polymat_to_json(F),
+                                   backward=polymat_to_json(G)))
+    # similar's certificates are constant and still pass, also read back
+    rng = StableRng(47)
+    for n in (1, 2, 3, 4):
+        A, B, _ = random_similar_pair(rng, n)
+        src, tgt = (DiffModule(DiffRing.CONST_ZERO, n, M.to_polymat()) for M in (A, B))
+        r = iso_search(src, tgt)
+        assert r.kind == "iso"
+        assert certificate_from_json(certificate_to_json(r.certificate)) == r.certificate
 
 
 # ---------------------------------------------------------------------------
