@@ -999,10 +999,6 @@ def _smith_eliminate(rows, ncols):
     V = PolyMat.identity(c).to_rows()
     Vi = PolyMat.identity(c).to_rows()
 
-    def row_op(i, j, q):
-        # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
     def col_op(i, j, q):
         # col_i -= q * col_j on a and V; on its inverse, row_j += q * row_i
         for rr in range(r):
@@ -1010,9 +1006,6 @@ def _smith_eliminate(rows, ncols):
         for rr in range(c):
             V[rr][i] = V[rr][i] - q * V[rr][j]
         Vi[j] = [x + q * y for x, y in zip(Vi[j], Vi[i])]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
         for rr in range(r):
@@ -1041,7 +1034,7 @@ def _smith_eliminate(rows, ncols):
             # nonempty here because a[t][t] stays nonzero between passes
             _, pi, pj = min_deg_entry(t)
             if pi != t:
-                swap_rows(t, pi)
+                a[t], a[pi] = a[pi], a[t]
             if pj != t:
                 swap_cols(t, pj)
             piv = a[t][t]
@@ -1049,7 +1042,7 @@ def _smith_eliminate(rows, ncols):
             for i in range(t + 1, r):
                 if not a[i][t].is_zero():
                     q, rem = divmod(a[i][t], piv)
-                    row_op(i, t, q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if not rem.is_zero():
                         dirty = True
             for j in range(t + 1, c):
@@ -1099,9 +1092,8 @@ def smith_normal_form_with_inverses(M: PolyMat):
             f = 1 / row[i].lc()
             rows[i] = [x * f for x in row]
 
-    Um = PolyMat.from_rows([row[c:] for row in rows]) if r else PolyMat(0, 0, [])
-    Vm = PolyMat.from_rows(V) if c else PolyMat(0, 0, [])
-    Vim = PolyMat.from_rows(Vi) if c else PolyMat(0, 0, [])
+    Um = PolyMat.from_rows([row[c:] for row in rows])
+    Vm, Vim = PolyMat.from_rows(V), PolyMat.from_rows(Vi)
     Dm = PolyMat.from_rows([row[:c] for row in rows]) if r else PolyMat(0, c, [])
 
     # the factorization as the integer identity d (uU)(mM)(vV) = u m v (dD),
