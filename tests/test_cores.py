@@ -325,6 +325,45 @@ def test_core_of_trivial_modules_matches_the_golden_digest():
         "bab8db70aee15453255991ce5b28d0c45ab9f38e2acab080cad59e96943644f8"
 
 
+def _core_bytes(d):
+    c = d.certificate
+    return repr((d.multiplicity, _mat_repr(d.core.matrix),
+                 _mat_repr(c.forward), _mat_repr(c.backward))).encode()
+
+
+def multiple_summand_jobs():
+    """(module, pivot seed) for seeded planned modules of core rank 1-3 and
+    multiplicity 2-4: the splits that eliminate several rows."""
+    rng = StableRng(0x5E7)
+    for mult in (2, 3, 4):
+        for core_rank in (1, 2, 3):
+            yield random_planned_module(rng, core_rank, mult).module, rng.randint(0, 2**31)
+
+
+def test_core_of_multiple_summands_matches_the_golden_digest():
+    # the whole output, byte for byte, at the default pivot and at a pivot
+    # seed, where the split's Smith elimination runs on 2-4 rows
+    exact = hashlib.sha256()
+    for M, seed in multiple_summand_jobs():
+        for pivot_seed in (None, seed):
+            d = core(M, pivot_seed=pivot_seed)
+            assert d.multiplicity >= 2
+            exact.update(_core_bytes(d))
+    assert exact.hexdigest() == \
+        "75d1576864c272ae969e835d22238ba04ca2a288ddacc80bc127382d77948ab7"
+
+
+def test_cancel_free_matches_the_golden_digest():
+    exact = hashlib.sha256()
+    for seed, core_rank, mult, pad in ((31, 1, 1, 1), (47, 1, 2, 1), (58, 2, 2, 2),
+                                       (61, 2, 3, 1), (77, 1, 3, 2), (83, 3, 2, 1)):
+        p_mod, q_mod, cert = _padded_pair(seed, core_rank, mult, pad)
+        out = cancel_free(p_mod, q_mod, pad, cert)
+        exact.update(repr((_mat_repr(out.forward), _mat_repr(out.backward))).encode())
+    assert exact.hexdigest() == \
+        "23ee69a3d58ef8f22bccb4c1898efbc7ffa681cb1b1beaed18eab13fc5e2cf25"
+
+
 def test_core_additive_over_direct_sum():
     rng = StableRng(9)
     p = random_planned_module(rng, 1, 1)
