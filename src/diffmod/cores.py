@@ -43,11 +43,14 @@ class NotAConstant(Exception):
 def _pairing_data(P: DiffModule, deg_cap: Optional[int] = None):
     ws = hom_space(P, trivial_module(P.ring, 1), deg_cap).basis
     vs = constants(P, deg_cap)
-    prods = [(w @ v).entry(0, 0) for w in ws for v in vs]
-    for prod in prods:
-        if not prod.is_constant():
-            raise NonConstantPairing(f"pairing value {prod} is not constant")
-    return RatMat(len(ws), len(vs), [prod.coeff(0) for prod in prods]), ws, vs
+    # the pairing values as one integer product of the stacked w and v
+    prods = (reduce(PolyMat.vstack, ws, PolyMat.zeros(0, P.rank)) @
+             reduce(PolyMat.hstack, vs, PolyMat.zeros(P.rank, 0)))
+    if prods.max_degree():
+        k = next(k for k, cs in enumerate(prods._form()[1]) if len(cs) > 1)
+        value = prods.entry(*divmod(k, len(vs)))
+        raise NonConstantPairing(f"pairing value {value} is not constant")
+    return prods.coefficient_matrix(0), ws, vs
 
 
 def trivial_pairing(P: DiffModule, deg_cap: Optional[int] = None) -> RatMat:
@@ -87,9 +90,9 @@ def split_trivial_summand(P: DiffModule, w: PolyMat, v: PolyMat):
             if not P.derive(v).is_zero():
                 raise ArithmeticError("v is not a matrix of constants of P")
             return DiffModule(P.ring, 0, PolyMat.zeros(0, 0)), v, w
-        _, V, Vinv = _smith_eliminate(w.to_rows(), n)
-        ker = PolyMat(n, n - s, [e for row in V for e in row[s:]])
-        comp = PolyMat(n - s, n, [e for row in Vinv[s:] for e in row])
+        _, V, Vinv = _smith_eliminate([w._cells()[i * n:(i + 1) * n] for i in range(s)], n)
+        ker = PolyMat._build(n, n - s, [e for row in V for e in row[s:]])
+        comp = PolyMat._build(n - s, n, [e for row in Vinv[s:] for e in row])
         M = PolyMat.hstack(ker, v)
         Minv = PolyMat.vstack(comp - (comp @ v) @ w, w)
         if not _product_is_identity(Minv, M):
@@ -147,8 +150,9 @@ def core(P: DiffModule, deg_cap: Optional[int] = None,
 
 def _decompose(P: DiffModule, deg_cap: Optional[int], pivot_seed: Optional[int] = None):
     """core's splits as (core, multiplicity, forward, backward), unchecked as
-    a whole: each split's M extends backward on the right and its M^{-1}
-    extends forward on the left, so nothing is inverted."""
+    a whole: the first split's M and M^{-1} are backward and forward, each
+    later M extends backward on the right and its M^{-1} extends forward on
+    the left, so nothing is inverted."""
     rng = StableRng(pivot_seed) if pivot_seed is not None else None
     cur = P
     forward = backward = PolyMat.identity(P.rank)
@@ -166,9 +170,10 @@ def _decompose(P: DiffModule, deg_cap: Optional[int], pivot_seed: Optional[int] 
         w = block.inverse().to_polymat() @ reduce(PolyMat.vstack, [ws[j] for j in J])
         v = reduce(PolyMat.hstack, [vs[k] for k in K])
         cur, M, Minv = split_trivial_summand(cur, w, v)
-        # embed the new change of basis alongside the summands already split
-        backward = backward @ PolyMat.block_diag(M, PolyMat.identity(s))
-        forward = PolyMat.block_diag(Minv, PolyMat.identity(s)) @ forward
+        if s:  # embed the new change of basis alongside the summands already split
+            M = backward @ PolyMat.block_diag(M, PolyMat.identity(s))
+            Minv = PolyMat.block_diag(Minv, PolyMat.identity(s)) @ forward
+        backward, forward = M, Minv
         s += len(J)
     if cur.rank + s != P.rank:
         raise ArithmeticError("rank bookkeeping failed in core extraction")

@@ -983,52 +983,83 @@ def _int_matmul(A, B):
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
+def _cell(cs, den):
+    """The cell (coefficients, denominator) of the polynomial cs / den, cs
+    an integer list, den nonzero: no trailing zeros, den > 0, gcd 1."""
+    while cs and not cs[-1]:
+        cs.pop()
+    g = math.gcd(den, *cs) if den > 0 else -math.gcd(den, *cs)
+    return tuple(v // g for v in cs), den // g
+
+
+def _cell_addmul(x, q, y, sign=1):
+    """The cell of x + sign q y, for cells x, q and y and sign +-1."""
+    (xs, dx), (qs, dq), (ys, dy) = x, q, y
+    if not qs or not ys:
+        return x
+    den = math.lcm(dx, dq * dy)
+    f = sign * den // (dq * dy)
+    out = [den // dx * v for v in xs] + [0] * (len(qs) + len(ys) - 1 - len(xs))
+    for i, a in enumerate(qs):
+        for j, b in enumerate(ys, i):
+            out[j] += f * a * b
+    return _cell(out, den)
+
+
+def _cell_divmod(a, b):
+    """(quotient, remainder) of cells over Q[x], b nonzero, by integer
+    pseudo-division: lc^e A = Q B + R for numerators A, B, lc B's leading
+    coefficient and e the steps with a nonzero leading term."""
+    (xs, da), (ys, db) = a, b
+    n, lc, e = len(ys) - 1, ys[-1], 0
+    if not n:
+        return _cell([db * v for v in xs], da * lc), PolyMat._ZERO
+    rem, quo = list(xs), [0] * max(len(xs) - n, 0)
+    for i in range(len(xs) - 1, n - 1, -1):
+        c = rem[i]
+        if c:
+            rem, quo, e = [lc * v for v in rem], [lc * v for v in quo], e + 1
+            quo[i - n] = c
+            for j, v in enumerate(ys, i - n):
+                rem[j] -= c * v
+    return _cell([db * v for v in quo], da * lc ** e), _cell(rem, da * lc ** e)
+
+
 def _smith_eliminate(rows, ncols):
-    """Smith elimination over Q[x] of M, the first ``ncols`` columns of the
-    Poly rows; further columns are carried along by the row operations, as
-    in _int_gauss_jordan.  Returns (a, V, Vinv) with a = U rows for U the
-    row operations, V, Vinv = V^{-1} the column operations, and U M V = D
-    in the first ``ncols`` columns of a, diagonal with each entry dividing
-    the next (not made monic).
+    """Smith elimination over Q[x] of M, the first ``ncols`` columns of
+    rows of cells (PolyMat._cells), each cell it makes reduced (_cell);
+    further columns are carried along by the row operations, as in
+    _int_gauss_jordan.  Returns rows of cells (a, V, Vinv) with a = U rows
+    for U the row operations, V, Vinv = V^{-1} the column operations, and
+    U M V = D in the first ``ncols`` columns of a, diagonal with each entry
+    dividing the next (not made monic).
 
     Nothing is verified here: each caller proves what it uses by exact
     integer identities (_vanishes).
     """
     r, c = len(rows), ncols
     a = [list(row) for row in rows]
-    V = PolyMat.identity(c).to_rows()
-    Vi = PolyMat.identity(c).to_rows()
+    one, zero = PolyMat._ONE, PolyMat._ZERO
+    V = [[one if i == j else zero for j in range(c)] for i in range(c)]
+    Vi = [list(row) for row in V]
 
     def col_op(i, j, q):
         # col_i -= q * col_j on a and V; on its inverse, row_j += q * row_i
-        for rr in range(r):
-            a[rr][i] = a[rr][i] - q * a[rr][j]
-        for rr in range(c):
-            V[rr][i] = V[rr][i] - q * V[rr][j]
-        Vi[j] = [x + q * y for x, y in zip(Vi[j], Vi[i])]
+        for row in a + V:
+            row[i] = _cell_addmul(row[i], q, row[j], -1)
+        Vi[j] = [_cell_addmul(x, q, y) for x, y in zip(Vi[j], Vi[i])]
 
     def swap_cols(i, j):
-        for rr in range(r):
-            a[rr][i], a[rr][j] = a[rr][j], a[rr][i]
-        for rr in range(c):
-            V[rr][i], V[rr][j] = V[rr][j], V[rr][i]
+        for row in a + V:
+            row[i], row[j] = row[j], row[i]
         Vi[i], Vi[j] = Vi[j], Vi[i]
 
-    def min_deg_entry(t):
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if not a[i][j].is_zero():
-                    d = a[i][j].degree
-                    if best is None or d < best[0]:
-                        best = (d, i, j)
-        return best
+    def min_deg_entry(t):  # the first of least degree, in row-major order
+        return min(((len(a[i][j][0]), i, j) for i in range(t, r) for j in range(t, c)
+                    if a[i][j][0]), default=None)
 
     t = 0
-    while t < min(r, c):
-        found = min_deg_entry(t)
-        if found is None:
-            break
+    while t < min(r, c) and min_deg_entry(t):
         while True:
             # re-locate the minimal-degree pivot each pass; the submatrix is
             # nonempty here because a[t][t] stays nonzero between passes
@@ -1040,33 +1071,24 @@ def _smith_eliminate(rows, ncols):
             piv = a[t][t]
             dirty = False
             for i in range(t + 1, r):
-                if not a[i][t].is_zero():
-                    q, rem = divmod(a[i][t], piv)
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if not rem.is_zero():
-                        dirty = True
+                if a[i][t][0]:
+                    q, rem = _cell_divmod(a[i][t], piv)
+                    a[i] = [_cell_addmul(x, q, y, -1) for x, y in zip(a[i], a[t])]
+                    dirty = dirty or bool(rem[0])
             for j in range(t + 1, c):
-                if not a[t][j].is_zero():
-                    q, rem = divmod(a[t][j], piv)
+                if a[t][j][0]:
+                    q, rem = _cell_divmod(a[t][j], piv)
                     col_op(j, t, q)
-                    if not rem.is_zero():
-                        dirty = True
+                    dirty = dirty or bool(rem[0])
             if dirty:
                 continue
             # column and row are clear; enforce divisibility of the rest
-            piv = a[t][t]
-            offender = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if not a[i][j].is_zero() and not (a[i][j] % piv).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, r) for j in range(t + 1, c)
+                             if a[i][j][0] and _cell_divmod(a[i][j], piv)[1][0]), None)
             if offender is None:
                 break
             # pull the offending row into the pivot row and restart the pass
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+            a[t] = [_cell_addmul(x, one, y) for x, y in zip(a[t], a[offender])]
         t += 1
     return a, V, Vi
 
@@ -1085,16 +1107,17 @@ def smith_normal_form_with_inverses(M: PolyMat):
     identity's coefficients (_vanishes).
     """
     r, c = M.rows, M.cols
-    rows, V, Vi = _smith_eliminate([row + eye for row, eye in zip(
-        M.to_rows(), PolyMat.identity(r).to_rows())], c)
+    cells, eye = M._cells(), PolyMat.identity(r)._cells()
+    rows, V, Vi = _smith_eliminate([cells[i * c:(i + 1) * c] + eye[i * r:(i + 1) * r]
+                                    for i in range(r)], c)
     for i, row in enumerate(rows[:c]):
-        if not row[i].is_zero() and row[i].lc() != 1:
-            f = 1 / row[i].lc()
-            rows[i] = [x * f for x in row]
+        cs, den = row[i]
+        if cs and cs[-1] != den:  # leading coefficient cs[-1] / den, not 1
+            rows[i] = [_cell([den * v for v in xs], dx * cs[-1]) for xs, dx in row]
 
-    Um = PolyMat.from_rows([row[c:] for row in rows])
-    Vm, Vim = PolyMat.from_rows(V), PolyMat.from_rows(Vi)
-    Dm = PolyMat.from_rows([row[:c] for row in rows]) if r else PolyMat(0, c, [])
+    Um = PolyMat._build(r, r, [x for row in rows for x in row[c:]])
+    Vm, Vim = (PolyMat._build(c, c, [x for row in X for x in row]) for X in (V, Vi))
+    Dm = PolyMat._build(r, c, [x for row in rows for x in row[:c]])
 
     # the factorization as the integer identity d (uU)(mM)(vV) = u m v (dD),
     # u, m, v, d the denominators

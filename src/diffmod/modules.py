@@ -301,15 +301,17 @@ def _modp_kernel_chain(L, reduced, pivots, w, cap, p):
     p, j the first with rank L^(j+1) = rank L^j (stable) or else cap + 1.
 
     With R the reduced rows of an elimination whose kernel is ker L^j
-    (first that of L itself), ker L^(j+1) = ker(R L), and row k of R L is
-    sum_i R[k][i] times packed row i of L, R[k][i] unpacked and reduced
-    mod p: mn multiply-adds of packed integers, every slot below mn * p**2
-    as _modp_echelon needs.
+    (first that of L itself), ker L^(j+1) = ker(R L).  R[k] is 1 mod p at
+    pivots[k], 0 mod p at the other pivots and left of its own, so row k of
+    R L is L[pivots[k]] plus, for each free column fc right of it, R[k][fc]
+    mod p times L[fc]: every slot below mn * p**2, as _modp_echelon needs.
     """
     slot = (1 << w) - 1
     for j in range(1, cap + 2):
-        nxt = _modp_echelon([sum((r >> (w * i) & slot) % p * x for i, x in enumerate(L))
-                             for r in reduced], len(L), p, w)
+        free = sorted(set(range(len(L))).difference(pivots))
+        nxt = _modp_echelon([L[pc] + sum((r >> (w * fc) & slot) % p * L[fc]
+                                         for fc in free if fc > pc)
+                             for r, pc in zip(reduced, pivots)], len(L), p, w)
         stable = len(nxt[1]) == len(pivots)
         if stable or j == cap + 1:
             return (j, stable), (reduced, pivots)

@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 from diffmod import cores
-from diffmod.cores import (CertificateInvalid, NotAConstant, NotAHom, PairingNotUnit,
-                           _pairing_data, cancel_free, core, is_trivial_free,
+from diffmod.cores import (CertificateInvalid, NonConstantPairing, NotAConstant, NotAHom,
+                           PairingNotUnit, _pairing_data, cancel_free, core, is_trivial_free,
                            split_trivial_summand, trivial_pairing)
 from diffmod.diffring import DiffRing
 from diffmod.exactalg import (Poly, PolyMat, ShapeMismatch, _product_is_identity, kernel_basis,
                               smith_normal_form_with_inverses)
-from diffmod.modules import (DiffModule, constants, direct_sum, hom_space, is_trivial,
+from diffmod.modules import (DiffModule, HomSpace, constants, direct_sum, hom_space, is_trivial,
                              iso_search, make_iso_certificate, scramble,
                              trivial_module, verify_hom)
 from diffmod.suite import random_planned_module, random_similar_pair
@@ -718,8 +718,17 @@ def test_split_rejects_an_inverse_that_fails_its_product_check(monkeypatch):
         split_trivial_summand(M, w, v)
 
 
+def plus_x(cell):
+    """The cell (coefficients, denominator) of the polynomial cell + x."""
+    cs, den = cell
+    cs = [*cs, 0, 0][:max(len(cs), 2)]
+    cs[1] += den
+    return tuple(cs), den
+
+
 def bent_elimination(monkeypatch, bend):
-    """cores._smith_eliminate with bend applied to its (D, V, V^-1) rows."""
+    """cores._smith_eliminate with bend applied to its (D, V, V^-1) rows of
+    cells."""
     real = cores._smith_eliminate
 
     def bent(rows, ncols):
@@ -736,8 +745,8 @@ def test_split_does_not_read_the_invariant_factors(monkeypatch):
     expected = split_trivial_summand(M, w, v)
 
     def bend_d(D, V, Vinv):
-        D[1][1] = X
-        D[0][0] = P(0)
+        D[1][1] = ((0, 1), 1)
+        D[0][0] = ((), 1)
     bent_elimination(monkeypatch, bend_d)
     assert split_trivial_summand(M, w, v) == expected
 
@@ -746,7 +755,7 @@ def test_split_refuses_a_bent_kernel_basis_by_its_output_check(monkeypatch):
     M, w, v = two_row_split()
 
     def bend_v(D, V, Vinv):
-        V[0][2] = V[0][2] + X
+        V[0][2] = plus_x(V[0][2])
     bent_elimination(monkeypatch, bend_v)
     with pytest.raises(ArithmeticError, match="change of basis is not invertible"):
         split_trivial_summand(M, w, v)
@@ -762,7 +771,8 @@ def test_split_eliminates_the_rows_of_w_and_carries_nothing(monkeypatch):
         return real(rows, ncols)
     monkeypatch.setattr(cores, "_smith_eliminate", record)
     assert split_trivial_summand(M, w, v) == expected
-    assert seen == [(w.to_rows(), M.rank)]
+    den, ints = w._form()
+    assert seen == [([[(cs, den) for cs in ints[:3]], [(cs, den) for cs in ints[3:]]], M.rank)]
     assert (w.rows, w.cols) == (2, 3)
 
 
@@ -825,3 +835,63 @@ def test_core_of_a_trivial_module_checks_no_hom_and_runs_no_elimination(monkeypa
     d = core(T)
     assert (d.multiplicity, d.core, d.certificate) == \
         (expected.multiplicity, expected.core, expected.certificate)
+
+
+def test_a_split_runs_in_integer_cells_with_no_poly_division(monkeypatch):
+    # one split with a nonzero rest: its elimination divides integer cells,
+    # and no Poly division or clearing of Poly entries runs inside it
+    from diffmod import exactalg
+    M = random_planned_module(StableRng(2804), 1, 3).module
+    expected = core(M)
+    real_split, splits, inside, calls = cores.split_trivial_summand, [], [False], Counter()
+
+    def split(*args):
+        inside[0] = True
+        try:
+            out = real_split(*args)
+        finally:
+            inside[0] = False
+        splits.append(out[0].rank)
+        return out
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name, inside[0]] += 1
+            return real(*args)
+        return wrapper
+    monkeypatch.setattr(cores, "split_trivial_summand", split)
+    monkeypatch.setattr(Poly, "__divmod__", counted("divmod", Poly.__divmod__))
+    monkeypatch.setattr(exactalg, "_int_cleared", counted("cleared", exactalg._int_cleared))
+    monkeypatch.setattr(exactalg, "_cell_divmod", counted("cell", exactalg._cell_divmod))
+    d = core(M)
+    assert (d.multiplicity, d.core, d.certificate) == \
+        (expected.multiplicity, expected.core, expected.certificate)
+    assert splits == [1]
+    assert calls["cell", True] > 0
+    assert calls["divmod", True] == calls["cleared", True] == 0
+
+
+def test_pairing_values_match_the_products_of_each_pair():
+    # the pairing matrix is one integer product of the stacked maps; entry
+    # (j, k) is still the constant w_j v_k
+    rng = StableRng(2805)
+    modules_ = [trivial_module(DiffRing.POLY_DX, 0), line(X), two_trivial_lines_and_x()]
+    modules_ += [random_planned_module(rng, rng.randint(0, 2), rng.randint(0, 3)).module
+                 for _ in range(8)]
+    for M in modules_:
+        pairing, ws, vs = _pairing_data(M)
+        assert (pairing.rows, pairing.cols) == (len(ws), len(vs))
+        assert pairing.to_rows() == [[(w @ v).entry(0, 0).coeff(0) for v in vs] for w in ws]
+
+
+def test_a_nonconstant_pairing_value_is_named_in_the_error(monkeypatch):
+    # maps that are not a hom and a constant: the first nonconstant value,
+    # row by row, is the one named
+    ws = [PolyMat(1, 2, [P(1), P(0)]), PolyMat(1, 2, [P(Fraction(1, 2)), X * X])]
+    vs = [PolyMat(2, 1, [P(1), P(0)]), PolyMat(2, 1, [P(3), P(2)])]
+    monkeypatch.setattr(cores, "hom_space", lambda P_, Q_, cap: HomSpace(P_, Q_, ws, 32, False))
+    monkeypatch.setattr(cores, "constants", lambda *args: vs)
+    first = (ws[1] @ vs[1]).entry(0, 0)
+    assert str(first) == "2*x^2 + 3/2"
+    with pytest.raises(NonConstantPairing, match=re.escape(f"pairing value {first} is not")):
+        _pairing_data(DIAG01)

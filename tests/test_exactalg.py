@@ -293,14 +293,18 @@ def test_inverse_unimodular_rejects_a_corrupted_inverse(monkeypatch, which):
 
 def corrupt_smith(monkeypatch, which):
     """Make _smith_eliminate, run on [M | I] with M 2 x 2, return its
-    (rows, V, Vinv) with x added to the top-left entry of D (which = 0), of
-    the carried U (1), of V (2) or of Vinv (3)."""
+    (rows, V, Vinv), rows of cells (coefficients, denominator), with x added
+    to the top-left entry of D (which = 0), of the carried U (1), of V (2)
+    or of Vinv (3)."""
     real = exactalg._smith_eliminate
     out_index, col = ((0, 0), (0, 2), (1, 0), (2, 0))[which]
 
     def corrupted(rows, ncols):
         out = real(rows, ncols)
-        out[out_index][0][col] = out[out_index][0][col] + X
+        cs, den = out[out_index][0][col]
+        cs = [*cs, 0, 0][:max(len(cs), 2)]
+        cs[1] += den
+        out[out_index][0][col] = tuple(cs), den
         return out
     monkeypatch.setattr(exactalg, "_smith_eliminate", corrupted)
 
@@ -669,6 +673,146 @@ def smith_digest():
 def test_smith_normal_form_matches_the_golden_digest():
     assert smith_digest() == \
         "eb6759609406b34dbbd393ab7cd8c5c700f8fc8382638b7383288db85588004c"
+
+
+def poly_smith_eliminate(rows, ncols):
+    """The oracle: the Smith elimination over Q[x] on rows of Poly entries,
+    with the same pivots, quotients and offender rule, returning
+    (rows, V, V^-1) as rows of Polys."""
+    r, c = len(rows), ncols
+    a = [list(row) for row in rows]
+    V = PolyMat.identity(c).to_rows()
+    Vi = PolyMat.identity(c).to_rows()
+
+    def col_op(i, j, q):
+        for rr in range(r):
+            a[rr][i] = a[rr][i] - q * a[rr][j]
+        for rr in range(c):
+            V[rr][i] = V[rr][i] - q * V[rr][j]
+        Vi[j] = [x + q * y for x, y in zip(Vi[j], Vi[i])]
+
+    def swap_cols(i, j):
+        for rr in range(r):
+            a[rr][i], a[rr][j] = a[rr][j], a[rr][i]
+        for rr in range(c):
+            V[rr][i], V[rr][j] = V[rr][j], V[rr][i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
+
+    def min_deg_entry(t):
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                if not a[i][j].is_zero():
+                    d = a[i][j].degree
+                    if best is None or d < best[0]:
+                        best = (d, i, j)
+        return best
+
+    t = 0
+    while t < min(r, c):
+        if min_deg_entry(t) is None:
+            break
+        while True:
+            _, pi, pj = min_deg_entry(t)
+            if pi != t:
+                a[t], a[pi] = a[pi], a[t]
+            if pj != t:
+                swap_cols(t, pj)
+            piv = a[t][t]
+            dirty = False
+            for i in range(t + 1, r):
+                if not a[i][t].is_zero():
+                    q, rem = divmod(a[i][t], piv)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    dirty = dirty or not rem.is_zero()
+            for j in range(t + 1, c):
+                if not a[t][j].is_zero():
+                    q, rem = divmod(a[t][j], piv)
+                    col_op(j, t, q)
+                    dirty = dirty or not rem.is_zero()
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if not a[i][j].is_zero() and not (a[i][j] % piv).is_zero():
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+        t += 1
+    return a, V, Vi
+
+
+def cell_rows(M):
+    """The rows of M as rows of cells (coefficients, denominator)."""
+    cells, c = M._cells(), M.cols
+    return [list(cells[i * c:(i + 1) * c]) for i in range(M.rows)]
+
+
+def as_polys(rows):
+    return [[Poly([Fraction(v, den) for v in cs]) for cs, den in row] for row in rows]
+
+
+def smith_oracle_inputs():
+    """(rows, ncols): the golden digest's matrices and diagonal ones whose
+    rest a pivot does not divide (the offender rule), alone and with [M | I]
+    carried; seeded matrices with a row that is a Q[x] combination of the
+    others, scaled by rationals so that no pivot is monic; and every
+    (rows, ncols) that core's splits pass on seeded planned modules, as
+    they pass it."""
+    from diffmod import cores
+    from diffmod.suite import random_planned_module, random_poly, random_polymat
+
+    offenders = [PolyMat.diagonal([X, X + P(1)]), PolyMat.diagonal([2 * X, P(1, 0, 3)]),
+                 PolyMat.diagonal([X, P(-1, 1), P(2, 1)]).scale(Fraction(1, 2)),
+                 PolyMat(2, 3, [P(0, 0, 2), P(0), X, P(0), P(1, 1), P(0)])]
+    for M in smith_digest_inputs() + offenders:
+        yield cell_rows(M), M.cols
+        yield cell_rows(PolyMat.hstack(M, PolyMat.identity(M.rows))), M.cols
+    rng = StableRng(28)
+    for _ in range(30):
+        c = rng.randint(1, 5)
+        rows = random_polymat(rng, rng.randint(1, 3), c, 2).to_rows()
+        fs = [random_poly(rng, 1) for _ in rows]
+        rows.insert(rng.randint(0, len(rows)),
+                    [sum((f * row[j] for f, row in zip(fs, rows)), P()) for j in range(c)])
+        M = PolyMat.from_rows(rows).scale(Fraction(rng.nonzero_int(5), rng.randint(2, 4)))
+        yield cell_rows(M), c
+        yield cell_rows(PolyMat.hstack(M, random_polymat(rng, M.rows, 2, 1))), c
+    real, seen = cores._smith_eliminate, []
+
+    def record(rows, ncols):
+        seen.append(([list(row) for row in rows], ncols))
+        return real(rows, ncols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cores, "_smith_eliminate", record)
+        rng = StableRng(2028)
+        for core_rank in range(4):
+            for mult in range(1, 5):
+                cores.core(random_planned_module(rng, core_rank, mult).module)
+                cores.core(random_planned_module(rng, core_rank, mult).module,
+                           pivot_seed=rng.randint(0, 2**31))
+    assert {len(rows) for rows, _ in seen} == {1, 2, 3, 4}
+    yield from seen
+
+
+def test_smith_elimination_matches_the_poly_row_oracle():
+    # the same rational operations: reduced rows, V and V^-1 equal the
+    # oracle's entry for entry, every cell with den > 0 and no trailing zero
+    shapes = set()
+    for rows, ncols in smith_oracle_inputs():
+        got = exactalg._smith_eliminate(rows, ncols)
+        assert [as_polys(m) for m in got] == \
+            list(poly_smith_eliminate(as_polys(rows), ncols))
+        for cs, den in itertools.chain.from_iterable(itertools.chain(*got)):
+            assert den > 0 and (not cs or cs[-1])
+        shapes.add((len(rows) > 0, ncols > 0, len(rows[0]) > ncols if rows else False))
+    assert shapes == {(True, True, True), (True, True, False), (False, True, False),
+                      (True, False, True), (True, False, False), (False, False, False)}
 
 
 def test_lift_vector_recovers_rationals_within_the_bounds():

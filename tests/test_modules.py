@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import diffmod.modules as modules
 from diffmod.diffring import DiffRing, RingMismatch
 from diffmod.exactalg import (MODP, NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
-                              rat_nullspace)
+                              _modp_echelon, rat_nullspace)
 from diffmod.modules import (CertificateInvalid, DiffModule, constants,
                              direct_sum, hom_space, identity_certificate,
                              is_trivial, iso_search, make_iso_certificate,
@@ -610,6 +610,35 @@ def test_hom_chain_matches_the_golden_digest():
     # solver must reproduce byte for byte
     assert basis_digest(digest_jobs()) == \
         "191ece4e988f56710a1d1c7ca23479b616be55ee8977f3a8847945540f38f3a9"
+
+
+def full_product_chain(L, reduced, pivots, w, cap, p):
+    """The oracle: the E = 0 kernel chain with row k of R L the sum over
+    every column i of R[k][i] mod p times L[i]."""
+    slot = (1 << w) - 1
+    for j in range(1, cap + 2):
+        nxt = _modp_echelon([sum((r >> (w * i) & slot) % p * x for i, x in enumerate(L))
+                             for r in reduced], len(L), p, w)
+        stable = len(nxt[1]) == len(pivots)
+        if stable or j == cap + 1:
+            return (j, stable), (reduced, pivots)
+        reduced, pivots = nxt
+
+
+def test_kernel_chain_matches_the_full_product(monkeypatch):
+    # R L from the pivot rows of L and the free columns right of each pivot
+    # is the full product R L, packed integer for packed integer
+    real, seen = modules._modp_kernel_chain, []
+
+    def record(*args):
+        out = real(*args)
+        seen.append(out[0][0])
+        assert out == full_product_chain(*args)
+        return out
+    monkeypatch.setattr(modules, "_modp_kernel_chain", record)
+    for A, B, cap in digest_jobs():
+        modules._poly_hom_basis(A, B, cap)
+    assert len(seen) > 100 and max(seen) >= 3
 
 
 def spy_primes(mp):
