@@ -2,6 +2,7 @@
 constants, triviality, isomorphism search, scrambling."""
 
 import hashlib
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import diffmod.modules as modules
 from diffmod.diffring import DiffRing, RingMismatch
 from diffmod.exactalg import (MODP, NotUnimodular, Poly, PolyMat, RatMat, ShapeMismatch,
-                              _modp_echelon, rat_nullspace)
+                              _modp_echelon, _modp_kernel, rat_nullspace)
 from diffmod.modules import (CertificateInvalid, DiffModule, constants,
                              direct_sum, hom_space, identity_certificate,
                              is_trivial, iso_search, make_iso_certificate,
@@ -639,6 +640,109 @@ def test_kernel_chain_matches_the_full_product(monkeypatch):
     for A, B, cap in digest_jobs():
         modules._poly_hom_basis(A, B, cap)
     assert len(seen) > 100 and max(seen) >= 3
+
+
+def window_pairs():
+    """Seeded pairs with E = 1-5 and mn = 1-16: top coefficients triangular
+    with one shared eigenvalue, so the top layer is singular, and lower
+    coefficients over 1, 2 or 3; each module against another and against
+    itself (the identity is a hom, so the window has a kernel); and
+    J = x^E I + N, N a nilpotent Jordan block of size 1-5, to (R, x^E), and
+    from a scrambled copy of J to J for sizes 2 and 3, whose homs have
+    degree up to 5 through every layer of the recurrence."""
+    rng = StableRng(2929)
+    for E in range(1, 6):
+        xe = P(*[0] * E, 1)
+        for k in range(1, 6):
+            jordan = poly_module([[xe if i == j else int(j == i + 1) for j in range(k)]
+                                  for i in range(k)])
+            yield jordan, line(xe)
+            if k in (2, 3):
+                yield scramble(jordan, seed=29 + E + k)[0], jordan
+        for sizes in ((1, 1), (4, 4), (rng.randint(1, 4), rng.randint(1, 4))):
+            lam = rng.nonzero_int(2)
+
+            def rand_rows(k):
+                return [[Poly([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(E)]
+                              + [Fraction(lam if i == j else rng.randint(-2, 2) if j > i else 0)])
+                         for j in range(k)] for i in range(k)]
+            src, tgt = (poly_module(rand_rows(k)) for k in sizes)
+            yield src, tgt
+            yield src, src
+
+
+def window_terms(src, tgt):
+    """(idx, vals, sigma, E): the recurrence's terms, as _poly_hom_basis
+    builds them."""
+    layers, sigma = modules._sylvester_layers(src.matrix, tgt.matrix)
+    E, mn = len(layers) - 1, len(layers[0])
+    idx = [[(E - e) * mn + c for e in range(E + 1) for c, _ in layers[e][r]] for r in range(mn)]
+    vals = [[v for e in range(E + 1) for _, v in layers[e][r]] for r in range(mn)]
+    return idx, vals, sigma, E
+
+
+def plain_window(idx, vals, sigma, E, cap, p):
+    """The oracle: G[d] entry by entry mod p, with no packing, from G[0] = I
+    and G[d+1] = (sigma (d+1))^-1 sum_e L_e G[d-e]; then the reduced row
+    echelon form of G[cap+1], ..., G[cap+E+1] stacked, by a plain
+    Gauss-Jordan elimination mod p: (pivot rows, pivots, kernel)."""
+    mn = len(idx)
+    rows = [[0] * mn for _ in range(E * mn)] + [[int(r == c) for c in range(mn)]
+                                                for r in range(mn)]
+    for d in range(cap + E + 1):
+        inv = pow(sigma * (d + 1), -1, p)
+        rows = rows[mn:] + [[inv * sum(v * rows[i][c] for v, i in zip(vs, ix)) % p
+                             for c in range(mn)] for vs, ix in zip(vals, idx)]
+    pivots = []
+    for c in range(mn):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = pow(rows[k][c], -1, p)
+        rows[k] = [v * inv % p for v in rows[k]]
+        for r in range(len(rows)):
+            if r != k and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[k])]
+        pivots.append(c)
+    kernel = []
+    for fc in (c for c in range(mn) if c not in pivots):
+        x = [0] * mn
+        x[fc] = 1
+        for k, pc in enumerate(pivots):
+            x[pc] = -rows[k][fc] % p
+        kernel.append(x)
+    return rows[:len(pivots)], pivots, kernel
+
+
+def test_modp_window_matches_a_plain_recurrence():
+    # the packed, folded window has the pivots, the reduced rows mod p and
+    # the kernel of the recurrence run entry by entry, at each of the first
+    # 13 primes; the last job repeats every term of an mn = 16, E = 5 pair
+    # until a row has 512 terms, so at c = 257 the width is 72 and a fold
+    # takes 3 rounds (72 -> 52 -> 32 -> 31 bits)
+    primes = list(itertools.islice(modules._primes(), 13))
+    assert primes[11] == 2 ** 30 - 257
+    jobs = [(*window_terms(src, tgt), cap) for src, tgt in window_pairs() for cap in (0, 2, 7)]
+    idx, vals, sigma, E, _ = next(job for job in jobs if (len(job[0]), job[3]) == (16, 5))
+    rep = -(-512 // max(map(len, idx)))
+    jobs.append(([ix * rep for ix in idx], [vs * rep for vs in vals], sigma, E, 3))
+    seen = set()
+    for k, (idx, vals, sigma, E, cap) in enumerate(jobs):
+        p = primes[11] if k == len(jobs) - 1 else primes[k % len(primes)]
+        mn = len(idx)
+        (reduced, pivots), w = modules._modp_window(idx, vals, sigma, E, cap, p)
+        rows, plain_pivots, kernel = plain_window(idx, vals, sigma, E, cap, p)
+        slot = (1 << w) - 1
+        assert pivots == plain_pivots
+        assert [[(r >> (w * j) & slot) % p for j in range(mn)] for r in reduced] == rows
+        assert _modp_kernel(reduced, pivots, mn, p, w) == kernel
+        seen.add((mn, E, bool(kernel)))
+    assert w == 72
+    assert {mn for mn, _, _ in seen} >= {1, 16} and {E for _, E, _ in seen} == {1, 2, 3, 4, 5}
+    assert any(nonzero for _, _, nonzero in seen) and not all(nonzero for _, _, nonzero in seen)
 
 
 def spy_primes(mp):
