@@ -40,8 +40,11 @@ class NotAConstant(Exception):
     """The claimed section vector is not a constant of the module."""
 
 
-def _pairing_data(P: DiffModule, deg_cap: Optional[int] = None):
-    ws = hom_space(P, trivial_module(P.ring, 1), deg_cap).basis
+def _pairing_data(P: DiffModule, deg_cap: Optional[int] = None, ws=None):
+    """(pairing, ws, vs): ws a basis of hom(P, (R,0)), computed unless
+    given, and vs one of constants(P)."""
+    if ws is None:
+        ws = hom_space(P, trivial_module(P.ring, 1), deg_cap).basis
     vs = constants(P, deg_cap)
     # the pairing values as one integer product of the stacked w and v
     prods = (reduce(PolyMat.vstack, ws, PolyMat.zeros(0, P.rank)) @
@@ -136,9 +139,10 @@ def core(P: DiffModule, deg_cap: Optional[int] = None,
     Rows J, then columns K, are the first independent ones of Pi (for s = 1
     the first nonzero entry in row-major order); pivot_seed permutes both
     first, to exercise uniqueness of the core under other split choices.
-    w = Pi_JK^{-1} [w_j] and v = [v_k] give w v = I.  One more pairing
-    confirms the core; only cap-relative hom spaces can leave it nonzero,
-    and then the core is split again.
+    w = Pi_JK^{-1} [w_j] and v = [v_k] give w v = I.  The core is then
+    confirmed by hom(core, (R,0)) alone: when that space is {0} the pairing
+    is empty and constants(core) is not computed.  Only cap-relative hom
+    spaces can leave the pairing nonzero, and then the core is split again.
 
     Both certificate maps are composed from the splits (_decompose), and
     make_iso_certificate checks the pair once."""
@@ -152,13 +156,19 @@ def _decompose(P: DiffModule, deg_cap: Optional[int], pivot_seed: Optional[int] 
     """core's splits as (core, multiplicity, forward, backward), unchecked as
     a whole: the first split's M and M^{-1} are backward and forward, each
     later M extends backward on the right and its M^{-1} extends forward on
-    the left, so nothing is inverted."""
+    the left, so nothing is inverted.  Each round computes hom(cur, (R,0))
+    first and stops when it is {0}, the pairing then being empty, so
+    constants(cur) runs only when the pairing can be nonzero.  w is built
+    from the integer form of Pi_JK^{-1}."""
     rng = StableRng(pivot_seed) if pivot_seed is not None else None
     cur = P
     forward = backward = PolyMat.identity(P.rank)
     s = 0
     while cur.rank > 0:
-        pairing, ws, vs = _pairing_data(cur, deg_cap)
+        ws = hom_space(cur, trivial_module(cur.ring, 1), deg_cap).basis
+        if not ws:
+            break
+        pairing, _, vs = _pairing_data(cur, deg_cap, ws)
         rows, cols = list(range(pairing.rows)), list(range(pairing.cols))
         if rng:
             rows, cols = (sorted(o, key=lambda _: rng.next_u64()) for o in (rows, cols))
@@ -166,8 +176,10 @@ def _decompose(P: DiffModule, deg_cap: Optional[int], pivot_seed: Optional[int] 
         if not J:
             break
         K = _pivots(pairing, J, cols)
-        block = RatMat.from_rows([[pairing.entry(j, k) for k in K] for j in J])
-        w = block.inverse().to_polymat() @ reduce(PolyMat.vstack, [ws[j] for j in J])
+        inv, den = _int_row(RatMat.from_rows([[pairing.entry(j, k) for k in K]
+                                              for j in J]).inverse().entries)
+        w = (PolyMat._from_ints(len(J), len(J), den, [(v,) for v in inv]) @
+             reduce(PolyMat.vstack, [ws[j] for j in J]))
         v = reduce(PolyMat.hstack, [vs[k] for k in K])
         cur, M, Minv = split_trivial_summand(cur, w, v)
         if s:  # embed the new change of basis alongside the summands already split
@@ -188,8 +200,9 @@ def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
     Q = D + (R^t, 0) (_decompose), is F: C + R^(s+n) -> D + R^(t+n) and
     G = F^{-1}, and G_11 F_11 = I - N with N = G_12 F_21.  On trivial-free
     cores F_21 G_12 is a pairing matrix, hence 0, so N^2 = 0 and F_11 has the
-    inverse (I + N) G_11; rank C != rank D or N^2 != 0 gives None.  Only the
-    input and the result are checked.  seed is ignored."""
+    inverse (I + N) G_11; rank C != rank D or N^2 != 0 gives None.  Only
+    F's first c columns and G's first c rows are read, so only they are
+    formed.  Only the input and the result are checked.  seed is ignored."""
     sum_p = direct_sum(P, trivial_module(P.ring, n))
     sum_q = direct_sum(Q, trivial_module(Q.ring, n))
     if cert.source != sum_p or cert.target != sum_q:
@@ -203,8 +216,10 @@ def cancel_free(P: DiffModule, Q: DiffModule, n: int, cert: IsoCertificate,
     c, m, pad = core_p.rank, sum_p.rank, PolyMat.identity(n)
     if core_q.rank != c:
         return None
-    F = PolyMat.block_diag(fwd_q, pad) @ cert.forward @ PolyMat.block_diag(bwd_p, pad)
-    G = PolyMat.block_diag(fwd_p, pad) @ cert.backward @ PolyMat.block_diag(bwd_q, pad)
+    F = PolyMat.block_diag(fwd_q, pad) @ (
+        cert.forward @ PolyMat.block_diag(bwd_p, pad).submatrix(0, m, 0, c))
+    G = (PolyMat.block_diag(fwd_p, pad).submatrix(0, c, 0, m) @ cert.backward) @ \
+        PolyMat.block_diag(bwd_q, pad)
     N = G.submatrix(0, c, c, m) @ F.submatrix(c, m, 0, c)
     if not (N @ N).is_zero():
         return None

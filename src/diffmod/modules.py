@@ -262,8 +262,12 @@ def _modp_window(idx, vals, sigma, E, cap, p):
     Entries are kept congruent mod p and below 2**31, not reduced: since
     2**30 = c mod p, folding the bits of every slot above 2**30 back in as
     c times their value shrinks all slots at once, one fold per step for
-    all of G[d+1] side by side.  A sum of at most max(nnz, mn) products
-    below 2**61 fits in w.
+    all of G[d+1] side by side, before and after the multiplication by
+    (sigma (d+1))^-1.  A sum of at most max(nnz, mn) products below 2**61
+    fits in w, and a fold takes as many rounds as w and c need (3 for
+    c = 257 at w = 72).  The inverses of all cap + E + 1 factors come from
+    one pow: with q_d = prod_{k <= d} sigma (k+1) mod p, the inverse of
+    sigma (d+1) is q_{d-1} q_d^-1.  The history list is shifted in place.
     """
     mn = len(idx)
     c = (1 << 30) - p
@@ -276,20 +280,28 @@ def _modp_window(idx, vals, sigma, E, cap, p):
     while bits > 31:  # a fold takes slots below 2**bits to below 2**bits'
         bits = max(30, bits - 30 + c.bit_length()) + 1
         rounds += 1
-
-    def fold(x):
-        for _ in range(rounds):
-            x = (x & low) + c * ((x >> 30) & high)
-        return x
+    steps = cap + E + 1
+    prefix = [1]  # prefix[d] = q_{d-1}
+    for d in range(steps):
+        prefix.append(prefix[d] * sigma * (d + 1) % p)
+    inv, invs = pow(prefix[steps], -1, p), [0] * steps
+    for d in reversed(range(steps)):
+        invs[d], inv = inv * prefix[d] % p, inv * sigma * (d + 1) % p
 
     # rows holds G[d - E], ..., G[d] (zero matrices stand for d < 0), so
     # the term of row r at index i is rows[i]
     shifts = [w * mn * r for r in range(mn)]
     rows = [0] * (E * mn) + [1 << (w * j) for j in range(mn)]
-    for d in range(cap + E + 1):
-        sums = [sum(map(mul, v, map(rows.__getitem__, i))) for v, i in zip(vals, idx)]
-        whole = fold(fold(sum(map(lshift, sums, shifts))) * pow(sigma * (d + 1), -1, p))
-        rows = rows[mn:] + [whole >> s & row for s in shifts]
+    get = rows.__getitem__
+    for inv in invs:
+        x = sum(map(lshift, [sum(map(mul, v, map(get, i))) for v, i in zip(vals, idx)], shifts))
+        for _ in range(rounds):
+            x = (x & low) + c * ((x >> 30) & high)
+        x *= inv
+        for _ in range(rounds):
+            x = (x & low) + c * ((x >> 30) & high)
+        del rows[:mn]
+        rows += [x >> s & row for s in shifts]
     # slots below 2**31 and w above _modp_width(mn, p): the rows as they are
     return _modp_echelon(rows, mn, p, w), w
 

@@ -179,7 +179,8 @@ def test_split_raises_the_first_failing_input_check():
 
 def test_core_peels_two_summands_with_one_split(monkeypatch):
     # the (0, 0) pairing entry is zero, and one split along the invertible
-    # 2 x 2 block peels both trivial lines; one more pairing confirms
+    # 2 x 2 block peels both trivial lines; hom(core, (R, 0)) = {0} then
+    # confirms the core with no constants computed
     M = two_trivial_lines_and_x()
     assert trivial_pairing(M).entry(0, 0) == 0
     calls = Counter()
@@ -192,10 +193,10 @@ def test_core_peels_two_summands_with_one_split(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("split_trivial_summand", "_pairing_data"):
+    for name in ("split_trivial_summand", "hom_space", "constants"):
         monkeypatch.setattr(cores, name, counted(name))
     d = core(M)
-    assert calls["split_trivial_summand"] == 1 and calls["_pairing_data"] <= 2
+    assert calls == {"split_trivial_summand": 1, "hom_space": 2, "constants": 1}
     assert d.multiplicity == 2 and d.core.rank == 1
     assert iso_search(d.core, line(X), seed=1).kind == "iso"
 
@@ -869,6 +870,44 @@ def test_a_split_runs_in_integer_cells_with_no_poly_division(monkeypatch):
     assert splits == [1]
     assert calls["cell", True] > 0
     assert calls["divmod", True] == calls["cleared", True] == 0
+    # nor anywhere else in core: w is built from the integer form of the
+    # pairing block's inverse
+    assert calls["cleared", False] == 0
+
+
+def test_decompose_runs_one_chain_per_trivial_free_check(monkeypatch):
+    # core computes hom(cur, (R, 0)) first and constants(cur) only when
+    # that space is nonzero: a trivial-free input and the confirming pass
+    # after a split compute no constants; trivial_pairing and
+    # is_trivial_free still compute both spaces
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(cores, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    for name in ("hom_space", "constants"):
+        monkeypatch.setattr(cores, name, counted(name))
+    rng = StableRng(2906)
+    planned = [random_planned_module(rng, rng.randint(1, 2), mult) for mult in (0, 1, 2, 3)]
+    cases = [(line(X), 0), (two_trivial_lines_and_x(), 1),
+             (scramble(trivial_module(DiffRing.POLY_DX, 3), seed=3)[0], 1)]
+    cases += [(p.module, int(p.multiplicity > 0)) for p in planned]
+    for M, splits in cases:
+        calls.clear()
+        d = core(M)
+        assert (d.multiplicity > 0) == (splits > 0)
+        # a split that leaves a core runs one more hom space and no constants
+        confirm = int(d.core.rank > 0)
+        assert calls == Counter(hom_space=splits + confirm, constants=splits)
+        assert is_trivial_free(d.core)
+        for check in (trivial_pairing, is_trivial_free):
+            calls.clear()
+            check(M)
+            assert calls == Counter(hom_space=1, constants=1)
 
 
 def test_pairing_values_match_the_products_of_each_pair():
