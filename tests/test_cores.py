@@ -184,17 +184,8 @@ def test_core_peels_two_summands_with_one_split(monkeypatch):
     M = two_trivial_lines_and_x()
     assert trivial_pairing(M).entry(0, 0) == 0
     calls = Counter()
-
-    def counted(name):
-        real = getattr(cores, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
-
     for name in ("split_trivial_summand", "hom_space", "constants"):
-        monkeypatch.setattr(cores, name, counted(name))
+        count_calls(monkeypatch, calls, name, cores)
     d = core(M)
     assert calls == {"split_trivial_summand": 1, "hom_space": 2, "constants": 1}
     assert d.multiplicity == 2 and d.core.rank == 1
@@ -881,16 +872,8 @@ def test_decompose_runs_one_chain_per_trivial_free_check(monkeypatch):
     # after a split compute no constants; trivial_pairing and
     # is_trivial_free still compute both spaces
     calls = Counter()
-
-    def counted(name):
-        real = getattr(cores, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapper
     for name in ("hom_space", "constants"):
-        monkeypatch.setattr(cores, name, counted(name))
+        count_calls(monkeypatch, calls, name, cores)
     rng = StableRng(2906)
     planned = [random_planned_module(rng, rng.randint(1, 2), mult) for mult in (0, 1, 2, 3)]
     cases = [(line(X), 0), (two_trivial_lines_and_x(), 1),
