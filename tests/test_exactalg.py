@@ -541,6 +541,74 @@ def test_modp_kernel_can_only_grow():
     assert modp_nullspace([], 2, 7) == [[1, 0], [0, 1]]
 
 
+def plain_echelon_modp(rows, ncols, p):
+    """Gauss-Jordan over GF(p), entry by entry: (reduced rows, pivots,
+    kernel), the kernel one vector per free column as _modp_kernel gives it."""
+    rows = [[v % p for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = pow(rows[k][c], -1, p)
+        rows[k] = [v * inv % p for v in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[c]:
+                rows[i] = [(a - row[c] * b) % p for a, b in zip(row, rows[k])]
+        pivots.append(c)
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [0] * ncols
+        x[fc] = 1
+        for k, pc in enumerate(pivots):
+            x[pc] = -rows[k][fc] % p
+        kernel.append(x)
+    return rows[:len(pivots)], pivots, kernel
+
+
+def test_modp_echelon_matches_a_plain_gauss_jordan():
+    # seeded integer matrices with more rows than columns, fewer, and rank
+    # deficient ones (combinations of fewer rows mod p), every entry lifted
+    # by a multiple of p to below ncols * p**2 and one in eight at that
+    # bound minus 1, at p = 7 and the first 13 primes of _primes (c up to
+    # 263); ncols reaches 63 and 64, where its bit length steps up
+    primes = [7, *itertools.islice(exactalg._primes(), 13)]
+    assert primes[-1] == 2 ** 30 - 263
+    rng = StableRng(30)
+    widths = [*range(1, 18), 31, 32, 33, 63, 63, 63, 64, 64, 64]
+    seen = set()
+    for k, ncols in enumerate(widths):
+        p, shape = primes[k % len(primes)], k % 3
+        nrows = (ncols + rng.randint(1, 5), max(1, ncols // 2), ncols)[shape]
+        rank = rng.randint(0, ncols - 1) if shape == 2 else nrows
+        base = [[rng.randint(0, p - 1) for _ in range(ncols)] for _ in range(rank)]
+        rows = []
+        for _ in range(nrows):
+            if shape == 2:
+                coeffs = [rng.randint(0, p - 1) for _ in base]
+                residues = [sum(a * r[j] for a, r in zip(coeffs, base)) % p for j in range(ncols)]
+            else:
+                residues = [rng.randint(0, p - 1) for _ in range(ncols)]
+            top = ncols * p * p - 1
+            rows.append([top - (p - 1 - v) if rng.randint(0, 7) == 0
+                         else v + p * rng.randint(0, ncols * p - 1) for v in residues])
+        assert all(0 <= v < ncols * p * p for row in rows for v in row)
+        w = _modp_width(ncols, p)
+        slot = (1 << w) - 1
+        packed = [sum(v << (w * j) for j, v in enumerate(row)) for row in rows]
+        reduced, pivots = _modp_echelon(packed, ncols, p, w)
+        plain_rows, plain_pivots, kernel = plain_echelon_modp(rows, ncols, p)
+        assert pivots == plain_pivots
+        assert all(0 <= r < 1 << (w * ncols) for r in reduced)
+        assert [[(r >> (w * j) & slot) % p for j in range(ncols)] for r in reduced] == plain_rows
+        assert _modp_kernel(reduced, pivots, ncols, p, w) == kernel
+        seen.add((p, shape, len(pivots) < min(nrows, ncols)))
+    assert {p for p, _, _ in seen} == set(primes)
+    assert {(shape, deficient) for _, shape, deficient in seen} >= {(0, False), (1, False), (2, True)}
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form and unimodular rows
 # ---------------------------------------------------------------------------
