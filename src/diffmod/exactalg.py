@@ -750,9 +750,40 @@ def _primes():
 
 
 def _modp_width(ncols, p):
-    """Slot width of a packed row mod p: room for 2 * ncols products below
-    p**2 in each slot."""
-    return 2 * p.bit_length() + ncols.bit_length() + 1
+    """Slot width of a packed row mod p, k = p.bit_length(): 2k +
+    bitlen(ncols) + 2 bits, room for a slot below 3 ncols 2**(2k)
+    (_modp_echelon)."""
+    return 2 * p.bit_length() + ncols.bit_length() + 2
+
+
+def _fold_masks(p, w, nslots):
+    """The fold mod p on packed integers of nslots slots of w bits: (k,
+    high, rounds) for _fold_mul, with k = p.bit_length() and high the
+    mask of bits 0 .. w - k - 1 of every slot.  With c = 2**k - p a round
+    takes a slot below 2**bits to below 2**max(k + 1, bits - drop), drop
+    = k - bitlen(c) - 1; rounds is the count that takes slots below 2**w
+    to below 2**(k+1).  ValueError unless drop >= 1, that is c <
+    2**(k-2): every prime of _primes qualifies, and so does 7."""
+    k = p.bit_length()
+    drop = k - ((1 << k) - p).bit_length() - 1
+    if drop < 1:
+        raise ValueError(f"the fold mod p needs p = 2**k - c with c < 2**(k-2), got p = {p}")
+    ones = ((1 << (w * nslots)) - 1) // ((1 << w) - 1)
+    return k, ones * ((1 << (w - k)) - 1), max(0, -((k + 1 - w) // drop))
+
+
+def _fold_mul(x, f, p, k, high, rounds):
+    """f x with every slot congruent mod p and below 2**(k+1): x folded,
+    multiplied by f < p and folded again, for a width w >= 2k + 1
+    (_fold_masks gives k, high and rounds).  A fold round takes each slot
+    s = a + 2**k b, a < 2**k, to s - p b = a + c b, never negative, so no
+    slot borrows from the next."""
+    for _ in range(rounds):
+        x -= p * (x >> k & high)
+    x *= f
+    for _ in range(rounds):
+        x -= p * (x >> k & high)
+    return x
 
 
 def _modp_echelon(rows, ncols, p, w):
@@ -762,13 +793,18 @@ def _modp_echelon(rows, ncols, p, w):
     reduced lists the pivot rows of the reduced row echelon form, packed
     at width w, their slots below 2**w but not reduced mod p: row k is 1
     mod p at column pivots[k] and 0 mod p at the other pivot columns and
-    left of its pivot.  Callers unpack the slots they read.
+    left of its pivot.  Callers unpack the slots they read.  p must be
+    2**k - c with c < 2**(k-2) (_fold_masks), else ValueError.
 
     A row update is one multiply-add of packed integers.  Rows are reduced
-    only when they become pivot rows; a row takes at most ncols updates of
-    less than p**2 per slot, which the width has room for.
+    only when they become pivot rows, all slots at once: the row without
+    its slots left of the pivot (0 mod p) is folded below 2**(k+1),
+    multiplied by the pivot's inverse and folded again (_fold_mul).  A row
+    takes at most ncols updates of less than p 2**(k+1) per slot, so its
+    slots stay below 3 ncols 2**(2k), which the width has room for.
     """
     slot = (1 << w) - 1
+    k, high, rounds = _fold_masks(p, w, ncols)
     m = list(rows)
     pivots = []
     for c in range(ncols):
@@ -777,10 +813,10 @@ def _modp_echelon(rows, ncols, p, w):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        x = m[r]
-        inv = pow((x >> shift & slot) % p, -1, p)
         # the slots left of c are 0 mod p: the pivot row starts at c
-        m[r] = pivot = sum((x >> (w * j) & slot) * inv % p << (w * j) for j in range(c, ncols))
+        x = m[r] >> shift
+        inv = pow((x & slot) % p, -1, p)
+        m[r] = pivot = _fold_mul(x << shift, inv, p, k, high, rounds)
         for i, row in enumerate(m):
             f = (row >> shift & slot) % p
             if f and i != r:

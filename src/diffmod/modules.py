@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 
 from .diffring import DiffRing, RingMismatch
 from .exactalg import (MODP, NotUnimodular, Poly, PolyMat, ShapeMismatch, _crt,
-                       _lift_vector, _modp_echelon, _modp_kernel, _modp_width,
-                       _primes, _product_is_identity, _vanishes)
+                       _fold_masks, _fold_mul, _lift_vector, _modp_echelon, _modp_kernel,
+                       _modp_width, _primes, _product_is_identity, _vanishes)
 from .rng import StableRng
 
 DEFAULT_DEG_CAP = 32
@@ -261,25 +261,19 @@ def _modp_window(idx, vals, sigma, E, cap, p):
     bit w*j), so a row combination is nnz big-integer multiply-adds.
     Entries are kept congruent mod p and below 2**31, not reduced: since
     2**30 = c mod p, folding the bits of every slot above 2**30 back in as
-    c times their value shrinks all slots at once, one fold per step for
-    all of G[d+1] side by side, before and after the multiplication by
-    (sigma (d+1))^-1.  A sum of at most max(nnz, mn) products below 2**61
-    fits in w, and a fold takes as many rounds as w and c need (3 for
-    c = 257 at w = 72).  The inverses of all cap + E + 1 factors come from
+    c times their value shrinks all slots at once (_fold_mul, the fold of
+    _modp_echelon), one fold per step for all of G[d+1] side by side,
+    before and after the multiplication by (sigma (d+1))^-1.  A sum of at
+    most max(nnz, mn) products below 2**61 fits in w, and a fold takes as
+    many rounds as w and c need (_fold_masks: 3 for c = 257 at w = 72).  The inverses of all cap + E + 1 factors come from
     one pow: with q_d = prod_{k <= d} sigma (k+1) mod p, the inverse of
     sigma (d+1) is q_{d-1} q_d^-1.  The history list is shifted in place.
     """
     mn = len(idx)
-    c = (1 << 30) - p
     vals = [[v % p for v in row] for row in vals]
     w = 62 + max(mn, *map(len, vals)).bit_length()
     row = (1 << (w * mn)) - 1
-    ones = sum(1 << (w * j) for j in range(mn * mn))
-    low, high = ones * ((1 << 30) - 1), ones * ((1 << (w - 30)) - 1)
-    rounds, bits = 0, w
-    while bits > 31:  # a fold takes slots below 2**bits to below 2**bits'
-        bits = max(30, bits - 30 + c.bit_length()) + 1
-        rounds += 1
+    k, high, rounds = _fold_masks(p, w, mn * mn)
     steps = cap + E + 1
     prefix = [1]  # prefix[d] = q_{d-1}
     for d in range(steps):
@@ -295,14 +289,10 @@ def _modp_window(idx, vals, sigma, E, cap, p):
     get = rows.__getitem__
     for inv in invs:
         x = sum(map(lshift, [sum(map(mul, v, map(get, i))) for v, i in zip(vals, idx)], shifts))
-        for _ in range(rounds):
-            x = (x & low) + c * ((x >> 30) & high)
-        x *= inv
-        for _ in range(rounds):
-            x = (x & low) + c * ((x >> 30) & high)
+        x = _fold_mul(x, inv, p, k, high, rounds)
         del rows[:mn]
         rows += [x >> s & row for s in shifts]
-    # slots below 2**31 and w above _modp_width(mn, p): the rows as they are
+    # slots below 2**31 and w at least _modp_width(mn, p): the rows as they are
     return _modp_echelon(rows, mn, p, w), w
 
 

@@ -609,6 +609,17 @@ def test_modp_echelon_matches_a_plain_gauss_jordan():
     assert {(shape, deficient) for _, shape, deficient in seen} >= {(0, False), (1, False), (2, True)}
 
 
+def test_modp_echelon_refuses_a_prime_the_fold_cannot_shrink():
+    # 5 = 2**3 - 3 and 3 >= 2**(3-2): a fold round need not shrink a slot,
+    # so the elimination refuses p = 5 rather than loop; 7 = 2**3 - 1 works
+    w = _modp_width(2, 5)
+    with pytest.raises(ValueError, match="p = 5"):
+        _modp_echelon([1 | 2 << w], 2, 5, w)
+    w = _modp_width(2, 7)
+    assert modp_nullspace([[3, 6], [1, 2]], 2, 7) == [[5, 1]]
+    assert _modp_echelon([3 | 6 << w], 2, 7, w)[1] == [0]
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form and unimodular rows
 # ---------------------------------------------------------------------------
