@@ -38,8 +38,9 @@ def _check_rank(rank) -> None:
 
 class DiffModule:
     """(R^rank, matrix): the free module R^rank with derivation
-    v |-> v' + matrix @ v; immutable, equal and hashed by value (a cache key)."""
-    __slots__ = ("ring", "rank", "matrix")
+    v |-> v' + matrix @ v; immutable, equal and hashed by value (a cache key).
+    _blocks keeps its diagonal blocks once found (_summands)."""
+    __slots__ = ("ring", "rank", "matrix", "_blocks")
 
     def __init__(self, ring: DiffRing, rank: int, matrix: PolyMat):
         _check_rank(rank)
@@ -50,7 +51,7 @@ class DiffModule:
         if ring is DiffRing.CONST_ZERO and not matrix.is_constant():
             for e in matrix.entries:  # a nonconstant entry is invalid
                 ring.validate_element(e)
-        for name, value in zip(self.__slots__, (ring, rank, matrix)):
+        for name, value in zip(self.__slots__, (ring, rank, matrix, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
@@ -451,6 +452,14 @@ def _poly_hom_basis(A: PolyMat, B: PolyMat, cap: int):
 
 
 def _summands(M: DiffModule):
+    """(indices, summand) per diagonal block of M, by least index
+    (_components), found once per module and kept in its _blocks slot."""
+    if M._blocks is None:
+        object.__setattr__(M, "_blocks", tuple(_components(M)))
+    return M._blocks
+
+
+def _components(M: DiffModule):
     """(indices, summand) per diagonal block of M, by least index: the
     components of the graph with an edge i - j per nonzero M[i][j]."""
     n, (den, ints) = M.rank, M.matrix._form()

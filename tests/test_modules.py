@@ -1016,6 +1016,36 @@ def test_direct_sum_hom_matches_the_whole_chain():
         modules._hom_basis_cached.cache_clear()
 
 
+def test_a_module_finds_its_blocks_once(monkeypatch):
+    # hom(P, Q), hom(Q, P) and constants(P) are three cache misses that
+    # each need P's blocks; they are found on the first and kept on P,
+    # which stays equal, hashed, pickled and immutable as before
+    import pickle
+    found = []
+    real = modules._components
+    monkeypatch.setattr(modules, "_components", lambda M: found.append(M) or real(M))
+    blocks = [line(X + 3), NILPOTENT]
+    S, Q = direct_sum(*blocks), direct_sum(line(X + 3), ONE)
+    fresh = direct_sum(*blocks)
+    modules._hom_basis_cached.cache_clear()
+    try:
+        spaces = [hom_space(S, Q), hom_space(Q, S), modules._constants_space(S, None)]
+        assert sum(M is S for M in found) == 1 and sum(M is Q for M in found) == 1
+        assert [(list(b), M) for b, M in modules._summands(S)] == [([0], blocks[0]),
+                                                                   ([1, 2], blocks[1])]
+        modules._hom_basis_cached.cache_clear()
+        assert [hom_space(fresh, Q), hom_space(Q, fresh),
+                modules._constants_space(fresh, None)] == spaces
+        assert [space.dimension for space in spaces] == [3, 3, 2]
+    finally:
+        modules._hom_basis_cached.cache_clear()
+    assert fresh is not S and fresh == S and hash(fresh) == hash(S)
+    clone = pickle.loads(pickle.dumps(S))
+    assert clone == S and clone._blocks is None
+    with pytest.raises(AttributeError, match="cannot assign to field '_blocks'"):
+        S._blocks = None
+
+
 def test_direct_sum_hom_at_the_prime_threshold():
     # cap + E + 1 >= MODP needs the whole chain's error; an invertible top
     # layer, or E = 0, is answered at any cap
