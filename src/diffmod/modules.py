@@ -266,9 +266,10 @@ def _modp_window(idx, vals, sigma, E, cap, p):
     _modp_echelon), one fold per step for all of G[d+1] side by side,
     before and after the multiplication by (sigma (d+1))^-1.  A sum of at
     most max(nnz, mn) products below 2**61 fits in w, and a fold takes as
-    many rounds as w and c need (_fold_masks: 3 for c = 257 at w = 72).  The inverses of all cap + E + 1 factors come from
-    one pow: with q_d = prod_{k <= d} sigma (k+1) mod p, the inverse of
-    sigma (d+1) is q_{d-1} q_d^-1.  The history list is shifted in place.
+    many rounds as w and c need (_fold_masks: 3 for c = 257 at w = 72).
+    The inverses of all cap + E + 1 factors come from one pow: with q_d =
+    prod_{k <= d} sigma (k+1) mod p, the inverse of sigma (d+1) is
+    q_{d-1} q_d^-1.  The history list is shifted in place.
     """
     mn = len(idx)
     vals = [[v % p for v in row] for row in vals]
