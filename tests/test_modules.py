@@ -1017,8 +1017,8 @@ def test_direct_sum_hom_matches_the_whole_chain():
 
 
 def test_a_module_finds_its_blocks_once(monkeypatch):
-    # hom(P, Q), hom(Q, P) and constants(P) are three cache misses that
-    # each need P's blocks; they are found on the first and kept on P,
+    # hom(S, Q), hom(Q, S) and constants(S) are three cache misses that
+    # each need S's blocks; they are found on the first and kept on S,
     # which stays equal, hashed, pickled and immutable as before
     import pickle
     found = []
@@ -1029,14 +1029,13 @@ def test_a_module_finds_its_blocks_once(monkeypatch):
     fresh = direct_sum(*blocks)
     modules._hom_basis_cached.cache_clear()
     try:
-        spaces = [hom_space(S, Q), hom_space(Q, S), modules._constants_space(S, None)]
+        answers = [hom_space(S, Q).basis, hom_space(Q, S).basis, constants(S)]
         assert sum(M is S for M in found) == 1 and sum(M is Q for M in found) == 1
         assert [(list(b), M) for b, M in modules._summands(S)] == [([0], blocks[0]),
                                                                    ([1, 2], blocks[1])]
         modules._hom_basis_cached.cache_clear()
-        assert [hom_space(fresh, Q), hom_space(Q, fresh),
-                modules._constants_space(fresh, None)] == spaces
-        assert [space.dimension for space in spaces] == [3, 3, 2]
+        assert [hom_space(fresh, Q).basis, hom_space(Q, fresh).basis, constants(fresh)] == answers
+        assert [len(basis) for basis in answers] == [3, 3, 2]
     finally:
         modules._hom_basis_cached.cache_clear()
     assert fresh is not S and fresh == S and hash(fresh) == hash(S)
