@@ -138,44 +138,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlc = other.lc()
-        dd = len(other.coeffs) - 1
-        q = [_R0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            f = c / dlc
-            q[i - dd] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dd + j] -= f * oc
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ArithmeticError("division was expected to be exact")
-        return q
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        c = self.lc()
-        return self if c == 1 else self * (1 / c)
-
     def derivative(self) -> "Poly":
         return Poly(tuple(self.coeffs[i] * i for i in range(1, len(self.coeffs))))
 
@@ -240,13 +202,6 @@ def _coerce_poly(v):
 
 _P_ZERO = Poly()
 _P_ONE = Poly((_R1,))
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +514,28 @@ class PolyMat(_Matrix):
     # -- determinant / inverse ----------------------------------------------
 
     def determinant(self) -> Poly:
-        """Exact determinant, by the fraction-free Gauss-Jordan elimination
-        (_int_gauss_jordan) of the numerator rows over Z[x], over den**n.
-        The 0x0 determinant is 1."""
+        """Exact determinant: det N / den**n for the integer numerator N =
+        den M (_form), det N read off one evaluation at x = 2**K.  Every
+        coefficient of det N is at most B, the product of N's row l1 norms
+        (as in _vanishes), and K = bitlen(B) + 1, so each is below 2**(K-1)
+        in absolute value and det N(2**K), the fraction-free Gauss-Jordan
+        determinant (_int_gauss_jordan) of N(2**K), has them as its signed
+        base-2**K digits.  The 0x0 determinant is 1."""
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        den = self._form()[0]
-        _, pivots, d, sign = _int_gauss_jordan(self.scale(den).to_rows(), self.cols)
-        if len(pivots) < self.rows:
+        n, (den, ints) = self.rows, self._form()
+        K = math.prod(sum(sum(map(abs, cs)) for cs in ints[i * n:(i + 1) * n])
+                      for i in range(n)).bit_length() + 1
+        vals = _int_eval(ints, K)
+        _, pivots, d, sign = _int_gauss_jordan([vals[i * n:(i + 1) * n] for i in range(n)], n)
+        if len(pivots) < n:
             return _P_ZERO
-        return _coerce_poly(d) * Fraction(sign, den ** self.rows)
+        v, half, scale, coeffs = sign * d, 1 << (K - 1), den ** n, []
+        while v:
+            c = ((v + half) & (2 * half - 1)) - half  # the lowest signed digit
+            coeffs.append(Fraction(c, scale))
+            v = (v - c) >> K
+        return Poly(coeffs)
 
     def inverse_unimodular(self) -> "PolyMat":
         """Inverse of a matrix whose determinant is a nonzero constant.
@@ -679,8 +646,7 @@ def _int_row(row):
 
 
 def _int_gauss_jordan(rows, ncols):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of a matrix over Z,
-    or over Q[x] when the entries are Polys.
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of a matrix over Z.
 
     Pivots are taken in the first ``ncols`` columns, the leftmost nonzero
     entry first; further columns (a right-hand side, an identity block)
@@ -1059,6 +1025,11 @@ def _cell_divmod(a, b):
             for j, v in enumerate(ys, i - n):
                 rem[j] -= c * v
     return _cell([db * v for v in quo], da * lc ** e), _cell(rem, da * lc ** e)
+
+
+def _divides(a: Poly, b: Poly) -> bool:
+    """Whether the nonzero a divides b over Q[x] (_cell_divmod)."""
+    return not _cell_divmod(_int_row(b.coeffs), _int_row(a.coeffs))[1][0]
 
 
 def _smith_eliminate(rows, ncols):

@@ -29,10 +29,16 @@ class StableRng:
         if hi < lo:
             raise ValueError("empty range")
         span = hi - lo + 1
-        # rejection sampling for exact uniformity
-        limit = (1 << 64) - ((1 << 64) % span)
+        # rejection sampling for exact uniformity, on the fewest 64-bit words
+        # whose range holds the span: one for any span up to 2**64
+        top, words = 1 << 64, 1
+        while top < span:
+            top, words = top << 64, words + 1
+        limit = top - (top % span)
         while True:
             v = self.next_u64()
+            for _ in range(words - 1):
+                v = v << 64 | self.next_u64()
             if v < limit:
                 return lo + (v % span)
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .exactalg import (Poly, RatMat, ShapeMismatch, _echelon_kernel, _int_gauss_jordan,
-                       _int_matmul, _int_row)
+from .exactalg import (Poly, RatMat, ShapeMismatch, _divides, _echelon_kernel,
+                       _int_gauss_jordan, _int_matmul, _int_row)
 from .rng import StableRng
 
 # rcf's vector draws: a fixed seed, so transforms replay bit-exactly; nonzero
@@ -150,7 +150,7 @@ def _krylov_decomposition(Bi, b, rng: StableRng, bound: int):
     g = math.gcd(scale * b, *(e for row in X for e in row))
     rest = _krylov_decomposition([[e // g for e in row] for row in X], scale * b // g,
                                  rng, bound)
-    if rest is None or not (f % rest[0][0]).is_zero():
+    if rest is None or not _divides(rest[0][0], f):
         return None
     lifted = [(h, [(_apply(N, c), den) for c, den in cols]) for h, cols in rest]
     return [group] + lifted
@@ -178,7 +178,7 @@ def _frobenius(A: RatMat):
     factors = tuple(f for f, _ in groups)
     if any(f.degree is None or f.degree < 1 or f.lc() != 1 for f in factors):
         raise ArithmeticError("invariant factors must be monic and nonconstant")
-    if any(not (g % f).is_zero() for f, g in zip(factors, factors[1:])):
+    if not all(map(_divides, factors, factors[1:])):
         raise ArithmeticError("invariant factors out of divisibility order")
     columns = [c for _, cols in groups for c in cols]
     if len(columns) != n:

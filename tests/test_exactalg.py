@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 import diffmod.exactalg as exactalg
 from diffmod.exactalg import (MODP, NotUnimodular, Poly, PolyMat, RatMat,
-                              ShapeMismatch, _crt, _int_row, _lift_vector,
-                              _modp_echelon, _modp_kernel, _modp_width,
-                              kernel_basis, poly_gcd, rat_nullspace,
+                              ShapeMismatch, _cell_divmod, _crt, _int_row,
+                              _lift_vector, _modp_echelon, _modp_kernel,
+                              _modp_width, kernel_basis, rat_nullspace,
                               smith_normal_form_with_inverses)
 from diffmod.rng import StableRng
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 polys = st.builds(Poly, st.lists(rationals, max_size=5))
-small_polys = st.builds(Poly, st.lists(st.integers(-4, 4), max_size=4))
 
 
 def P(*coeffs):
@@ -72,38 +71,39 @@ def test_leibniz(a, b):
     assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
 
 
+def long_divmod(a, b):
+    """The oracle: (quotient, remainder) of Polys by long division on
+    Fraction coefficients, b nonzero."""
+    rem, dd = list(a.coeffs), len(b.coeffs) - 1
+    q = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        if rem[i]:
+            f = q[i - dd] = rem[i] / b.lc()
+            for j, c in enumerate(b.coeffs):
+                rem[i - dd + j] -= f * c
+    return Poly(q), Poly(rem)
+
+
+def as_poly(cell):
+    cs, den = cell
+    return Poly([Fraction(v, den) for v in cs])
+
+
 @given(polys, polys)
 @settings(max_examples=60, deadline=None)
 def test_divmod_identity(a, b):
+    # the one polynomial division, on cells: a = q b + r with deg r < deg b,
+    # q and r those of the long division, each cell reduced (den > 0, no
+    # trailing zero)
     if b.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            divmod(a, b)
         return
-    q, r = divmod(a, b)
+    cells = _cell_divmod(_int_row(a.coeffs), _int_row(b.coeffs))
+    q, r = map(as_poly, cells)
     assert a == q * b + r
     assert r.is_zero() or r.degree < b.degree
-
-
-@given(small_polys, small_polys)
-@settings(max_examples=60, deadline=None)
-def test_gcd_divides_and_is_monic(a, b):
-    g = poly_gcd(a, b)
-    if g.is_zero():
-        assert a.is_zero() and b.is_zero()
-    else:
-        assert g.lc() == 1
-        assert (a % g).is_zero()
-        assert (b % g).is_zero()
-
-
-def test_gcd_example():
-    # (x-1)(x+2) and (x-1)(x-3) share exactly x-1
-    assert poly_gcd(P(-2, 1, 1), P(3, -4, 1)) == P(-1, 1)
-
-
-def test_exact_div_rejects_remainder():
-    with pytest.raises(ArithmeticError):
-        P(1, 1).exact_div(X)
+    assert (q, r) == long_divmod(a, b)
+    for cs, den in cells:
+        assert den > 0 and (not cs or cs[-1]) and math.gcd(den, *cs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +385,57 @@ def test_polymat_determinant_matches_leibniz_expansion():
     assert PolyMat(0, 0, []).determinant() == P(1)
     with pytest.raises(ShapeMismatch):
         PolyMat.zeros(2, 3).determinant()
+
+
+def bound_inputs():
+    """(matrix, whether a coefficient of its determinant's numerator is +-B),
+    B the product of the numerator rows' l1 norms: monomials c x^k on a
+    permutation, one c of 2**m - 1, 2**m or 2**m + 1 up to m = 100, with
+    random signs and denominators; dense matrices with entries up to
+    2**101 in absolute value and denominators, and rank-deficient ones made
+    from them; and 0x0."""
+    rng = StableRng(31)
+    for n in range(1, 5):
+        for m in (1, 7, 64, 100):
+            for extra in (-1, 0, 1)[m == 1:]:
+                cs = [2**m + extra] + [rng.randint(1, 5) for _ in range(n - 1)]
+                perm = list(range(n))
+                for i in range(n - 1, 0, -1):
+                    j = rng.randint(0, i)
+                    perm[i], perm[j] = perm[j], perm[i]
+                rows = [[P(0)] * n for _ in range(n)]
+                for i, c in enumerate(cs):
+                    c = Fraction(rng.choice([-1, 1]) * c, rng.randint(1, 3))
+                    rows[i][perm[i]] = Poly([0] * rng.randint(0, 2) + [c])
+                yield PolyMat.from_rows(rows), True
+    for n in range(1, 4):
+        for _ in range(6):
+            rows = [[Poly([Fraction(rng.randint(-2**100, 2**100) + rng.choice([-1, 1]) * 2**100,
+                                    rng.randint(1, 5)) for _ in range(rng.randint(0, 3))])
+                     for _ in range(n)] for _ in range(n)]
+            yield PolyMat.from_rows(rows), False
+            if n >= 2:
+                f = P(Fraction(1 - 2**100, 7), 1)
+                rows[-1] = [f * a + b for a, b in zip(rows[0], rows[1])]
+                yield PolyMat.from_rows(rows), False
+    yield PolyMat(0, 0, []), True
+
+
+def test_determinant_reads_signed_digits_at_the_bound():
+    signs = set()
+    for M, at_bound in bound_inputs():
+        det = M.determinant()
+        assert det == leibniz_det(M), M
+        n, (den, ints) = M.rows, M._form()
+        B = math.prod(sum(sum(map(abs, cs)) for cs in ints[i * n:(i + 1) * n])
+                      for i in range(n))
+        numerator = [c * den**n for c in det.coeffs]
+        assert all(abs(c) <= B for c in numerator)
+        if at_bound:
+            top = max(numerator, key=abs)
+            assert abs(top) == B
+            signs.add(top > 0)
+    assert signs == {True, False}
 
 
 def test_ratmat_inverse():
@@ -801,12 +852,12 @@ def poly_smith_eliminate(rows, ncols):
             dirty = False
             for i in range(t + 1, r):
                 if not a[i][t].is_zero():
-                    q, rem = divmod(a[i][t], piv)
+                    q, rem = long_divmod(a[i][t], piv)
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     dirty = dirty or not rem.is_zero()
             for j in range(t + 1, c):
                 if not a[t][j].is_zero():
-                    q, rem = divmod(a[t][j], piv)
+                    q, rem = long_divmod(a[t][j], piv)
                     col_op(j, t, q)
                     dirty = dirty or not rem.is_zero()
             if dirty:
@@ -814,7 +865,7 @@ def poly_smith_eliminate(rows, ncols):
             offender = None
             for i in range(t + 1, r):
                 for j in range(t + 1, c):
-                    if not a[i][j].is_zero() and not (a[i][j] % piv).is_zero():
+                    if not a[i][j].is_zero() and not long_divmod(a[i][j], piv)[1].is_zero():
                         offender = i
                         break
                 if offender is not None:
@@ -833,7 +884,7 @@ def cell_rows(M):
 
 
 def as_polys(rows):
-    return [[Poly([Fraction(v, den) for v in cs]) for cs, den in row] for row in rows]
+    return [list(map(as_poly, row)) for row in rows]
 
 
 def smith_oracle_inputs():

@@ -4,8 +4,12 @@ constants, triviality, isomorphism search, scrambling."""
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +263,39 @@ def test_a_seed_that_is_not_an_int_is_an_input_error(seed):
     assert StableRng(-1).next_u64() == StableRng(2**64 - 1).next_u64()
     assert StableRng(2**70 + 5).next_u64() == StableRng(5).next_u64()
     assert iso_search(base, twisted, seed=-(2**70)).kind == "iso"
+
+
+_WIDE_DRAWS = """
+from diffmod.rng import StableRng
+rng = StableRng(1)
+print(rng.randint(0, 2**64), rng.randint(-2**100, 2**100),
+      max(rng.randint(0, 2**128) for _ in range(8)))
+"""
+
+
+def test_randint_draws_spans_above_two_to_the_64():
+    # a rejection limit of 0 would reject every draw of a span above 2**64
+    # and never return: the child process's timeout turns that into a failure
+    src = str(Path(modules.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WIDE_DRAWS], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    a, b, c = map(int, proc.stdout.split())
+    assert 0 <= a <= 2**64 and -2**100 <= b <= 2**100
+    assert 2**64 < c <= 2**128  # the draw reaches past one word
+    # a span up to 2**64 still takes one word per draw: streams replay as before
+    firsts = {2: [1, 0, 0, 1],
+              2**32: [1496452567, 4097599004, 3132172802, 1732127179],
+              2**64: [7191089600892374487, 309689372594955804, 16616101746815609346,
+                      10753165928301472203]}
+    for span, want in firsts.items():
+        rng = StableRng(7)
+        assert [rng.randint(0, span - 1) for _ in range(4)] == want
+    rng = StableRng(7)
+    assert [rng.randint(-5, 2**64 - 6) for _ in range(2)] == \
+        [7191089600892374482, 309689372594955799]
 
 
 def const_module(rows) -> DiffModule:
